@@ -89,6 +89,8 @@ def _general_report(matrix, digits, basis, triple) -> tuple[dict, object]:
 
 
 def run_analyze(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     triple, matrix, digits = _load_system(args)
     basis = None
     if args.basis:
@@ -173,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--digits", help="JSON file with digit vectors")
     analyze.add_argument("--basis", help="JSON list of contact seed vectors")
     analyze.add_argument("--k", type=int, default=1,
-                         help="loop audit depth (default 1)")
+                         help="loop audit depth, at least 1 (default 1)")
     analyze.add_argument("--json", help="write the JSON report here")
     analyze.add_argument("--dot", help="write the contact graph as DOT here")
     analyze.set_defaults(func=run_analyze)

@@ -1,14 +1,18 @@
-"""Labeled boundary graphs on lattice translations.
+"""Boundary graphs on lattice translations.
 
 A translation alpha carries the edge alpha ->(d|d') alpha' exactly when
-M alpha + d' - d = alpha'.  The contact iteration closes a seed set under
-predecessors; the neighbor iteration alternates Minkowski sums with removal
-of walk-dead vertices until the set stabilizes.
+M alpha + d' - d = alpha', so some edge alpha -> alpha' exists iff
+alpha' - M alpha lies in D - D.  The fixpoints run on that unlabeled relation:
+the contact iteration closes a seed set under predecessors; the neighbor
+iteration alternates Minkowski sums with removal of walk-dead vertices until
+the set stabilizes.  Labeled graphs only certify the final sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import add
 
 from .lattice import IntMatrix, Vec, char_poly, vec_add, vec_neg, vec_sub
 
@@ -48,8 +52,13 @@ class BoundaryGraph:
     def out_edges(self, v: Vec) -> tuple[LabeledEdge, ...]:
         return tuple(self._out.get(v, ()))
 
-    def successors(self, v: Vec) -> tuple[Vec, ...]:
-        return tuple(sorted({e.dst for e in self._out.get(v, ())}))
+    @cached_property
+    def digit_successors(self) -> dict:
+        """(alpha, d) -> list of (dst, right digit); built once per graph."""
+        table: dict[tuple[Vec, Vec], list[tuple[Vec, Vec]]] = {}
+        for e in self.edges:
+            table.setdefault((e.src, e.d), []).append((e.dst, e.d_prime))
+        return table
 
     @property
     def is_sink_free(self) -> bool:
@@ -86,31 +95,50 @@ def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
     return BoundaryGraph(tuple(pts), tuple(sorted(edges)), matrix, digits)
 
 
+def prune_sinks(succ) -> set:
+    """Vertices of the largest subgraph in which every vertex keeps a successor.
+
+    succ maps every vertex to its distinct successors, all of them keys of
+    succ.  A vertex survives exactly when an infinite walk starts at it.
+    """
+    preds: dict = {v: [] for v in succ}
+    for v, out in succ.items():
+        for w in out:
+            preds[w].append(v)
+    left = {v: len(out) for v, out in succ.items()}
+    queue = [v for v, n in left.items() if not n]
+    dead = set(queue)
+    while queue:
+        for p in preds[queue.pop()]:
+            if p not in dead:
+                left[p] -= 1
+                if not left[p]:
+                    dead.add(p)
+                    queue.append(p)
+    return succ.keys() - dead
+
+
 def reduce(graph: BoundaryGraph) -> BoundaryGraph:
     """Largest subgraph in which every vertex keeps an outgoing edge."""
-    succ: dict[Vec, set[Vec]] = {v: set() for v in graph.vertices}
-    preds: dict[Vec, set[Vec]] = {v: set() for v in graph.vertices}
-    for e in graph.edges:
-        succ[e.src].add(e.dst)
-        preds[e.dst].add(e.src)
-    dead: set[Vec] = set()
-    queue = [v for v in graph.vertices if not succ[v]]
-    while queue:
-        v = queue.pop()
-        if v in dead:
-            continue
-        dead.add(v)
-        for p in preds[v]:
-            if p in dead:
-                continue
-            succ[p].discard(v)
-            if not succ[p]:
-                queue.append(p)
-    if not dead:
+    alive = prune_sinks({v: {e.dst for e in out} for v, out in graph._out.items()})
+    if len(alive) == len(graph.vertices):
         return graph
-    alive = tuple(v for v in graph.vertices if v not in dead)
-    kept = tuple(e for e in graph.edges if e.src not in dead and e.dst not in dead)
-    return BoundaryGraph(alive, kept, graph.matrix, graph.digits)
+    kept = tuple(e for e in graph.edges if e.src in alive and e.dst in alive)
+    return BoundaryGraph(tuple(v for v in graph.vertices if v in alive), kept,
+                         graph.matrix, graph.digits)
+
+
+def digit_differences(digits) -> tuple[Vec, ...]:
+    """The difference set D - D, sorted."""
+    return tuple(sorted({vec_sub(dp, d) for d in digits for dp in digits}))
+
+
+def successor_map(points, matrix: IntMatrix, diffs) -> dict[Vec, set[Vec]]:
+    """a -> {M a + delta : delta in diffs} within points; with diffs = D - D
+    these are the edges of build_graph(points) without their labels."""
+    pset = set(points)
+    return {a: pset.intersection([tuple(map(add, ma, delta)) for delta in diffs])
+            for a, ma in zip(pset, map(matrix.mul_vec, pset))}
 
 
 def minkowski_sum(left, right) -> set[Vec]:
@@ -149,23 +177,27 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
     for b in basis:
         pts.add(b)
         pts.add(vec_neg(b))
-    diffs = sorted({vec_sub(dp, d) for d in digits for dp in digits})
+    diffs = digit_differences(digits)
+    # Predecessors of points already closed were found in earlier rounds,
+    # so each round solves only for the points the previous round added.
+    frontier = pts
     rounds = 0
     for _ in range(MAX_ROUNDS):
-        grown = set(pts)
-        for l in pts:
+        found = set()
+        for l in frontier:
             for delta in diffs:
                 k = matrix.solve_int(vec_add(l, delta))
                 if k is not None:
-                    grown.add(k)
-        if grown == pts:
+                    found.add(k)
+        frontier = found - pts
+        if not frontier:
             break
-        pts = grown
+        pts = pts | frontier
         rounds += 1
     else:
         raise RuntimeError("contact iteration exceeded 64 rounds")
-    reduced = reduce(build_graph(pts, matrix, digits))
-    return ContactSet(tuple(sorted(reduced.vertices)), basis, rounds)
+    alive = prune_sinks(successor_map(pts, matrix, diffs))
+    return ContactSet(tuple(sorted(alive)), basis, rounds)
 
 
 @dataclass(frozen=True)
@@ -188,11 +220,11 @@ def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
     digits = tuple(tuple(int(x) for x in d) for d in digits)
     zero = (0,) * matrix.size
     s0 = {tuple(int(x) for x in p) for p in base} | {zero}
+    diffs = digit_differences(digits)
     current = set(s0)
     rounds = 0
     for _ in range(MAX_ROUNDS):
-        candidates = minkowski_sum(current, s0)
-        nxt = set(reduce(build_graph(candidates, matrix, digits)).vertices)
+        nxt = prune_sinks(successor_map(minkowski_sum(current, s0), matrix, diffs))
         if nxt == current:
             break
         current = nxt
@@ -200,7 +232,6 @@ def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
     else:
         raise RuntimeError("neighbor iteration exceeded 64 rounds")
     points = tuple(sorted(current - {zero}))
-    trimmed = reduce(build_graph(points, matrix, digits))
-    if set(trimmed.vertices) != set(points):
+    if len(prune_sinks(successor_map(points, matrix, diffs))) != len(points):
         raise AssertionError("neighbor set lost walk-freeness without the origin")
     return NeighborSet(points, rounds)

@@ -8,6 +8,7 @@ that feeds the combinatorial layers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -17,15 +18,15 @@ DEFAULT_MAX_LEN = 10 ** 6
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_neg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
+    return tuple(map(operator.neg, u))
 
 
 def vec_scale(k: int, u: Vec) -> Vec:
@@ -95,26 +96,17 @@ class IntMatrix:
     def mul_vec(self, v: Vec) -> Vec:
         if len(v) != self.size:
             raise ValueError("dimension mismatch")
-        return tuple(sum(r[j] * v[j] for j in range(self.size)) for r in self.rows)
+        return tuple(sum(map(operator.mul, r, v)) for r in self.rows)
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(_mat_mul(self.rows, other.rows))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                               for ra, rb in zip(self.rows, other.rows)))
 
     def plus_scalar(self, c: int) -> "IntMatrix":
         return IntMatrix(tuple(tuple(x + (c if i == j else 0) for j, x in enumerate(r))
                                for i, r in enumerate(self.rows)))
 
     def pow(self, k: int) -> "IntMatrix":
-        if k < 0:
-            raise ValueError("nonnegative powers only")
-        acc = IntMatrix.identity(self.size)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
+        return IntMatrix(mat_pow(self.rows, k))
 
     @property
     def trace(self) -> int:
@@ -124,10 +116,11 @@ class IntMatrix:
         """Integer solution x of M x = w, or None when none exists."""
         if self.det == 0:
             raise ValueError("matrix is singular")
-        t = tuple(sum(r[j] * w[j] for j in range(self.size)) for r in self.adjugate)
-        if any(x % self.det != 0 for x in t):
+        det = self.det
+        t = tuple(sum(map(operator.mul, r, w)) for r in self.adjugate)
+        if any(x % det for x in t):
             return None
-        return tuple(x // self.det for x in t)
+        return tuple(x // det for x in t)
 
     def solve_fraction(self, w) -> tuple[Fraction, ...]:
         """Exact rational solution of M x = w (w integral or rational)."""
@@ -145,6 +138,16 @@ def _mat_mul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
         for i in range(m)
     )
+
+
+def mat_pow(rows, k: int):
+    """Rows of the k-th power (k >= 0) of the square matrix with these rows."""
+    if k < 0:
+        raise ValueError("nonnegative powers only")
+    acc = tuple(tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows)))
+    for _ in range(k):
+        acc = _mat_mul(acc, rows)
+    return acc
 
 
 def companion_form(coeffs) -> tuple[IntMatrix, tuple[Vec, ...]]:

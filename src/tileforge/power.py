@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import BoundaryGraph
-from .lattice import IntMatrix, Vec, vec_add, vec_neg, vec_sub
+from .graphs import BoundaryGraph, prune_sinks
+from .lattice import IntMatrix, Vec, mat_pow, vec_add, vec_neg, vec_sub
 
 VertexSet = tuple[Vec, ...]
 
@@ -36,14 +36,16 @@ def negated(vs: VertexSet) -> VertexSet:
 
 @dataclass(frozen=True)
 class PowerGraph:
-    """Immutable level graph; edges are (src, left digit, dst)."""
+    """Immutable level graph; edges are (src, left digit, dst).
+
+    Which base-graph edges carry src onto dst is not stored.
+    """
 
     level: int
     vertices: tuple[VertexSet, ...]
     edges: tuple[tuple[VertexSet, Vec, VertexSet], ...]
     matrix: IntMatrix
     digits: tuple[Vec, ...]
-    witnesses: dict = field(compare=False, repr=False, default_factory=dict)
     _out: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -74,43 +76,12 @@ class PowerGraph:
         return tuple(bad)
 
 
-def _digit_successors(base: BoundaryGraph):
-    """(alpha, d) -> tuple of (dst, right digit)."""
-    table: dict[tuple[Vec, Vec], list[tuple[Vec, Vec]]] = {}
-    for e in base.edges:
-        table.setdefault((e.src, e.d), []).append((e.dst, e.d_prime))
-    return table
-
-
-def _reduce_level(vertices, edges):
-    succ = {v: set() for v in vertices}
-    preds = {v: set() for v in vertices}
-    for src, _, dst in edges:
-        succ[src].add(dst)
-        preds[dst].add(src)
-    dead: set = set()
-    queue = [v for v in vertices if not succ[v]]
-    while queue:
-        v = queue.pop()
-        if v in dead:
-            continue
-        dead.add(v)
-        for p in preds[v]:
-            if p not in dead:
-                succ[p].discard(v)
-                if not succ[p]:
-                    queue.append(p)
-    alive = [v for v in vertices if v not in dead]
-    kept = [e for e in edges if e[0] not in dead and e[2] not in dead]
-    return alive, kept
-
-
 def power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
     """Level graph on size-`level` subsets of the base graph's vertex set."""
     if level < 1:
         raise ValueError("level must be at least 1")
     members = list(base.vertices)
-    succ = _digit_successors(base)
+    succ = base.digit_successors
     digits = base.digits
 
     prev: list[VertexSet] | None = None
@@ -133,9 +104,8 @@ def power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
                     if all(cand[:i] + cand[i + 1:] in prev_set for i in range(k)):
                         cand_set.add(cand)
             candidates = sorted(cand_set)
-        cand_lookup = set(candidates)
-        edges = []
-        witnesses = {}
+        succ_sets = {v: set() for v in candidates}
+        edges = set()
         for src in candidates:
             for d in digits:
                 target_lists = []
@@ -150,21 +120,14 @@ def power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
                         if len(set(dst_members)) != k:
                             continue
                         dst = tuple(sorted(dst_members))
-                        if dst not in cand_lookup:
-                            continue
-                        key = (src, d, dst)
-                        if key not in witnesses:
-                            edges.append(key)
-                            witnesses[key] = tuple(
-                                (a, t[1], t[0]) for a, t in zip(src, combo)
-                            )
-        alive, kept = _reduce_level(candidates, edges)
+                        if dst in succ_sets:
+                            edges.add((src, d, dst))
+                            succ_sets[src].add(dst)
+        alive = prune_sinks(succ_sets)
         prev = sorted(alive)
-        last_edges = sorted(kept)
-        last_witnesses = {e: witnesses[e] for e in kept}
+        last_edges = sorted(e for e in edges if e[0] in alive and e[2] in alive)
 
-    return PowerGraph(level, tuple(prev), tuple(last_edges),
-                      base.matrix, digits, last_witnesses)
+    return PowerGraph(level, tuple(prev), tuple(last_edges), base.matrix, digits)
 
 
 def intersection_vertex(beta1: VertexSet, a1: Vec, beta2: VertexSet, a2: Vec,
@@ -241,12 +204,13 @@ def unique_walk(graph: PowerGraph, start: VertexSet,
 
 def walk_point(word: DigitWord, matrix: IntMatrix) -> tuple[Fraction, ...]:
     """Exact point addressed by the word: x = sum_k M^-k d_k."""
-    zero = (0,) * matrix.size
-    c = zero
+    c = (0,) * matrix.size
     for d in word.period:
         c = vec_add(matrix.mul_vec(c), d)
-    p = len(word.period)
-    k = matrix.pow(p) - IntMatrix.identity(matrix.size)
+    # K = M^p - I, multiplied as rows so the constructor's check runs once.
+    k = IntMatrix(tuple(
+        tuple(x - (i == j) for j, x in enumerate(r))
+        for i, r in enumerate(mat_pow(matrix.rows, len(word.period)))))
     x = k.solve_fraction(c)
     check = tuple(sum(Fraction(r[j]) * x[j] for j in range(matrix.size))
                   for r in k.rows)
@@ -263,7 +227,7 @@ def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bo
     Runs the subset construction along the word; once inside the period,
     a repeated (phase, state set) pair proves an infinite walk exists.
     """
-    succ = _digit_successors(base)
+    succ = base.digit_successors
 
     def step(states, d):
         out = set()

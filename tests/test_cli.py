@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tileforge
 from tileforge import cli
 from tileforge.family import SweepRecord
 
@@ -31,6 +35,27 @@ def test_analyze_outside_family_reports_data_not_failure(tmp_path):
 def test_analyze_rejects_invalid_parameters(capsys):
     assert cli.main(["analyze", "--abc", "0,1,2"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_analyze_rejects_loop_depth_below_one(k, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fixpoint ran before --k was validated")
+
+    monkeypatch.setattr(cli, "analysis_for", forbidden)
+    monkeypatch.setattr(cli, "contact_set", forbidden)
+    assert cli.main(["analyze", "--abc", "1,2,4", "--k", k]) == 2
+    assert capsys.readouterr().err.startswith("error: --k must be at least 1")
+
+
+def test_cli_module_runs_without_runpy_warning():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "tileforge.cli",
+         "--help"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: tileforge" in proc.stdout
 
 
 def test_analyze_requires_exactly_one_input(tmp_path):

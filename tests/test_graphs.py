@@ -1,17 +1,22 @@
 import pytest
 from hypothesis import given, strategies as st
 
+import tileforge.graphs
 from tileforge.graphs import (
+    MAX_ROUNDS,
     BoundaryGraph,
     LabeledEdge,
     build_graph,
     contact_set,
     default_contact_basis,
+    digit_differences,
     minkowski_sum,
     neighbor_set,
+    prune_sinks,
     reduce,
+    successor_map,
 )
-from tileforge.lattice import companion_form, vec_neg
+from tileforge.lattice import companion_form, vec_add, vec_neg, vec_sub
 
 
 def setup_tile(a, b, c):
@@ -165,3 +170,72 @@ def test_neighbor_set_rejects_asymmetric_points():
     with pytest.raises(ValueError):
         from tileforge.graphs import NeighborSet
         NeighborSet(((1, 0, 0),), 0)
+
+
+# Reference path: full-recompute contact rounds and labeled pruning,
+# kept only to cross-check the unlabeled, incremental fixpoints.
+
+def labeled_contact_set(matrix, digits):
+    zero = (0,) * matrix.size
+    pts = {zero}
+    for b in default_contact_basis(matrix):
+        pts.update((b, vec_neg(b)))
+    diffs = sorted({vec_sub(dp, d) for d in digits for dp in digits})
+    rounds = 0
+    for _ in range(MAX_ROUNDS):
+        grown = set(pts)
+        for l in pts:
+            for delta in diffs:
+                k = matrix.solve_int(vec_add(l, delta))
+                if k is not None:
+                    grown.add(k)
+        if grown == pts:
+            break
+        pts = grown
+        rounds += 1
+    return set(reduce(build_graph(pts, matrix, digits)).vertices), rounds
+
+
+def labeled_neighbor_set(contact_points, matrix, digits):
+    zero = (0,) * matrix.size
+    s0 = set(contact_points) | {zero}
+    current = set(s0)
+    rounds = 0
+    for _ in range(MAX_ROUNDS):
+        nxt = set(reduce(build_graph(minkowski_sum(current, s0), matrix,
+                                     digits)).vertices)
+        if nxt == current:
+            break
+        current = nxt
+        rounds += 1
+    return current - {zero}, rounds
+
+
+@pytest.mark.parametrize("abc", [(1, 2, 4), (3, 4, 10), (2, 2, 5), (5, 5, 6)])
+def test_unlabeled_fixpoints_match_labeled_reference(abc):
+    m, digits = setup_tile(*abc)
+    c = contact_set(m, digits)
+    ref_points, ref_rounds = labeled_contact_set(m, digits)
+    assert (set(c.points), c.rounds) == (ref_points, ref_rounds)
+    s = neighbor_set(c, m, digits)
+    assert (set(s.points), s.rounds) == labeled_neighbor_set(c.points, m, digits)
+
+
+CLOUD_124 = sorted(minkowski_sum(*[contact_set(*setup_tile(1, 2, 4)).points] * 2))
+
+
+@given(st.sets(st.sampled_from(CLOUD_124)))
+def test_prune_sinks_keeps_the_vertices_of_reduce(subset):
+    m, digits = setup_tile(1, 2, 4)
+    alive = prune_sinks(successor_map(subset, m, digit_differences(digits)))
+    assert alive == set(reduce(build_graph(subset, m, digits)).vertices)
+
+
+def test_fixpoints_build_no_labeled_graph(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("labeled graph built inside a fixpoint")
+
+    monkeypatch.setattr(tileforge.graphs, "build_graph", forbidden)
+    m, digits = setup_tile(3, 4, 10)
+    s = neighbor_set(contact_set(m, digits), m, digits)
+    assert len(s.points) == 14

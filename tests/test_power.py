@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
+from tileforge.graphs import build_graph
 from tileforge.power import (
     DigitWord,
     SubtileRef,
@@ -177,6 +178,19 @@ def test_word_admissibility_rejects_dead_words():
     t = analysis_for((1, 2, 4))
     zeros = DigitWord((), ((0, 0, 0),))
     assert not word_admissible_from(t.boundary_graph, (2, 1, 1), zeros)
+
+
+def test_word_admissibility_reuses_one_successor_table():
+    t = analysis_for((1, 2, 4))
+    g = build_graph(t.neighbors.points, t.matrix, t.digits)  # private copy
+    v = t.level(3).vertices[0]
+    word = t.walk(v)
+    assert word_admissible_from(g, v[0], word)
+    table = g.digit_successors
+    assert g.digit_successors is table
+    # An emptied table must be what the next call sees: nothing is rebuilt.
+    table.clear()
+    assert not word_admissible_from(g, v[0], word)
 
 
 def test_digit_word_canonical_forms():
