@@ -11,11 +11,18 @@ from .family import disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
+    check_cap,
+    count_walks,
     export,
     merge_clouds,
 )
 from .graphs import build_graph, contact_set, neighbor_set
-from .lattice import IntMatrix, companion_form
+from .lattice import (
+    IntMatrix,
+    companion_form,
+    is_complete_residue_system,
+    is_expanding,
+)
 from .power import power_graph
 from .topology import audit_report
 
@@ -38,7 +45,11 @@ def _load_json(path, what: str):
 
 
 def _load_system(args):
-    """Companion system from --abc or explicit --matrix/--digits files."""
+    """Companion system from --abc or explicit --matrix/--digits files.
+
+    An explicit system must have an expanding matrix and a digit set that is
+    a complete residue system modulo it; anything else is outside the theory.
+    """
     if bool(args.abc) == bool(args.matrix):
         raise ValueError("provide exactly one of --abc or --matrix")
     if args.abc:
@@ -48,13 +59,38 @@ def _load_system(args):
         return triple, matrix, digits
     if not args.digits:
         raise ValueError("--matrix requires --digits")
-    rows = _load_json(args.matrix, "matrix")
-    matrix = IntMatrix(tuple(tuple(int(x) for x in row) for row in rows))
-    digits = tuple(tuple(int(x) for x in d)
-                   for d in _load_json(args.digits, "digits"))
+    matrix = IntMatrix(_int_vectors(_load_json(args.matrix, "matrix"),
+                                    "matrix file"))
+    digits = _int_vectors(_load_json(args.digits, "digits"), "digits file")
     if not digits:
         raise ValueError("digit set is empty")
+    if any(len(d) != matrix.size for d in digits):
+        raise ValueError(f"every digit needs {matrix.size} coordinates")
+    if not is_expanding(matrix):
+        raise ValueError("matrix is not expanding")
+    if not is_complete_residue_system(matrix, digits):
+        raise ValueError("digits are not a complete residue system modulo "
+                         "the matrix")
     return None, matrix, digits
+
+
+def _int_vectors(value, what: str):
+    """A parsed JSON list of integer vectors, as tuples."""
+    try:
+        return tuple(tuple(int(x) for x in v) for v in value)
+    except TypeError as exc:
+        raise ValueError(
+            f"{what} must be a JSON list of integer vectors") from exc
+
+
+def _parse_basis(text: str, size: int):
+    """--basis: size linearly independent integer vectors of length size."""
+    basis = _int_vectors(json.loads(text), "--basis")
+    if len(basis) != size or any(len(v) != size for v in basis):
+        raise ValueError(f"--basis needs {size} vectors of length {size}")
+    if IntMatrix(basis).det == 0:
+        raise ValueError("--basis vectors are linearly dependent")
+    return basis
 
 
 def _int_points(points) -> list:
@@ -92,9 +128,7 @@ def run_analyze(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
     triple, matrix, digits = _load_system(args)
-    basis = None
-    if args.basis:
-        basis = tuple(tuple(int(x) for x in v) for v in json.loads(args.basis))
+    basis = _parse_basis(args.basis, matrix.size) if args.basis else None
 
     if triple is not None and basis is None:
         t = analysis_for(triple)
@@ -148,6 +182,8 @@ def run_render(args) -> int:
         if not args.abc:
             raise ValueError("boundary rendering requires --abc")
         t = analysis_for(_parse_abc(args.abc))
+        check_cap(sum(count_walks(t.boundary_graph, a, depth)
+                      for a in t.neighbors.points))
         pieces = [approximate_boundary_piece(t, a, depth)
                   for a in t.neighbors.points]
         cloud = merge_clouds(pieces)

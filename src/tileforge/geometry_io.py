@@ -1,18 +1,23 @@
 """Geometric approximation and file emission (DOT, JSON, CSV, PLY).
 
-Point clouds are built with exact rational arithmetic; floats appear only
-when a cloud is rendered to text.  All writers are deterministic: identical
+The depth-n point of a digit word is M^-n z for an integer vector z, so a
+point cloud is a view over exact integer numerator rows and one positive
+denominator, generated on demand.  Floats appear only when a cloud is
+written, one int/int division per coordinate; the PLY and CSV writers stream
+rows to the file block by block.  All writers are deterministic: identical
 inputs give byte-identical files.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
+import operator
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice, repeat
 
 from .analysis import TileAnalysis, analysis_for
 from .family import SweepRecord, sweep_csv
@@ -30,31 +35,125 @@ def _resolve_cap(cap: int | None) -> int:
     return int(env) if env else DEFAULT_POINT_CAP
 
 
+def check_cap(count: int, cap: int | None = None) -> None:
+    """Raise ValueError when count points exceed the cap.
+
+    The cap defaults to the TILEFORGE_CAP_POINTS environment variable, or
+    10^7 when it is unset.
+    """
+    cap = _resolve_cap(cap)
+    if count > cap:
+        raise ValueError(f"{count} points exceed the cap of {cap}")
+
+
 def _ctx(obj) -> TileAnalysis:
     return obj if isinstance(obj, TileAnalysis) else analysis_for(obj)
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    """Exact-rational point list with provenance and a radius estimate.
+class _SizedView:
+    """Sized, re-iterable, unhashable view; equal to any sized iterable with
+    equal items in the same order."""
 
-    bound is a floating-point estimate of the attractor radius (sum of
-    inverse-power operator norms times the largest digit); it is reported
-    for sanity checks, never used in exact computations.
+    _count: int
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __eq__(self, other):
+        try:
+            if len(other) != self._count:
+                return False
+        except TypeError:
+            return NotImplemented
+        return all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+class PointRows(_SizedView):
+    """The exact points of a cloud, generated on demand from integer rows.
+
+    blocks is a function returning an iterator of (offset, columns) pairs:
+    an integer vector and one integer list per coordinate.  Row i of a block
+    is the point (offset + (c[i] for c in columns)) / denominator, and the
+    denominator is positive.  Iterating yields exact Fraction rows.
     """
 
-    points: tuple[tuple[Fraction, ...], ...]
+    def __init__(self, blocks, count: int, denominator: int):
+        self.blocks = blocks
+        self._count = count
+        self.denominator = denominator
+
+    @classmethod
+    def exact(cls, points) -> "PointRows":
+        """View over explicit rational rows, put over their least common
+        denominator."""
+        rows = [tuple(map(Fraction, p)) for p in points]
+        den = math.lcm(*(x.denominator for p in rows for x in p))
+        blocks = ()
+        if rows:
+            nums = [[x.numerator * (den // x.denominator) for x in p]
+                    for p in rows]
+            blocks = (((0,) * len(rows[0]), tuple(map(list, zip(*nums)))),)
+        return cls(lambda: iter(blocks), len(rows), den)
+
+    def float_blocks(self):
+        """Each block's coordinate columns as floats, one exact int/int
+        division (correctly rounded) per coordinate."""
+        den = self.denominator
+        for offset, columns in self.blocks():
+            yield [[(o + x) / den for x in col]
+                   for o, col in zip(offset, columns)]
+
+    def __iter__(self):
+        den = self.denominator
+        for offset, columns in self.blocks():
+            for row in zip(*columns):
+                yield tuple(Fraction(o + x, den) for o, x in zip(offset, row))
+
+
+class TagRuns(_SizedView):
+    """Per-point tags stored as (tag, count) runs."""
+
+    def __init__(self, runs):
+        self.runs = tuple(runs)
+        self._count = sum(n for _, n in self.runs)
+
+    def __iter__(self):
+        return chain.from_iterable(repeat(tag, n) for tag, n in self.runs)
+
+
+@dataclass(frozen=True)
+class PointCloud:
+    """Exact point cloud with provenance and a radius estimate.
+
+    points is a PointRows view; explicit rational rows are put over their
+    common denominator.  tags, when given, holds one tag per point (the face
+    index for boundary clouds) and is kept as runs.  bound is a
+    floating-point estimate of the attractor radius (sum of inverse-power
+    operator norms times the largest digit); it is reported for sanity
+    checks, never used in exact computations.
+    """
+
+    points: PointRows
     depth: int
     source: str
     bound: float
-    tags: tuple[int, ...] | None = None
+    tags: TagRuns | None = None
 
     def __post_init__(self):
-        if self.tags is not None and len(self.tags) != len(self.points):
-            raise ValueError("one tag per point required")
+        if not isinstance(self.points, PointRows):
+            object.__setattr__(self, "points", PointRows.exact(self.points))
+        if self.tags is not None:
+            if not isinstance(self.tags, TagRuns):
+                object.__setattr__(self, "tags", TagRuns(
+                    (tag, 1) for tag in self.tags))
+            if len(self.tags) != len(self.points):
+                raise ValueError("one tag per point required")
 
-    def float_rows(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(tuple(float(x) for x in p) for p in self.points)
+    def float_rows(self):
+        """Iterator over the points as float tuples."""
+        return chain.from_iterable(zip(*b) for b in self.points.float_blocks())
 
 
 def merge_clouds(clouds) -> PointCloud:
@@ -65,8 +164,20 @@ def merge_clouds(clouds) -> PointCloud:
     tagged = [c.tags is not None for c in clouds]
     if any(tagged) != all(tagged):
         raise ValueError("cannot merge tagged with untagged clouds")
-    points = tuple(p for c in clouds for p in c.points)
-    tags = (tuple(t for c in clouds for t in c.tags) if all(tagged) else None)
+    den = math.lcm(*(c.points.denominator for c in clouds))
+
+    def blocks():
+        for c in clouds:
+            f = den // c.points.denominator
+            for offset, columns in c.points.blocks():
+                if f != 1:
+                    offset = tuple(f * x for x in offset)
+                    columns = tuple([f * x for x in col] for col in columns)
+                yield offset, columns
+
+    points = PointRows(blocks, sum(len(c.points) for c in clouds), den)
+    tags = (TagRuns(run for c in clouds for run in c.tags.runs)
+            if all(tagged) else None)
     return PointCloud(points, depth,
                       " + ".join(dict.fromkeys(c.source for c in clouds)),
                       max(c.bound for c in clouds), tags)
@@ -90,43 +201,75 @@ def attractor_radius(matrix: IntMatrix, digits) -> float:
     return total
 
 
-def _digit_columns(matrix: IntMatrix, digits, depth: int):
-    """cols[j][d] = exact image of digit d under the inverse taken j+1 times."""
-    cols = []
-    current = {d: tuple(Fraction(x) for x in d) for d in digits}
-    for _ in range(depth):
-        current = {d: matrix.solve_fraction(v) for d, v in current.items()}
-        cols.append(current)
-    return cols
+def _level_columns(matrix: IntMatrix, digits, depth: int):
+    """Integer columns and the denominator of depth-n word points.
+
+    columns[j][d] = s * det^(n-1-j) * adj^(j+1) d and the denominator is
+    s * det^n = |det|^n, with s the sign of det^n, so the point
+    sum_j M^-(j+1) d_j of a word is sum_j columns[j][d_j] / denominator.
+    Folding s into the numerators keeps the denominator positive: a zero
+    coordinate divides to 0.0, never to -0.0.
+    """
+    det = matrix.det
+    s = -1 if det < 0 and depth % 2 else 1
+    images = {d: d for d in digits}
+    columns = []
+    for j in range(depth):
+        images = {d: tuple(sum(map(operator.mul, r, v))
+                           for r in matrix.adjugate)
+                  for d, v in images.items()}
+        scale = s * det ** (depth - 1 - j)
+        columns.append({d: tuple(scale * x for x in v)
+                        for d, v in images.items()})
+    return columns, abs(det) ** depth
+
+
+def _walk_blocks(step, start, columns, dim: int):
+    """Blocks of the column sums along every length-n walk from start.
+
+    step(v) lists the (digit, successor) pairs leaving v in walk order, and
+    columns[j][d] is digit d's column at level j; walks come in depth-first
+    order.  A walk is a head of n // 2 levels and a tail of the rest.  Each
+    block is one head sum with the tail sums of the head's end vertex, which
+    are computed once per vertex, so memory grows with the square root of
+    the point count.
+    """
+    split = len(columns) // 2
+    zero = (0,) * dim
+
+    def sums(v, levels):
+        rows = [(zero, v)]
+        for col in levels:
+            rows = [(tuple(map(operator.add, r, col[d])), w)
+                    for r, u in rows for d, w in step(u)]
+        return rows
+
+    def blocks():
+        tails = {}
+        for head, v in sums(start, columns[:split]):
+            if v not in tails:
+                rows = [r for r, _ in sums(v, columns[split:])]
+                tails[v] = tuple(map(list, zip(*rows)))
+            if tails[v]:
+                yield head, tails[v]
+    return blocks
 
 
 def approximate_tile(matrix: IntMatrix, digits, depth: int,
                      cap: int | None = None) -> PointCloud:
     """All digit-word points of the given depth, in word order."""
-    cap = _resolve_cap(cap)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if not is_expanding(matrix):
         raise ValueError("matrix is not expanding")
     digits = tuple(tuple(d) for d in digits)
     count = len(digits) ** depth
-    if count > cap:
-        raise ValueError(f"{count} points exceed the cap of {cap}")
-    cols = _digit_columns(matrix, digits, depth)
-    zero = (Fraction(0),) * matrix.size
-    points = []
-
-    def descend(level: int, acc):
-        if level == depth:
-            points.append(acc)
-            return
-        for d in digits:
-            w = cols[level][d]
-            descend(level + 1, tuple(a + b for a, b in zip(acc, w)))
-
-    descend(0, zero)
-    return PointCloud(tuple(points), depth, f"tile depth {depth}",
-                      attractor_radius(matrix, digits))
+    check_cap(count, cap)
+    columns, den = _level_columns(matrix, digits, depth)
+    step = {None: [(d, None) for d in digits]}.__getitem__
+    blocks = _walk_blocks(step, None, columns, matrix.size)
+    return PointCloud(PointRows(blocks, count, den), depth,
+                      f"tile depth {depth}", attractor_radius(matrix, digits))
 
 
 def count_walks(graph: BoundaryGraph, start: Vec, depth: int) -> int:
@@ -144,7 +287,6 @@ def approximate_boundary_piece(ctx, alpha, depth: int,
                                cap: int | None = None) -> PointCloud:
     """One point per length-depth boundary-graph walk from one neighbor."""
     t = _ctx(ctx)
-    cap = _resolve_cap(cap)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     alpha = tuple(int(x) for x in alpha)
@@ -152,25 +294,16 @@ def approximate_boundary_piece(ctx, alpha, depth: int,
     if alpha not in g.vertices:
         raise ValueError(f"{alpha} is not a neighbor")
     count = count_walks(g, alpha, depth)
-    if count > cap:
-        raise ValueError(f"{count} points exceed the cap of {cap}")
-    cols = _digit_columns(t.matrix, t.digits, depth)
-    zero = (Fraction(0),) * t.matrix.size
+    check_cap(count, cap)
+    columns, den = _level_columns(t.matrix, t.digits, depth)
+    succ = {v: [(e.d, e.dst) for e in sorted(g.out_edges(v))]
+            for v in g.vertices}
     face = t.neighbors.points.index(alpha)
-    points = []
-
-    def descend(v: Vec, level: int, acc):
-        if level == depth:
-            points.append(acc)
-            return
-        for e in sorted(g.out_edges(v)):
-            w = cols[level][e.d]
-            descend(e.dst, level + 1, tuple(a + b for a, b in zip(acc, w)))
-
-    descend(alpha, 0, zero)
-    return PointCloud(tuple(points), depth, f"boundary piece {alpha}",
+    blocks = _walk_blocks(succ.__getitem__, alpha, columns, t.matrix.size)
+    return PointCloud(PointRows(blocks, count, den), depth,
+                      f"boundary piece {alpha}",
                       attractor_radius(t.matrix, t.digits),
-                      (face,) * len(points))
+                      TagRuns(((face, count),)))
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +374,19 @@ def parse_dot(text: str) -> GraphDocument:
 # writers
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+def _row_chunks(cloud: PointCloud, sep: str):
+    """The cloud's rows as text, one chunk per block, in `%.9g` format."""
+    tags = None if cloud.tags is None else iter(cloud.tags)
+    for floats in cloud.points.float_blocks():
+        fmt = sep.join(["%.9g"] * len(floats))
+        rows = zip(*floats)
+        if tags is not None:
+            fmt += sep + "%s"
+            rows = zip(*floats, islice(tags, len(floats[0])))
+        yield "".join(map((fmt + "\n").__mod__, rows))
 
 
-def cloud_ply(cloud: PointCloud) -> str:
+def _ply_chunks(cloud: PointCloud):
     lines = [
         "ply",
         "format ascii 1.0",
@@ -258,23 +399,24 @@ def cloud_ply(cloud: PointCloud) -> str:
     if cloud.tags is not None:
         lines.append("property uchar face")
     lines.append("end_header")
-    for i, p in enumerate(cloud.float_rows()):
-        row = " ".join(_fmt(x) for x in p)
-        if cloud.tags is not None:
-            row += f" {cloud.tags[i]}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+    yield from _row_chunks(cloud, " ")
+
+
+def _csv_chunks(cloud: PointCloud):
+    yield "x,y,z\n" if cloud.tags is None else "x,y,z,face\n"
+    yield from _row_chunks(cloud, ",")
+
+
+_CLOUD_CHUNKS = {"ply": _ply_chunks, "csv": _csv_chunks}
+
+
+def cloud_ply(cloud: PointCloud) -> str:
+    return "".join(_ply_chunks(cloud))
 
 
 def cloud_csv(cloud: PointCloud) -> str:
-    header = "x,y,z" if cloud.tags is None else "x,y,z,face"
-    lines = [header]
-    for i, p in enumerate(cloud.float_rows()):
-        row = ",".join(_fmt(x) for x in p)
-        if cloud.tags is not None:
-            row += f",{cloud.tags[i]}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(cloud))
 
 
 def json_text(payload) -> str:
@@ -323,6 +465,17 @@ def render(doc, fmt: str) -> str:
 
 
 def export(doc, fmt: str, path) -> None:
-    text = render(doc, fmt)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write doc to path as fmt; PLY and CSV clouds stream block by block.
+
+    A path that cannot be written raises ValueError("cannot write ...").
+    """
+    if isinstance(doc, PointCloud) and fmt in _CLOUD_CHUNKS:
+        chunks = _CLOUD_CHUNKS[fmt](doc)
+    else:
+        chunks = (render(doc, fmt),)
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -179,3 +179,97 @@ def test_render_is_byte_deterministic(tmp_path):
     cli.main(["render", "--abc", "1,2,4", "--depth", "4", "--ply", str(a)])
     cli.main(["render", "--abc", "1,2,4", "--depth", "4", "--ply", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_render_boundary_cap_counts_merged_cloud(monkeypatch, capsys):
+    t = tileforge.analysis_for((1, 2, 4))
+    sizes = [tileforge.geometry_io.count_walks(t.boundary_graph, a, 3)
+             for a in t.neighbors.points]
+    assert max(sizes) < sum(sizes) - 1
+    monkeypatch.setenv("TILEFORGE_CAP_POINTS", str(sum(sizes) - 1))
+    monkeypatch.setattr(cli, "approximate_boundary_piece", None)
+    assert cli.main(["render", "--abc", "1,2,4", "--boundary",
+                     "--depth", "3"]) == 2
+    assert f"{sum(sizes)} points exceed the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["analyze", "--abc", "1,2,4"], "--json"),
+    (["analyze", "--abc", "1,2,4"], "--dot"),
+    (["sweep", "--max", "2"], "--csv"),
+    (["render", "--abc", "1,2,4", "--depth", "2"], "--csv"),
+    (["render", "--abc", "1,2,4", "--depth", "2"], "--json"),
+    (["render", "--abc", "1,2,4", "--depth", "2"], "--ply"),
+])
+def test_unwritable_output_path_is_input_error(argv, flag, tmp_path, capsys):
+    path = tmp_path / "missing" / "out"
+    assert cli.main(argv + [flag, str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
+
+def _write_system(tmp_path, matrix, digits):
+    m = tmp_path / "m.json"
+    d = tmp_path / "d.json"
+    m.write_text(json.dumps(matrix))
+    d.write_text(json.dumps(digits))
+    return ["--matrix", str(m), "--digits", str(d)]
+
+
+IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+TWICE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
+FAMILY_124 = [[0, 0, -4], [1, 0, -2], [0, 1, -1]]
+
+
+@pytest.mark.parametrize("command,matrix,digits,extra,message", [
+    ("analyze", IDENTITY, [[0, 0, 0]], [], "not expanding"),
+    ("analyze", TWICE, [[0, 0, 0], [1, 0, 0]], [], "complete residue"),
+    ("analyze", FAMILY_124, [[0, 0, 0], [1, 0, 0], [2, 0, 0], [4, 0, 0]], [],
+     "complete residue"),
+    ("analyze", FAMILY_124, [[0, 0], [1, 0], [2, 0], [3, 0]], [],
+     "3 coordinates"),
+    ("render", TWICE, [[0, 0, 0], [1, 0, 0]], ["--depth", "2"],
+     "complete residue"),
+    ("render", IDENTITY, [[0, 0, 0]], ["--depth", "2"], "not expanding"),
+    ("analyze", FAMILY_124, [1, 2], [], "digits file must be a JSON list"),
+    ("render", 5, [[0, 0, 0]], [], "matrix file must be a JSON list"),
+])
+def test_system_outside_the_theory_is_rejected_first(
+        command, matrix, digits, extra, message, tmp_path, monkeypatch,
+        capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before the input was validated")
+
+    for name in ("contact_set", "analysis_for", "approximate_tile"):
+        monkeypatch.setattr(cli, name, forbidden)
+    argv = [command] + _write_system(tmp_path, matrix, digits) + extra
+    assert cli.main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("basis,message", [
+    ("[[0,0,0]]", "3 vectors of length 3"),
+    ("[[1,0,0],[0,1,0]]", "3 vectors of length 3"),
+    ("[[1,0,0],[0,1,0],[0,0,1,0]]", "3 vectors of length 3"),
+    ("[[1,0,0],[0,1,0],[1,1,0]]", "linearly dependent"),
+    ("[[1,0,0],[0,1,0],[0,0,0]]", "linearly dependent"),
+    ("[1,2,3]", "JSON list of integer vectors"),
+])
+def test_degenerate_basis_is_rejected_first(basis, message, monkeypatch,
+                                            capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fixpoint ran before --basis was validated")
+
+    monkeypatch.setattr(cli, "analysis_for", forbidden)
+    monkeypatch.setattr(cli, "contact_set", forbidden)
+    assert cli.main(["analyze", "--abc", "1,2,4", "--basis", basis]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_expanding_matrix_exits_instead_of_hanging(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    argv = ["analyze"] + _write_system(tmp_path, IDENTITY, [[0, 0, 0]])
+    proc = subprocess.run([sys.executable, "-m", "tileforge.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "error: matrix is not expanding" in proc.stderr

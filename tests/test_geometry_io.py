@@ -1,7 +1,14 @@
+import hashlib
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
+import tileforge
+from tileforge import cli, geometry_io
 from tileforge.analysis import analysis_for
 from tileforge.family import sweep
 from tileforge.geometry_io import (
@@ -20,7 +27,7 @@ from tileforge.geometry_io import (
     render,
     to_dot,
 )
-from tileforge.lattice import companion_form
+from tileforge.lattice import IntMatrix, companion_form, is_expanding
 
 
 def system_124():
@@ -203,3 +210,159 @@ def test_export_json_report(tmp_path):
     path = tmp_path / "report.json"
     export({"b": 2, "a": 1}, "json", path)
     assert path.read_text() == '{\n  "a": 1,\n  "b": 2\n}\n'
+
+
+# Digests of the parent implementation's output (exact Fraction sums, one
+# float() per coordinate), recorded before the integer render path existed.
+# Every family member has det = -C < 0, so odd depths cover the case where
+# an unsigned denominator det^n is negative and a zero would print as -0.
+GOLDEN = {
+    ("1,2,4", "tile", 5): (
+        "3c626537d16a77b21b2a22cda651863653e13571f787110f48694bbb1328e222",
+        "165b12c61708ec989d6870a083d119e70d7cf29758d0ac984d6f7f75c9485916",
+        "dea7906b698873fafe5d2373e943e5dfa28fd665f8de8f7e4064f0e46cb18e45"),
+    ("1,1,4", "tile", 5): (
+        "c999ab08d823f55fdd75971aed7866ea6b31270a3178dd5c95fae86622dec579",
+        "db862d9674b733f855055435b5c0e51aeca34d530d6c27e8de267e1e352dff24",
+        "4957f2d8961ed827bacf8734631506df740f84365314aa4863af9fb2ac397818"),
+    ("1,2,4", "boundary", 4): (
+        "56fe7bfb4907bd5327830e0449954d90086235e6c28cb3efb0cfab8dcfc4fc6f",
+        "e45851a82459b26f3e8c94819a764190df295ffb338c89a666fdc7818416ead1",
+        "70de0515917640bfb239bd4c47f4e4658afa053da392a35494f70b706235c061"),
+    ("1,1,4", "boundary", 4): (
+        "97b1d9d47f0b0ddf1dd74ed7862ef50f4747cdd59ae52c6bb9e8a41bea219720",
+        "46be61349a3af64572906307283bd4dcd55dc104776b518b1bc2151a0c42bfb4",
+        "15d5324a736ecea17ed4f0ee0acd6a285c9d275c048c236d0c1342bc9c209337"),
+    ("1,1,4", "boundary", 3): (
+        "7f244461adaebb7f265c97ad858d485468e72c22a62547735e13e9120c74b7d0",
+        "134eb07cbf2f7ca9f6a848ea336edada1bdc5141e184b8643d44d9505faf2981",
+        "b0eb3342e38960e2cef2af9ccd73724fa759669eae7c03edf95057480dfded45"),
+}
+
+
+@pytest.mark.parametrize("abc,kind,depth", sorted(GOLDEN))
+def test_cloud_writers_match_golden_digests(abc, kind, depth, tmp_path):
+    paths = {fmt: tmp_path / f"cloud.{fmt}" for fmt in ("csv", "json", "ply")}
+    argv = ["render", "--abc", abc, "--depth", str(depth)]
+    if kind == "boundary":
+        argv.append("--boundary")
+    for fmt, path in paths.items():
+        argv += [f"--{fmt}", str(path)]
+    assert cli.main(argv) == 0
+    got = tuple(hashlib.sha256(paths[fmt].read_bytes()).hexdigest()
+                for fmt in ("csv", "json", "ply"))
+    assert got == GOLDEN[abc, kind, depth]
+
+
+def fraction_tile(matrix, digits, depth):
+    """Reference: every depth-n word point as an exact Fraction sum."""
+    cols = []
+    current = {d: tuple(Fraction(x) for x in d) for d in digits}
+    for _ in range(depth):
+        current = {d: matrix.solve_fraction(v) for d, v in current.items()}
+        cols.append(current)
+    points = [(Fraction(0),) * matrix.size]
+    for col in cols:
+        points = [tuple(a + b for a, b in zip(p, col[d]))
+                  for p in points for d in digits]
+    return points
+
+
+def fraction_boundary_piece(t, alpha, depth):
+    """Reference: the Fraction sum along every walk, depth first."""
+    g = t.boundary_graph
+    zero = (Fraction(0),) * t.matrix.size
+    walks = [(zero, alpha)]
+    image = {d: tuple(Fraction(x) for x in d) for d in t.digits}
+    for _ in range(depth):
+        image = {d: t.matrix.solve_fraction(v) for d, v in image.items()}
+        walks = [(tuple(a + b for a, b in zip(p, image[e.d])), e.dst)
+                 for p, v in walks for e in sorted(g.out_edges(v))]
+    return [p for p, _ in walks]
+
+
+@st.composite
+def expanding_systems(draw):
+    """Expanding companion matrices, conjugated by a unimodular shear, with
+    a few distinct small digits and a small depth."""
+    a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    c = draw(st.sampled_from([-5, -4, -3, -2, 2, 3, 4, 5]))
+    matrix, _ = companion_form([1, a, b, c])
+    assume(is_expanding(matrix))
+    i, j = draw(st.sampled_from([(i, j) for i in range(3) for j in range(3)
+                                 if i != j]))
+    k = draw(st.integers(-2, 2))
+    shear = [[int(r == s) for s in range(3)] for r in range(3)]
+    shear[i][j] = k
+    inverse = [row[:] for row in shear]
+    inverse[i][j] = -k
+    matrix = IntMatrix(shear) @ matrix @ IntMatrix(inverse)
+    digits = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
+                           min_size=1, max_size=4, unique=True))
+    return matrix, tuple(digits), draw(st.integers(1, 3))
+
+
+@given(expanding_systems())
+def test_integer_rows_equal_fraction_sums(system):
+    matrix, digits, depth = system
+    cloud = approximate_tile(matrix, digits, depth)
+    expected = fraction_tile(matrix, digits, depth)
+    assert cloud.points.denominator == abs(matrix.det) ** depth
+    assert list(cloud.points) == expected
+    assert list(cloud.float_rows()) == [tuple(map(float, p)) for p in expected]
+
+
+@pytest.mark.parametrize("abc", [(1, 1, 4), (1, 2, 4), (2, 3, 5)])
+def test_boundary_rows_equal_fraction_sums(abc):
+    t = analysis_for(abc)
+    for alpha in t.neighbors.points:
+        for depth in (1, 3):
+            cloud = approximate_boundary_piece(t, alpha, depth)
+            expected = fraction_boundary_piece(t, alpha, depth)
+            assert list(cloud.points) == expected
+
+
+def test_points_view_is_sized_without_fractions(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    M, digits = system_124()
+    monkeypatch.setattr(geometry_io, "Fraction", forbidden)
+    cloud = approximate_tile(M, digits, 6)
+    assert len(cloud.points) == 4 ** 6
+    t = analysis_for((1, 2, 4))
+    piece = approximate_boundary_piece(t, (1, 0, 0), 4)
+    assert len(piece.points) == len(piece.tags) == count_walks(
+        t.boundary_graph, (1, 0, 0), 4)
+    text = cloud_csv(merge_clouds([piece, piece]))
+    assert len(text.splitlines()) == 1 + 2 * len(piece.points)
+
+
+def test_merge_rescales_to_common_denominator():
+    M, digits = system_124()
+    shallow = approximate_tile(M, digits, 1)
+    deep = approximate_tile(M, digits, 2)
+    merged = merge_clouds([shallow, deep])
+    assert merged.points.denominator == 16
+    assert list(merged.points) == list(shallow.points) + list(deep.points)
+    assert cloud_csv(merged).splitlines()[1:] == (
+        cloud_csv(shallow).splitlines()[1:] + cloud_csv(deep).splitlines()[1:])
+
+
+def _peak_rss_kb(depth):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    code = ("import resource, sys; from tileforge.cli import main; "
+            f"assert main(['render', '--abc', '1,2,4', '--depth', '{depth}', "
+            f"'--csv', {os.devnull!r}]) == 0; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.split()[-1])
+
+
+def test_render_memory_stays_flat_with_depth():
+    # 4^10 points against 4^8: the writer streams, so peak memory is the
+    # interpreter plus square-root-sized tables.
+    assert _peak_rss_kb(10) <= 1.2 * _peak_rss_kb(8)
