@@ -19,7 +19,7 @@ from .graphs import (
     contact_set,
     neighbor_set,
 )
-from .lattice import IntMatrix, Vec, companion_form
+from .lattice import IntMatrix, Vec, companion_form, vec_add, vec_sub
 from .power import (
     DigitWord,
     PowerGraph,
@@ -59,11 +59,24 @@ class AbcTriple:
     def n(self) -> Vec:
         return (self.B, self.A, 1)
 
+    def names(self) -> tuple[Vec, ...]:
+        """The contact directions p, q, n, q-p, n-q, n-p and n-q+p."""
+        p, q, n = self.p, self.q, self.n
+        qp = vec_sub(q, p)
+        nq = vec_sub(n, q)
+        np_ = vec_sub(n, p)
+        nqp = vec_add(nq, p)
+        return p, q, n, qp, nq, np_, nqp
+
+
+def as_triple(p) -> AbcTriple:
+    """p itself when it is an AbcTriple, else AbcTriple(*p)."""
+    return p if isinstance(p, AbcTriple) else AbcTriple(*p)
+
 
 def predicts_14(triple) -> bool:
     """Closed-form test for a 14-member neighbor set."""
-    if not isinstance(triple, AbcTriple):
-        triple = AbcTriple(*triple)
+    triple = as_triple(triple)
     a, b, c = triple.A, triple.B, triple.C
     if not a < b:
         return False
@@ -79,7 +92,6 @@ class TileAnalysis:
         self.triple = triple
         self.matrix, self.digits = companion_form([1, triple.A, triple.B, triple.C])
         self._levels: dict[int, PowerGraph] = {}
-        self._level_sets: dict[int, frozenset] = {}
 
     @cached_property
     def contact(self) -> ContactSet:
@@ -109,9 +121,7 @@ class TileAnalysis:
     def is_vertex(self, k: int, candidate: VertexSet) -> bool:
         if k < 1 or k > len(self.neighbors.points):
             return False
-        if k not in self._level_sets:
-            self._level_sets[k] = frozenset(self.level(k).vertices)
-        return candidate in self._level_sets[k]
+        return self.level(k).has_vertex(candidate)
 
     def intersection(self, beta1: VertexSet, a1: Vec,
                      beta2: VertexSet, a2: Vec) -> VertexSet | None:
@@ -130,9 +140,10 @@ def _analysis_cached(a: int, b: int, c: int) -> TileAnalysis:
     return TileAnalysis(AbcTriple(a, b, c))
 
 
-def analysis_for(triple) -> TileAnalysis:
-    """Shared, cached analysis context for a triple or (A, B, C) tuple."""
-    if isinstance(triple, AbcTriple):
-        return _analysis_cached(triple.A, triple.B, triple.C)
-    a, b, c = triple
-    return _analysis_cached(int(a), int(b), int(c))
+def analysis_for(obj) -> TileAnalysis:
+    """obj itself when it is a TileAnalysis, else the shared, cached context
+    of a triple or (A, B, C) tuple."""
+    if isinstance(obj, TileAnalysis):
+        return obj
+    triple = as_triple(obj)
+    return _analysis_cached(triple.A, triple.B, triple.C)

@@ -11,9 +11,9 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .analysis import AbcTriple, analysis_for, predicts_14
+from .analysis import AbcTriple, analysis_for, as_triple, predicts_14
 from .graphs import LabeledEdge, minkowski_sum
-from .lattice import Vec, vec_add, vec_neg, vec_sub
+from .lattice import Vec, vec_neg
 from .power import vertex_set
 from .topology import (
     four_fold_failure,
@@ -25,19 +25,10 @@ from .topology import (
 ORIGIN = (0, 0, 0)
 
 
-def _names(triple: AbcTriple):
-    p, q, n = triple.p, triple.q, triple.n
-    qp = vec_sub(q, p)
-    nq = vec_sub(n, q)
-    np_ = vec_sub(n, p)
-    nqp = vec_add(nq, p)
-    return p, q, n, qp, nq, np_, nqp
-
-
 def expected_contact_set(p) -> tuple[Vec, ...]:
     """Closed-form contact set: 15 points when A < B, 13 when A = B."""
-    triple = p if isinstance(p, AbcTriple) else AbcTriple(*p)
-    pv, q, n, qp, nq, np_, nqp = _names(triple)
+    triple = as_triple(p)
+    pv, q, n, qp, nq, np_, nqp = triple.names()
     pts = {ORIGIN, pv, q, n, qp, nq, np_}
     if triple.A < triple.B:
         pts.add(nqp)
@@ -46,7 +37,7 @@ def expected_contact_set(p) -> tuple[Vec, ...]:
 
 def _contact_rows(triple: AbcTriple):
     A, B, C = triple.A, triple.B, triple.C
-    p, q, n, qp, nq, np_, nqp = _names(triple)
+    p, q, n, qp, nq, np_, nqp = triple.names()
     rows = [
         (ORIGIN, ORIGIN, 0, C - 1, 0),
         (ORIGIN, p, 0, C - 2, 1),
@@ -88,7 +79,7 @@ def _contact_edges(triple: AbcTriple, include_origin: bool) -> set[LabeledEdge]:
 def _g2_rows(triple: AbcTriple):
     """Arc-graph edge table: (src pair, dst pair, label range)."""
     A, B, C = triple.A, triple.B, triple.C
-    p, q, n, qp, nq, np_, nqp = _names(triple)
+    p, q, n, qp, nq, np_, nqp = triple.names()
     neg = vec_neg
     rows = []
 
@@ -138,7 +129,7 @@ def _g2_rows(triple: AbcTriple):
 def _g3_cycles(triple: AbcTriple):
     """Point-graph cycles: lists of (vertex members, digit label index)."""
     A, B, C = triple.A, triple.B, triple.C
-    p, q, n, qp, nq, np_, nqp = _names(triple)
+    p, q, n, qp, nq, np_, nqp = triple.names()
     neg = vec_neg
     return (
         (((neg(qp), nqp, p), B - A),
@@ -174,7 +165,7 @@ def expected_graph(p, which: str):
     contact edges are LabeledEdge objects over the origin-free contact set;
     g2 and g3 edges are (src, digit, dst) triples matching the level graphs.
     """
-    triple = p if isinstance(p, AbcTriple) else AbcTriple(*p)
+    triple = as_triple(p)
     if which == "contact":
         return tuple(sorted(_contact_edges(triple, include_origin=False)))
     if not predicts_14(triple):
@@ -212,7 +203,7 @@ class ExpectedStructures:
 
 
 def expected_structures(p) -> ExpectedStructures:
-    triple = p if isinstance(p, AbcTriple) else AbcTriple(*p)
+    triple = as_triple(p)
     return ExpectedStructures(
         triple,
         expected_contact_set(triple),

@@ -3,9 +3,9 @@
 The depth-n point of a digit word is M^-n z for an integer vector z, so a
 point cloud is a view over exact integer numerator rows and one positive
 denominator, generated on demand.  Floats appear only when a cloud is
-written, one int/int division per coordinate; the PLY and CSV writers stream
-rows to the file block by block.  All writers are deterministic: identical
-inputs give byte-identical files.
+written, one int/int division per coordinate; the PLY, CSV and JSON writers
+stream rows to the file block by block.  All writers are deterministic:
+identical inputs give byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
 
-from .analysis import TileAnalysis, analysis_for
+from .analysis import analysis_for
 from .family import SweepRecord, sweep_csv
 from .graphs import BoundaryGraph
 from .lattice import IntMatrix, Vec, is_expanding
@@ -44,10 +44,6 @@ def check_cap(count: int, cap: int | None = None) -> None:
     cap = _resolve_cap(cap)
     if count > cap:
         raise ValueError(f"{count} points exceed the cap of {cap}")
-
-
-def _ctx(obj) -> TileAnalysis:
-    return obj if isinstance(obj, TileAnalysis) else analysis_for(obj)
 
 
 class _SizedView:
@@ -286,7 +282,7 @@ def count_walks(graph: BoundaryGraph, start: Vec, depth: int) -> int:
 def approximate_boundary_piece(ctx, alpha, depth: int,
                                cap: int | None = None) -> PointCloud:
     """One point per length-depth boundary-graph walk from one neighbor."""
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     if depth < 1:
         raise ValueError("depth must be at least 1")
     alpha = tuple(int(x) for x in alpha)
@@ -408,7 +404,48 @@ def _csv_chunks(cloud: PointCloud):
     yield from _row_chunks(cloud, ",")
 
 
-_CLOUD_CHUNKS = {"ply": _ply_chunks, "csv": _csv_chunks}
+_TAG_BLOCK = 4096
+
+
+def _json_items(blocks):
+    """A JSON array's items, given as blocks of item texts, in json_text's
+    layout for an array at depth 1; the closing bracket included."""
+    sep = "\n    "
+    for items in blocks:
+        if items:
+            yield sep + ",\n    ".join(items)
+            sep = ",\n    "
+    yield "]" if sep == "\n    " else "\n  ]"
+
+
+def _json_chunks(cloud: PointCloud):
+    """json_text of the cloud's payload (bound, depth, points, source and
+    tags), written block by block."""
+    yield ('{\n  "bound": %s,\n  "depth": %s,\n  "points": ['
+           % (json.dumps(cloud.bound), json.dumps(cloud.depth)))
+
+    def point_blocks():
+        # %r of a float is float.__repr__, which json.dumps writes.
+        for floats in cloud.points.float_blocks():
+            fmt = "[\n" + ",\n".join(["      %r"] * len(floats)) + "\n    ]"
+            yield list(map(fmt.__mod__, zip(*floats)))
+
+    yield from _json_items(point_blocks())
+    yield ',\n  "source": ' + json.dumps(cloud.source)
+    if cloud.tags is not None:
+        def tag_blocks():
+            for tag, n in cloud.tags.runs:
+                text = json.dumps(tag, indent=2, sort_keys=True).replace(
+                    "\n", "\n    ")
+                for start in range(0, n, _TAG_BLOCK):
+                    yield [text] * min(_TAG_BLOCK, n - start)
+
+        yield ',\n  "tags": ['
+        yield from _json_items(tag_blocks())
+    yield "\n}\n"
+
+
+_CLOUD_CHUNKS = {"ply": _ply_chunks, "csv": _csv_chunks, "json": _json_chunks}
 
 
 def cloud_ply(cloud: PointCloud) -> str:
@@ -424,15 +461,7 @@ def json_text(payload) -> str:
 
 
 def cloud_json(cloud: PointCloud) -> str:
-    payload = {
-        "source": cloud.source,
-        "depth": cloud.depth,
-        "bound": cloud.bound,
-        "points": [list(p) for p in cloud.float_rows()],
-    }
-    if cloud.tags is not None:
-        payload["tags"] = list(cloud.tags)
-    return json_text(payload)
+    return "".join(_json_chunks(cloud))
 
 
 def render(doc, fmt: str) -> str:
@@ -465,7 +494,7 @@ def render(doc, fmt: str) -> str:
 
 
 def export(doc, fmt: str, path) -> None:
-    """Write doc to path as fmt; PLY and CSV clouds stream block by block.
+    """Write doc to path as fmt; clouds stream block by block.
 
     A path that cannot be written raises ValueError("cannot write ...").
     """

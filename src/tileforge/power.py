@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .graphs import BoundaryGraph, prune_sinks
 from .lattice import IntMatrix, Vec, mat_pow, vec_add, vec_neg, vec_sub
@@ -34,31 +35,103 @@ def negated(vs: VertexSet) -> VertexSet:
     return tuple(sorted(vec_neg(p) for p in vs))
 
 
+def _bit_tables(base: BoundaryGraph):
+    """The base graph's sorted vertices, as bit indices, and two tables.
+
+    succ[j][i] lists the one-bit masks of the successors of vertex i under
+    digits[j]; bit j of live[i] is set when that list is nonempty.
+    """
+    verts = tuple(sorted(base.vertices))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    table = base.digit_successors
+    succ = [[[bit[dst] for dst, _ in table.get((v, d), ())] for v in verts]
+            for d in base.digits]
+    live = [sum(1 << j for j, d in enumerate(base.digits) if (v, d) in table)
+            for v in verts]
+    return verts, succ, live
+
+
+def _bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _images(succ, live, mask: int):
+    """(j, sums) for each digit index j that every member of mask can read.
+
+    A sum adds one successor bit per member.  A repeated successor carries
+    and lowers the bit count, so a sum is the mask of a k-set, and the
+    members' images are a bijection, exactly when it has k bits.
+    """
+    members = _bit_indices(mask)
+    common = -1
+    for i in members:
+        common &= live[i]
+    for j in _bit_indices(common):
+        row = succ[j]
+        yield j, map(sum, itertools.product(*[row[i] for i in members]))
+
+
+def _candidates(alive: set[int]) -> set[int]:
+    """(k+1)-sets all of whose k-subsets are in alive.
+
+    Two alive k-sets that differ only in their top bit join to one
+    candidate, so each candidate is made once, from its two k-subsets that
+    keep its lower k-1 members; its other k-1 subsets are looked up.
+    """
+    groups: dict[int, list[int]] = {}
+    for v in alive:
+        top = 1 << (v.bit_length() - 1)
+        groups.setdefault(v ^ top, []).append(top)
+    out = set()
+    for prefix, tops in groups.items():
+        rest = [1 << i for i in _bit_indices(prefix)]
+        for a, b in itertools.combinations(tops, 2):
+            cand = prefix | a | b
+            if all(cand ^ x in alive for x in rest):
+                out.add(cand)
+    return out
+
+
 @dataclass(frozen=True)
 class PowerGraph:
     """Immutable level graph; edges are (src, left digit, dst).
 
-    Which base-graph edges carry src onto dst is not stored.
+    The edges, sorted, are built on first read.  Which base-graph edges
+    carry src onto dst is not stored.
     """
 
     level: int
     vertices: tuple[VertexSet, ...]
-    edges: tuple[tuple[VertexSet, Vec, VertexSet], ...]
     matrix: IntMatrix
     digits: tuple[Vec, ...]
-    _out: dict = field(init=False, compare=False, repr=False)
+    _base: BoundaryGraph = field(compare=False, repr=False)
 
-    def __post_init__(self):
+    @cached_property
+    def edges(self) -> tuple[tuple[VertexSet, Vec, VertexSet], ...]:
+        return _label_edges(self._base, self.vertices)
+
+    @cached_property
+    def _out(self) -> dict:
         out: dict[VertexSet, list] = {v: [] for v in self.vertices}
         for src, d, dst in self.edges:
             out[src].append((d, dst))
-        object.__setattr__(self, "_out", out)
+        return out
+
+    @cached_property
+    def _vertex_set(self) -> frozenset:
+        return frozenset(self.vertices)
 
     def out_edges(self, v: VertexSet) -> tuple[tuple[Vec, VertexSet], ...]:
         return tuple(self._out.get(v, ()))
 
     def has_vertex(self, v: VertexSet) -> bool:
-        return v in self._out
+        return v in self._vertex_set
 
     def symmetry_defects(self) -> tuple:
         """Edges whose mirror -src ->(reversed digit) -dst is absent.
@@ -76,58 +149,47 @@ class PowerGraph:
         return tuple(bad)
 
 
+def _label_edges(base: BoundaryGraph, vertices) -> tuple:
+    """Every (src, d, dst) between the given vertex sets, sorted by vertex
+    set and digit value."""
+    verts, succ, live = _bit_tables(base)
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    alive = {sum(bit[x] for x in v): v for v in vertices}
+    edges = []
+    for mask, src in alive.items():
+        for j, sums in _images(succ, live, mask):
+            d = base.digits[j]
+            edges.extend((src, d, alive[dst])
+                         for dst in alive.keys() & set(sums))
+    edges.sort()
+    return tuple(edges)
+
+
 def power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
-    """Level graph on size-`level` subsets of the base graph's vertex set."""
+    """Level graph on size-`level` subsets of the base graph's vertex set.
+
+    The fixpoint runs on int bitmasks over the sorted base vertices and
+    keeps no labels; the returned graph labels its edges when they are read.
+    """
     if level < 1:
         raise ValueError("level must be at least 1")
-    members = list(base.vertices)
-    succ = base.digit_successors
-    digits = base.digits
-
-    prev: list[VertexSet] | None = None
+    verts, succ, live = _bit_tables(base)
+    zero = (0,) * base.matrix.size
+    origin = 1 << verts.index(zero) if zero in verts else 0
+    cand = {1 << i for i in range(len(verts))}
     for k in range(1, level + 1):
-        if k == 1:
-            candidates = [(v,) for v in members]
-        elif k == 2:
-            alive = [v[0] for v in prev]
-            candidates = [vertex_set(c) for c in itertools.combinations(alive, 2)]
-        else:
-            prev_set = set(prev)
-            cand_set = set()
-            for v in prev:
-                for x in members:
-                    if x in v:
-                        continue
-                    cand = tuple(sorted(v + (x,)))
-                    if cand in cand_set:
-                        continue
-                    if all(cand[:i] + cand[i + 1:] in prev_set for i in range(k)):
-                        cand_set.add(cand)
-            candidates = sorted(cand_set)
-        succ_sets = {v: set() for v in candidates}
-        edges = set()
-        for src in candidates:
-            for d in digits:
-                target_lists = []
-                for a in src:
-                    targets = succ.get((a, d))
-                    if not targets:
-                        break
-                    target_lists.append(targets)
-                else:
-                    for combo in itertools.product(*target_lists):
-                        dst_members = tuple(t[0] for t in combo)
-                        if len(set(dst_members)) != k:
-                            continue
-                        dst = tuple(sorted(dst_members))
-                        if dst in succ_sets:
-                            edges.add((src, d, dst))
-                            succ_sets[src].add(dst)
-        alive = prune_sinks(succ_sets)
-        prev = sorted(alive)
-        last_edges = sorted(e for e in edges if e[0] in alive and e[2] in alive)
+        if k > 1:
+            if k == 2 and origin in alive and len(alive) > 1:
+                raise ValueError("vertex set must not contain the origin")
+            cand = _candidates(alive)
+        alive = prune_sinks({
+            m: cand.intersection(itertools.chain.from_iterable(
+                sums for _, sums in _images(succ, live, m)))
+            for m in cand})
 
-    return PowerGraph(level, tuple(prev), tuple(last_edges), base.matrix, digits)
+    vertices = tuple(tuple(verts[i] for i in ix)
+                     for ix in sorted(map(_bit_indices, alive)))
+    return PowerGraph(level, vertices, base.matrix, base.digits, base)
 
 
 def intersection_vertex(beta1: VertexSet, a1: Vec, beta2: VertexSet, a2: Vec,

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
+from .analysis import (
+    AbcTriple,
+    TileAnalysis,
+    analysis_for,
+    as_triple,
+    predicts_14,
+)
 from .lattice import Vec, vec_add, vec_neg, vec_sub
 from .power import (
     SubtileRef,
@@ -20,10 +26,6 @@ from .power import (
     subdivide,
     vertex_set,
 )
-
-
-def _ctx(obj) -> TileAnalysis:
-    return obj if isinstance(obj, TileAnalysis) else analysis_for(obj)
 
 
 @dataclass(frozen=True, order=True)
@@ -63,7 +65,7 @@ class HataGraph:
 
 def hata_graph(ctx, pieces) -> HataGraph:
     """Intersection graph of pieces given as (vertex, shift) pairs or Pieces."""
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     canon = sorted({
         p if isinstance(p, Piece) else make_piece(*p) for p in pieces
     })
@@ -173,7 +175,7 @@ def path_order(h: HataGraph) -> list[int]:
 
 def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
     """Hata graph of the distinct one-step successors of a level vertex."""
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     vs = vertex_set(alpha_set)
     g = t.level(len(vs))
     if not g.has_vertex(vs):
@@ -186,7 +188,7 @@ def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
 
 def boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
     """Depth-k pieces of the closed piece loop around one neighbor."""
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     if k < 1:
         raise ValueError("k must be at least 1")
     alpha = tuple(int(x) for x in alpha)
@@ -202,7 +204,7 @@ def boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
 
 
 def boundary_loop_audit(ctx, alpha: Vec, k: int = 1) -> tuple[HataGraph, ChainReport]:
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     h = hata_graph(t, boundary_loop_pieces(t, alpha, k))
     return h, classify(h)
 
@@ -217,7 +219,7 @@ class FourFold:
 
 def four_fold_placement(ctx, alpha_set) -> FourFold:
     """Exactly two triple-points bound each arc; returns them with first digits."""
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     vs = vertex_set(alpha_set)
     supersets = [w for w in t.level(3).vertices if set(vs) <= set(w)]
     if len(supersets) != 2:
@@ -241,7 +243,7 @@ class ComplexCensus:
 
 
 def census(p) -> ComplexCensus:
-    triple = p if isinstance(p, AbcTriple) else AbcTriple(*p)
+    triple = as_triple(p)
     if not predicts_14(triple):
         raise ValueError("census requires a 14-neighbor family member")
     t = analysis_for(triple)
@@ -258,7 +260,7 @@ def census(p) -> ComplexCensus:
 
 
 def successor_paths_failure(ctx) -> str | None:
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     for v in t.level(2).vertices:
         _, report = successor_hata(t, v)
         if not report.is_path:
@@ -267,7 +269,7 @@ def successor_paths_failure(ctx) -> str | None:
 
 
 def four_fold_failure(ctx) -> str | None:
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     for v in t.level(2).vertices:
         try:
             ff = four_fold_placement(t, v)
@@ -279,7 +281,7 @@ def four_fold_failure(ctx) -> str | None:
 
 
 def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     for alpha in t.neighbors.points:
         for k in range(1, k_max + 1):
             h, report = boundary_loop_audit(t, alpha, k)
@@ -295,7 +297,7 @@ def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
 def walk_points_failure(ctx) -> str | None:
     from .power import word_admissible_from
 
-    t = _ctx(ctx)
+    t = analysis_for(ctx)
     pts = {}
     for v in t.level(3).vertices:
         word = t.walk(v)
@@ -342,11 +344,7 @@ class BingReport:
 
 def _face_order(triple: AbcTriple) -> tuple[Vec, ...]:
     """Fixed face enumeration used by the check-partition audit."""
-    p, q, n = triple.p, triple.q, triple.n
-    qp = vec_sub(q, p)
-    nq = vec_sub(n, q)
-    np_ = vec_sub(n, p)
-    nqp = vec_add(nq, p)
+    p, q, n, qp, nq, np_, nqp = triple.names()
     return (
         vec_neg(qp), nqp, nq, vec_neg(q), vec_neg(n), vec_neg(np_),
         p, vec_neg(p), np_, n, q, vec_neg(nq), vec_neg(nqp), qp,
@@ -381,7 +379,7 @@ def _equation_failure(t: TileAnalysis, alpha: Vec) -> tuple[int, str | None]:
 def bing_audit(p, k_max: int = 4) -> BingReport:
     """Loops are circular chains, face equations meet adjacent-only, and the
     fixed face order gives nonempty connected attachment sets."""
-    triple = p if isinstance(p, AbcTriple) else AbcTriple(*p)
+    triple = as_triple(p)
     if not predicts_14(triple):
         raise ValueError("audit requires a 14-neighbor family member")
     t = analysis_for(triple)
@@ -435,7 +433,7 @@ def bing_audit(p, k_max: int = 4) -> BingReport:
 
 def audit_report(p, k_max: int = 1) -> dict:
     """JSON-ready audit summary for one family member."""
-    triple = p if isinstance(p, AbcTriple) else AbcTriple(*p)
+    triple = as_triple(p)
     t = analysis_for(triple)
     report: dict = {
         "triple": [triple.A, triple.B, triple.C],

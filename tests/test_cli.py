@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tileforge
-from tileforge import cli
+from tileforge import analysis, cli, power
 from tileforge.family import SweepRecord
 
 
@@ -30,6 +30,21 @@ def test_analyze_outside_family_reports_data_not_failure(tmp_path):
     assert report["predicted_14"] is False
     assert report["audit_pass"] is None
     assert report["levels"]["g3"] is None
+
+
+def test_analyze_builds_no_labelled_level_edges(tmp_path, monkeypatch):
+    # analyze reads only the level sizes of a member outside the 14-neighbour
+    # family, so its 72,903 level-2 edges are never labelled.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("labelled level edges were built")
+
+    monkeypatch.setattr(power, "_label_edges", forbidden)
+    analysis._analysis_cached.cache_clear()  # no context with labels built
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--abc", "10,10,11", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["neighbors"]["count"] == 182
+    assert report["levels"] == {"g2": 6873, "g3": None, "g4": None}
 
 
 def test_analyze_rejects_invalid_parameters(capsys):

@@ -18,10 +18,12 @@ from tileforge.geometry_io import (
     approximate_tile,
     attractor_radius,
     cloud_csv,
+    cloud_json,
     cloud_ply,
     count_walks,
     export,
     graph_document,
+    json_text,
     merge_clouds,
     parse_dot,
     render,
@@ -349,11 +351,11 @@ def test_merge_rescales_to_common_denominator():
         cloud_csv(shallow).splitlines()[1:] + cloud_csv(deep).splitlines()[1:])
 
 
-def _peak_rss_kb(depth):
+def _peak_rss_kb(depth, fmt="csv"):
     src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
     code = ("import resource, sys; from tileforge.cli import main; "
             f"assert main(['render', '--abc', '1,2,4', '--depth', '{depth}', "
-            f"'--csv', {os.devnull!r}]) == 0; "
+            f"'--{fmt}', {os.devnull!r}]) == 0; "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src),
@@ -366,3 +368,35 @@ def test_render_memory_stays_flat_with_depth():
     # 4^10 points against 4^8: the writer streams, so peak memory is the
     # interpreter plus square-root-sized tables.
     assert _peak_rss_kb(10) <= 1.2 * _peak_rss_kb(8)
+
+
+def test_json_render_memory_stays_flat_with_depth():
+    # The JSON writer streams too: a depth-10 cloud held as one float list
+    # and one text peaked above 600 MB.
+    assert _peak_rss_kb(10, "json") <= 1.2 * _peak_rss_kb(8, "json")
+
+
+def test_streamed_cloud_json_equals_json_text_of_payload():
+    M, digits = system_124()
+    t = analysis_for((1, 2, 4))
+    clouds = [
+        approximate_tile(M, digits, 3),
+        merge_clouds([approximate_boundary_piece(t, a, 2)
+                      for a in t.neighbors.points]),
+        PointCloud([], 0, "empty", 1.5),
+        PointCloud([], 0, "empty, tagged", 1.5, []),
+        PointCloud([(Fraction(1, 3), 2)], 1, 'quote " and \u00e9',
+                   float("inf"), ["a"]),
+        PointCloud([(1,), (2,)], 1, "nested tags", 0.5,
+                   [{"b": [1, 2], "a": None}, (3, 4)]),
+    ]
+    for cloud in clouds:
+        payload = {
+            "source": cloud.source,
+            "depth": cloud.depth,
+            "bound": cloud.bound,
+            "points": [list(p) for p in cloud.float_rows()],
+        }
+        if cloud.tags is not None:
+            payload["tags"] = list(cloud.tags)
+        assert cloud_json(cloud) == json_text(payload)

@@ -1,14 +1,20 @@
 import itertools
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
-from tileforge.graphs import build_graph
+from tileforge.graphs import BoundaryGraph, build_graph, prune_sinks
+from tileforge.lattice import IntMatrix, Vec
 from tileforge.power import (
     DigitWord,
     SubtileRef,
+    VertexSet,
+    negated,
     piece_key,
+    power_graph,
     ref_shift,
     subdivide,
     unique_walk,
@@ -240,3 +246,150 @@ def test_ref_shift_and_piece_key():
 
 def test_analysis_for_caches():
     assert analysis_for((1, 2, 4)) is analysis_for(AbcTriple(1, 2, 4))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the set-based level graph that labelled every edge while its
+# fixpoint ran, kept verbatim apart from its names.  The bitmask fixpoint
+# and its lazily built labels must reproduce it exactly, edge order included.
+
+
+@dataclass(frozen=True)
+class OraclePowerGraph:
+    """Immutable level graph; edges are (src, left digit, dst).
+
+    Which base-graph edges carry src onto dst is not stored.
+    """
+
+    level: int
+    vertices: tuple[VertexSet, ...]
+    edges: tuple[tuple[VertexSet, Vec, VertexSet], ...]
+    matrix: IntMatrix
+    digits: tuple[Vec, ...]
+    _out: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        out: dict[VertexSet, list] = {v: [] for v in self.vertices}
+        for src, d, dst in self.edges:
+            out[src].append((d, dst))
+        object.__setattr__(self, "_out", out)
+
+    def out_edges(self, v: VertexSet) -> tuple[tuple[Vec, VertexSet], ...]:
+        return tuple(self._out.get(v, ()))
+
+    def has_vertex(self, v: VertexSet) -> bool:
+        return v in self._out
+
+    def symmetry_defects(self) -> tuple:
+        """Edges whose mirror -src ->(reversed digit) -dst is absent.
+
+        The digit reversal pairs digits[i] with digits[-1-i]; meaningful for
+        collinear digit sets ordered along their direction.
+        """
+        index = {d: i for i, d in enumerate(self.digits)}
+        have = set(self.edges)
+        bad = []
+        for src, d, dst in self.edges:
+            mirror_d = self.digits[len(self.digits) - 1 - index[d]]
+            if (negated(src), mirror_d, negated(dst)) not in have:
+                bad.append((src, d, dst))
+        return tuple(bad)
+
+
+def oracle_power_graph(base: BoundaryGraph, level: int) -> OraclePowerGraph:
+    """Level graph on size-`level` subsets of the base graph's vertex set."""
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    members = list(base.vertices)
+    succ = base.digit_successors
+    digits = base.digits
+
+    prev: list[VertexSet] | None = None
+    for k in range(1, level + 1):
+        if k == 1:
+            candidates = [(v,) for v in members]
+        elif k == 2:
+            alive = [v[0] for v in prev]
+            candidates = [vertex_set(c) for c in itertools.combinations(alive, 2)]
+        else:
+            prev_set = set(prev)
+            cand_set = set()
+            for v in prev:
+                for x in members:
+                    if x in v:
+                        continue
+                    cand = tuple(sorted(v + (x,)))
+                    if cand in cand_set:
+                        continue
+                    if all(cand[:i] + cand[i + 1:] in prev_set for i in range(k)):
+                        cand_set.add(cand)
+            candidates = sorted(cand_set)
+        succ_sets = {v: set() for v in candidates}
+        edges = set()
+        for src in candidates:
+            for d in digits:
+                target_lists = []
+                for a in src:
+                    targets = succ.get((a, d))
+                    if not targets:
+                        break
+                    target_lists.append(targets)
+                else:
+                    for combo in itertools.product(*target_lists):
+                        dst_members = tuple(t[0] for t in combo)
+                        if len(set(dst_members)) != k:
+                            continue
+                        dst = tuple(sorted(dst_members))
+                        if dst in succ_sets:
+                            edges.add((src, d, dst))
+                            succ_sets[src].add(dst)
+        alive = prune_sinks(succ_sets)
+        prev = sorted(alive)
+        last_edges = sorted(e for e in edges if e[0] in alive and e[2] in alive)
+
+    return OraclePowerGraph(level, tuple(prev), tuple(last_edges), base.matrix,
+                            digits)
+
+
+def assert_matches_oracle(base, level):
+    got = power_graph(base, level)
+    want = oracle_power_graph(base, level)
+    assert (got.level, got.matrix, got.digits) == (
+        want.level, want.matrix, want.digits)
+    assert got.vertices == want.vertices
+    assert all(got.has_vertex(v) for v in want.vertices)
+    assert got.edges == want.edges
+    for v in want.vertices:
+        assert got.out_edges(v) == want.out_edges(v)
+    assert got.symmetry_defects() == want.symmetry_defects()
+
+
+@pytest.mark.parametrize("abc,top", [
+    ((1, 2, 4), 4), ((3, 4, 10), 4), ((1, 1, 4), 4), ((2, 2, 5), 4),
+    ((5, 5, 6), 3)])
+def test_level_graphs_match_oracle(abc, top):
+    base = analysis_for(abc).boundary_graph
+    for level in range(1, top + 1):
+        assert_matches_oracle(base, level)
+
+
+def test_level2_matches_oracle_on_182_neighbours():
+    base = analysis_for((10, 10, 11)).boundary_graph
+    assert len(base.vertices) == 182
+    assert_matches_oracle(base, 2)
+
+
+@st.composite
+def shuffled_subgraphs(draw):
+    """build_graph on a random subset of a 20-neighbour set, with the digits
+    passed in a random order."""
+    t = analysis_for(draw(st.sampled_from([(1, 1, 4), (2, 2, 5)])))
+    subset = draw(st.sets(st.sampled_from(t.neighbors.points), min_size=1))
+    digits = draw(st.permutations(t.digits))
+    return build_graph(subset, t.matrix, digits), draw(st.integers(1, 4))
+
+
+@given(shuffled_subgraphs())
+def test_level_graphs_of_subsets_match_oracle(case):
+    base, level = case
+    assert_matches_oracle(base, level)

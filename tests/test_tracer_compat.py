@@ -15,32 +15,46 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import tracer
 t = tracer.install()
 import tileforge.cli as cli
-out = sys.argv[1]
-codes = [
-    cli.main(["render", "--abc", "1,2,4", "--depth", "2",
-              "--ply", os.path.join(out, "tile.ply")]),
-    cli.main(["render", "--abc", "1,2,4", "--boundary", "--depth", "2",
-              "--ply", os.path.join(out, "boundary.ply")]),
-    cli.main(["analyze", "--abc", "1,2,4",
-              "--json", os.path.join(out, "report.json")]),
-]
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "trace": t.snapshot()}))
 """
 
 
-def test_tracer_installs_and_records_geometry(tmp_path):
+def traced(*argvs):
+    """Run the CLI commands under the tracer in a fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", f"ROOT = {ROOT!r}\n" + SCRIPT, str(tmp_path)],
+        [sys.executable, "-c", f"ROOT = {ROOT!r}\n" + SCRIPT,
+         json.dumps(argvs)],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["codes"] == [0, 0, 0]
-    counts = result["trace"]["counts"]
+    assert result["codes"] == [0] * len(argvs)
+    return result["trace"]
+
+
+def test_tracer_installs_and_records_geometry(tmp_path):
+    trace = traced(
+        ["render", "--abc", "1,2,4", "--depth", "2",
+         "--ply", str(tmp_path / "tile.ply")],
+        ["render", "--abc", "1,2,4", "--boundary", "--depth", "2",
+         "--ply", str(tmp_path / "boundary.ply")],
+        ["analyze", "--abc", "1,2,4", "--json", str(tmp_path / "report.json")])
+    counts = trace["counts"]
     assert counts["geometry_io.points"] == 16 + sum(
         1 for line in (tmp_path / "boundary.ply").read_text().split(
             "end_header\n")[1].splitlines())
     assert counts["geometry_io.bytes_written"] > 0
-    calls = result["trace"]["calls"]
+    calls = trace["calls"]
     for name in ("geometry_io.tile_points", "geometry_io.boundary_points",
                  "geometry_io.write", "graphs.contact", "graphs.neighbor"):
         assert calls.get(name, 0) > 0, name
+
+
+def test_tracer_counts_level_graph_sizes(tmp_path):
+    # The tracer reads len(r.edges) after the power_graph span, so the
+    # lazily labelled edges are still counted.
+    trace = traced(["analyze", "--abc", "10,10,11",
+                    "--json", str(tmp_path / "report.json")])
+    assert trace["calls"]["power.level2"] == 1
+    assert trace["counts"]["power.level_vertices"] == 6873
+    assert trace["counts"]["power.level_edges"] == 72903
