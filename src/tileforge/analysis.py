@@ -1,8 +1,9 @@
 """Per-tile analysis context: one place that builds and caches everything.
 
-A TileAnalysis owns the exact pipeline for a single family member: companion
-matrix and digits, contact set, neighbor set, the boundary graph on the
-neighbors, and the level graphs.  Audits and exports share one context so the
+A TileAnalysis owns the exact pipeline for one validated system (M, D) and
+contact seed basis: contact set, neighbor set, the boundary graph on the
+neighbors, and the level graphs.  Family members are contexts that also
+carry their (A, B, C) triple.  Audits and exports share one context so the
 expensive structures are computed once.
 """
 
@@ -19,7 +20,15 @@ from .graphs import (
     contact_set,
     neighbor_set,
 )
-from .lattice import IntMatrix, Vec, companion_form, vec_add, vec_sub
+from .lattice import (
+    IntMatrix,
+    Vec,
+    companion_form,
+    is_complete_residue_system,
+    is_expanding,
+    vec_add,
+    vec_sub,
+)
 from .power import (
     DigitWord,
     PowerGraph,
@@ -68,6 +77,10 @@ class AbcTriple:
         nqp = vec_add(nq, p)
         return p, q, n, qp, nq, np_, nqp
 
+    def system(self) -> tuple[IntMatrix, tuple[Vec, ...]]:
+        """Companion matrix of x^3 + A x^2 + B x + C and its collinear digits."""
+        return companion_form([1, self.A, self.B, self.C])
+
 
 def as_triple(p) -> AbcTriple:
     """p itself when it is an AbcTriple, else AbcTriple(*p)."""
@@ -85,17 +98,46 @@ def predicts_14(triple) -> bool:
     return c >= a + b - 2
 
 
-class TileAnalysis:
-    """Lazily computed exact structures for one family member."""
+def check_system(matrix: IntMatrix, digits, basis=None) -> None:
+    """Reject a system outside the theory: M must be expanding, D a complete
+    residue system modulo M with one coordinate per row of M, and a basis
+    must hold as many linearly independent vectors as M has rows."""
+    size = matrix.size
+    if not digits:
+        raise ValueError("digit set is empty")
+    if any(len(d) != size for d in digits):
+        raise ValueError(f"every digit needs {size} coordinates")
+    if not is_expanding(matrix):
+        raise ValueError("matrix is not expanding")
+    if not is_complete_residue_system(matrix, digits):
+        raise ValueError("digits are not a complete residue system modulo "
+                         "the matrix")
+    if basis is None:
+        return
+    if len(basis) != size or any(len(v) != size for v in basis):
+        raise ValueError(f"--basis needs {size} vectors of length {size}")
+    if IntMatrix(basis).det == 0:
+        raise ValueError("--basis vectors are linearly dependent")
 
-    def __init__(self, triple: AbcTriple):
-        self.triple = triple
-        self.matrix, self.digits = companion_form([1, triple.A, triple.B, triple.C])
+
+class TileAnalysis:
+    """Lazily computed exact structures for one validated system.
+
+    basis None seeds the contact set with the default basis read off the
+    characteristic polynomial; triple names the family member the system
+    belongs to, if any.  The constructor validates and computes nothing else.
+    """
+
+    def __init__(self, matrix: IntMatrix, digits, basis=None,
+                 triple: AbcTriple | None = None):
+        check_system(matrix, digits, basis)
+        self.matrix, self.digits = matrix, digits
+        self.basis, self.triple = basis, triple
         self._levels: dict[int, PowerGraph] = {}
 
     @cached_property
     def contact(self) -> ContactSet:
-        return contact_set(self.matrix, self.digits)
+        return contact_set(self.matrix, self.digits, self.basis)
 
     @cached_property
     def neighbors(self) -> NeighborSet:
@@ -137,7 +179,8 @@ class TileAnalysis:
 
 @lru_cache(maxsize=None)
 def _analysis_cached(a: int, b: int, c: int) -> TileAnalysis:
-    return TileAnalysis(AbcTriple(a, b, c))
+    triple = AbcTriple(a, b, c)
+    return TileAnalysis(*triple.system(), triple=triple)
 
 
 def analysis_for(obj) -> TileAnalysis:

@@ -6,8 +6,8 @@ import argparse
 import json
 import sys
 
-from .analysis import AbcTriple, analysis_for, predicts_14
-from .family import disagreements, sweep
+from .analysis import AbcTriple, TileAnalysis, analysis_for
+from .family import audit_report, disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
@@ -16,15 +16,7 @@ from .geometry_io import (
     export,
     merge_clouds,
 )
-from .graphs import build_graph, contact_set, neighbor_set
-from .lattice import (
-    IntMatrix,
-    companion_form,
-    is_complete_residue_system,
-    is_expanding,
-)
-from .power import power_graph
-from .topology import audit_report
+from .lattice import IntMatrix
 
 
 def _parse_abc(text: str) -> AbcTriple:
@@ -44,34 +36,28 @@ def _load_json(path, what: str):
         raise ValueError(f"{what} file is not valid JSON: {exc}") from exc
 
 
-def _load_system(args):
-    """Companion system from --abc or explicit --matrix/--digits files.
-
-    An explicit system must have an expanding matrix and a digit set that is
-    a complete residue system modulo it; anything else is outside the theory.
-    """
+def _load_context(args, basis_text=None) -> TileAnalysis:
+    """Analysis context of --abc or of explicit --matrix/--digits files, with
+    the contact seed basis parsed from basis_text if given.  The context
+    rejects a system or basis outside the theory before any fixpoint runs."""
     if bool(args.abc) == bool(args.matrix):
         raise ValueError("provide exactly one of --abc or --matrix")
     if args.abc:
         triple = _parse_abc(args.abc)
-        coeffs = [1, triple.A, triple.B, triple.C]
-        matrix, digits = companion_form(coeffs)
-        return triple, matrix, digits
-    if not args.digits:
+        if not basis_text:
+            return analysis_for(triple)
+        matrix, digits = triple.system()
+    elif not args.digits:
         raise ValueError("--matrix requires --digits")
-    matrix = IntMatrix(_int_vectors(_load_json(args.matrix, "matrix"),
-                                    "matrix file"))
-    digits = _int_vectors(_load_json(args.digits, "digits"), "digits file")
-    if not digits:
-        raise ValueError("digit set is empty")
-    if any(len(d) != matrix.size for d in digits):
-        raise ValueError(f"every digit needs {matrix.size} coordinates")
-    if not is_expanding(matrix):
-        raise ValueError("matrix is not expanding")
-    if not is_complete_residue_system(matrix, digits):
-        raise ValueError("digits are not a complete residue system modulo "
-                         "the matrix")
-    return None, matrix, digits
+    else:
+        triple = None
+        matrix = IntMatrix(_int_vectors(_load_json(args.matrix, "matrix"),
+                                        "matrix file"))
+        digits = _int_vectors(_load_json(args.digits, "digits"),
+                              "digits file")
+    basis = (_int_vectors(json.loads(basis_text), "--basis")
+             if basis_text else None)
+    return TileAnalysis(matrix, digits, basis, triple)
 
 
 def _int_vectors(value, what: str):
@@ -83,80 +69,16 @@ def _int_vectors(value, what: str):
             f"{what} must be a JSON list of integer vectors") from exc
 
 
-def _parse_basis(text: str, size: int):
-    """--basis: size linearly independent integer vectors of length size."""
-    basis = _int_vectors(json.loads(text), "--basis")
-    if len(basis) != size or any(len(v) != size for v in basis):
-        raise ValueError(f"--basis needs {size} vectors of length {size}")
-    if IntMatrix(basis).det == 0:
-        raise ValueError("--basis vectors are linearly dependent")
-    return basis
-
-
-def _int_points(points) -> list:
-    return [list(p) for p in points]
-
-
-def _general_report(matrix, digits, basis, triple) -> tuple[dict, object]:
-    """Report for explicit systems or basis overrides; returns contact graph."""
-    contact = contact_set(matrix, digits, basis)
-    neighbors = neighbor_set(contact, matrix, digits)
-    s_count = len(neighbors.points)
-    base = build_graph(neighbors.points, matrix, digits)
-    report = {
-        "matrix": [list(r) for r in matrix.rows],
-        "digit_count": len(digits),
-        "contact": {"size": len(contact.points), "rounds": contact.rounds,
-                    "points": _int_points(contact.points)},
-        "neighbors": {"count": s_count,
-                      "points": _int_points(neighbors.points)},
-        "predicted_14": predicts_14(triple) if triple else None,
-        "audit_pass": None,
-    }
-    levels = {"g2": len(power_graph(base, 2).vertices),
-              "g3": None, "g4": None}
-    if s_count == 14:
-        levels["g3"] = len(power_graph(base, 3).vertices)
-        levels["g4"] = len(power_graph(base, 4).vertices)
-    report["levels"] = levels
-    zero = (0,) * matrix.size
-    pts = tuple(p for p in contact.points if p != zero)
-    return report, build_graph(pts, matrix, digits)
-
-
 def run_analyze(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
-    triple, matrix, digits = _load_system(args)
-    basis = _parse_basis(args.basis, matrix.size) if args.basis else None
-
-    if triple is not None and basis is None:
-        t = analysis_for(triple)
-        report = audit_report(triple, k_max=args.k)
-        s_count = len(t.neighbors.points)
-        report["matrix"] = [list(r) for r in t.matrix.rows]
-        report["digit_count"] = len(t.digits)
-        report["contact"] = {"size": len(t.contact.points),
-                             "rounds": t.contact.rounds,
-                             "points": _int_points(t.contact.points)}
-        report["neighbors"] = {"count": s_count,
-                               "points": _int_points(t.neighbors.points)}
-        levels = {"g2": len(t.level(2).vertices), "g3": None, "g4": None}
-        if s_count == 14:
-            levels["g3"] = len(t.level(3).vertices)
-            levels["g4"] = len(t.level(4).vertices)
-        report["levels"] = levels
-        contact_graph = t.contact_graph
-    else:
-        report, contact_graph = _general_report(matrix, digits, basis, triple)
-        if triple is not None:
-            report["triple"] = [triple.A, triple.B, triple.C]
-
+    t = _load_context(args, args.basis)
+    report = audit_report(t, k_max=args.k)
     if args.json:
         export(report, "json", args.json)
     if args.dot:
-        export(contact_graph, "dot", args.dot)
-    audit = report.get("audit_pass")
+        export(t.contact_graph, "dot", args.dot)
+    audit = report["audit_pass"]
     audit_text = "n/a" if audit is None else ("pass" if audit else "FAIL")
     print(f"neighbors: {report['neighbors']['count']}  "
           f"predicted_14: {report['predicted_14']}  audit: {audit_text}")
@@ -188,8 +110,8 @@ def run_render(args) -> int:
                   for a in t.neighbors.points]
         cloud = merge_clouds(pieces)
     else:
-        _, matrix, digits = _load_system(args)
-        cloud = approximate_tile(matrix, digits, depth)
+        t = _load_context(args)
+        cloud = approximate_tile(t.matrix, t.digits, depth)
     for path, fmt in ((args.ply, "ply"), (args.csv, "csv"),
                       (args.json, "json")):
         if path:

@@ -3,7 +3,8 @@
 The contact graph, the arc graph, and the point graph of a 14-neighbor
 family member follow closed-form edge tables in the parameters.  This module
 instantiates those tables so computed graphs can be checked edge for edge,
-and runs the full audit bundle over parameter boxes.
+keeps the one registry of structural audits, and runs them in the sweep and
+in the report of a single context.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .graphs import LabeledEdge, minkowski_sum
 from .lattice import Vec, vec_neg
 from .power import vertex_set
 from .topology import (
+    census,
     four_fold_failure,
     loop_chains_failure,
     successor_paths_failure,
@@ -214,6 +216,63 @@ def expected_structures(p) -> ExpectedStructures:
 
 
 # ---------------------------------------------------------------------------
+# the audit registry and the report of one context
+
+
+def audit_failures(ctx, k_max: int = 1) -> dict[str, str | None]:
+    """The structural audits by name: None where an audit passed, else its
+    failure.  The checks are looked up when called, so a wrapper installed on
+    this module's names sees every call."""
+    t = analysis_for(ctx)
+    return {
+        "successor_paths": successor_paths_failure(t),
+        "four_fold": four_fold_failure(t),
+        "loops": loop_chains_failure(t, k_max),
+        "walk_points": walk_points_failure(t),
+    }
+
+
+def audit_report(ctx, k_max: int = 1) -> dict:
+    """JSON-ready report of one context.  A family member on its default
+    basis adds neighbor_count and, with 14 predicted and computed neighbors,
+    the census and the audits (loops to depth k_max); elsewhere audit_pass
+    is None."""
+    t = analysis_for(ctx)
+    triple = t.triple
+    s_count = len(t.neighbors.points)
+    report: dict = {
+        "matrix": [list(r) for r in t.matrix.rows],
+        "digit_count": len(t.digits),
+        "contact": {"size": len(t.contact.points), "rounds": t.contact.rounds,
+                    "points": [list(p) for p in t.contact.points]},
+        "neighbors": {"count": s_count,
+                      "points": [list(p) for p in t.neighbors.points]},
+        "predicted_14": None if triple is None else predicts_14(triple),
+        "levels": {"g2": len(t.level(2).vertices), "g3": None, "g4": None},
+        "audit_pass": None,
+    }
+    if s_count == 14:
+        report["levels"]["g3"] = len(t.level(3).vertices)
+        report["levels"]["g4"] = len(t.level(4).vertices)
+    if triple is None:
+        return report
+    report["triple"] = [triple.A, triple.B, triple.C]
+    if t.basis is None:
+        report["neighbor_count"] = s_count
+        if report["predicted_14"] and s_count == 14:
+            c = census(t)
+            report["census"] = {
+                "faces": c.faces, "edges": c.edges, "points": c.points,
+                "euler": c.euler, "degree_sequence": list(c.degree_sequence),
+            }
+            failures = audit_failures(t, k_max)
+            report["audits"] = {k: "ok" if v is None else v
+                                for k, v in failures.items()}
+            report["audit_pass"] = all(v is None for v in failures.values())
+    return report
+
+
+# ---------------------------------------------------------------------------
 # sweep
 
 
@@ -264,10 +323,9 @@ def _evaluate(triple: AbcTriple) -> SweepRecord:
 
     g2_count, g3_count, g4_empty, euler = -1, -1, False, -1
     if s_count == 14:
-        g2, g3, g4 = t.level(2), t.level(3), t.level(4)
-        g2_count, g3_count = len(g2.vertices), len(g3.vertices)
-        g4_empty = not g4.vertices
-        euler = s_count - g2_count + g3_count
+        c, g2, g3 = census(t), t.level(2), t.level(3)
+        g2_count, g3_count, euler = c.edges, c.points, c.euler
+        g4_empty = not t.level(4).vertices
         if predicted and set(g2.edges) != set(expected_graph(triple, "g2")):
             failures.append("arc-graph edges deviate from the table")
         if predicted and set(g3.edges) != set(expected_graph(triple, "g3")):
@@ -278,17 +336,11 @@ def _evaluate(triple: AbcTriple) -> SweepRecord:
             failures.append("level 4 is not empty")
         if euler != 2:
             failures.append(f"alternating census is {euler}, not 2")
-        degs = tuple(sorted(sum(1 for v in g2.vertices if a in v)
-                            for a in t.neighbors.points))
-        if degs != (4,) * 6 + (6,) * 8:
+        if c.degree_sequence != (4,) * 6 + (6,) * 8:
             failures.append("arc membership degrees deviate")
-        for name, check in (("successors", successor_paths_failure),
-                            ("placement", four_fold_failure),
-                            ("loops", loop_chains_failure),
-                            ("points", walk_points_failure)):
-            msg = check(t)
-            if msg is not None:
-                failures.append(f"{name}: {msg}")
+        failures += [f"{name}: {msg}"
+                     for name, msg in audit_failures(t).items()
+                     if msg is not None]
 
     return SweepRecord(
         triple.A, triple.B, triple.C, s_count, predicted, agrees,

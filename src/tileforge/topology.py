@@ -242,12 +242,11 @@ class ComplexCensus:
     degree_sequence: tuple[int, ...]
 
 
-def census(p) -> ComplexCensus:
-    triple = as_triple(p)
-    if not predicts_14(triple):
-        raise ValueError("census requires a 14-neighbor family member")
-    t = analysis_for(triple)
+def census(ctx) -> ComplexCensus:
+    t = analysis_for(ctx)
     s = t.neighbors.points
+    if len(s) != 14:
+        raise ValueError("census requires a tile with 14 neighbors")
     v2 = t.level(2).vertices
     v3 = t.level(3).vertices
     degs = tuple(sorted(sum(1 for v in v2 if a in v) for a in s))
@@ -284,13 +283,9 @@ def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
     t = analysis_for(ctx)
     for alpha in t.neighbors.points:
         for k in range(1, k_max + 1):
-            h, report = boundary_loop_audit(t, alpha, k)
-            if not report.is_circular_chain:
-                return (f"loop around {alpha} at depth {k} is "
-                        f"{report.classification}")
-            msg = _loop_point_failure(h)
+            msg = _loop_failure(t, alpha, k)[1]
             if msg is not None:
-                return f"loop around {alpha} at depth {k}: {msg}"
+                return msg
     return None
 
 
@@ -309,6 +304,18 @@ def walk_points_failure(ctx) -> str | None:
             if not word_admissible_from(t.boundary_graph, member, word):
                 return f"walk word of {v} is not admissible from {member}"
     return None
+
+
+def _loop_failure(t: TileAnalysis, alpha: Vec, k: int):
+    """Shape of the depth-k loop around alpha, and why it is not a circular
+    chain of distinct point links (None when it is one)."""
+    h, report = boundary_loop_audit(t, alpha, k)
+    shape, where = report.classification, f"loop around {alpha} at depth {k}"
+    if not report.is_circular_chain:
+        witness = "" if report.witness is None else f": {report.witness}"
+        return shape, f"{where} is {shape}{witness}"
+    msg = _loop_point_failure(h)
+    return shape, None if msg is None else f"{where}: {msg}"
 
 
 def _loop_point_failure(h: HataGraph) -> str | None:
@@ -388,13 +395,10 @@ def bing_audit(p, k_max: int = 4) -> BingReport:
     loop_checks = []
     for alpha in t.neighbors.points:
         for k in range(1, k_max + 1):
-            h, report = boundary_loop_audit(t, alpha, k)
-            ok = report.is_circular_chain
-            msg = _loop_point_failure(h) if ok else report.witness
+            shape, msg = _loop_failure(t, alpha, k)
             if msg is not None:
-                ok = False
-                messages.append(f"loop {alpha} depth {k}: {msg}")
-            loop_checks.append((alpha, k, report.classification, ok))
+                messages.append(msg)
+            loop_checks.append((alpha, k, shape, msg is None))
 
     equation_checks = []
     for alpha in t.neighbors.points:
@@ -430,30 +434,3 @@ def bing_audit(p, k_max: int = 4) -> BingReport:
     return BingReport(ok, tuple(loop_checks), tuple(equation_checks),
                       tuple(partition_checks), tuple(messages))
 
-
-def audit_report(p, k_max: int = 1) -> dict:
-    """JSON-ready audit summary for one family member."""
-    triple = as_triple(p)
-    t = analysis_for(triple)
-    report: dict = {
-        "triple": [triple.A, triple.B, triple.C],
-        "neighbor_count": len(t.neighbors.points),
-        "predicted_14": predicts_14(triple),
-    }
-    if predicts_14(triple) and len(t.neighbors.points) == 14:
-        c = census(triple)
-        failures = {
-            "successor_paths": successor_paths_failure(t),
-            "four_fold": four_fold_failure(t),
-            "loops": loop_chains_failure(t, k_max),
-            "walk_points": walk_points_failure(t),
-        }
-        report["census"] = {
-            "faces": c.faces, "edges": c.edges, "points": c.points,
-            "euler": c.euler, "degree_sequence": list(c.degree_sequence),
-        }
-        report["audits"] = {k: (v if v else "ok") for k, v in failures.items()}
-        report["audit_pass"] = all(v is None for v in failures.values())
-    else:
-        report["audit_pass"] = None
-    return report

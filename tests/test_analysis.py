@@ -1,0 +1,48 @@
+import pytest
+
+from tileforge import analysis
+from tileforge.analysis import TileAnalysis, analysis_for
+from tileforge.lattice import IntMatrix, companion_form
+
+
+def test_general_context_matches_family_context():
+    general = TileAnalysis(*companion_form([1, 1, 2, 4]))
+    family = analysis_for((1, 2, 4))
+    assert general.triple is None and general.basis is None
+    assert general.contact.points == family.contact.points
+    assert general.contact.rounds == family.contact.rounds
+    assert general.neighbors.points == family.neighbors.points
+    for k in (2, 3, 4):
+        assert general.level(k).vertices == family.level(k).vertices
+    assert general.contact_graph.edges == family.contact_graph.edges
+
+
+def test_explicit_basis_context_keeps_its_triple():
+    family = analysis_for((1, 2, 4))
+    t = TileAnalysis(family.matrix, family.digits,
+                     ((1, 0, 0), (1, 1, 0), (2, 1, 1)), family.triple)
+    assert analysis_for(t) is t
+    assert t.triple == family.triple
+    assert t.neighbors.points == family.neighbors.points
+
+
+M_124, D_124 = companion_form([1, 1, 2, 4])
+TWICE = IntMatrix(((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+IDENTITY = IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+@pytest.mark.parametrize("matrix,digits,basis,message", [
+    (IDENTITY, ((0, 0, 0),), None, "not expanding"),
+    (TWICE, ((0, 0, 0), (1, 0, 0)), None, "complete residue"),
+    (M_124, tuple(d[:2] for d in D_124), None, "3 coordinates"),
+    (M_124, D_124, ((1, 0, 0), (0, 1, 0), (1, 1, 0)), "linearly dependent"),
+])
+def test_constructor_rejects_system_before_any_fixpoint(
+        matrix, digits, basis, message, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fixpoint ran before the system was checked")
+
+    monkeypatch.setattr(analysis, "contact_set", forbidden)
+    monkeypatch.setattr(analysis, "neighbor_set", forbidden)
+    with pytest.raises(ValueError, match=message):
+        TileAnalysis(matrix, digits, basis)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,12 @@ import pytest
 import tileforge
 from tileforge import analysis, cli, power
 from tileforge.family import SweepRecord
+
+
+def forbid_fixpoints(monkeypatch, forbidden):
+    """Make every fixpoint an analysis context can run raise when called."""
+    for name in ("contact_set", "neighbor_set", "power_graph"):
+        monkeypatch.setattr(analysis, name, forbidden)
 
 
 def test_analyze_named_instance(tmp_path, capsys):
@@ -58,7 +65,7 @@ def test_analyze_rejects_loop_depth_below_one(k, monkeypatch, capsys):
         raise AssertionError("fixpoint ran before --k was validated")
 
     monkeypatch.setattr(cli, "analysis_for", forbidden)
-    monkeypatch.setattr(cli, "contact_set", forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
     assert cli.main(["analyze", "--abc", "1,2,4", "--k", k]) == 2
     assert capsys.readouterr().err.startswith("error: --k must be at least 1")
 
@@ -107,6 +114,46 @@ def test_analyze_basis_override_is_neutral(tmp_path):
     report = json.loads(out.read_text())
     assert report["neighbors"]["count"] == 14
     assert report["contact"]["size"] == 15
+
+
+# sha256 of analyze's JSON report and DOT contact graph for the four kinds
+# of input: a 14-neighbour member, a member outside the 14-neighbour family,
+# a member on an explicit basis, and that member's system given as files.
+ANALYZE_GOLDEN = {
+    "abc 1,2,4": (
+        "38c86cd52d22cd7b36588143c30c832c9f6d63bc8637afad4673661ef6802a39",
+        "b473fbba7ff766c7ca534b218082f704bb35bf7dae292670422e0dbc032873bb"),
+    "abc 1,1,2": (
+        "a5bd487bd6e884878d5c6e2a59e22da6a1e8b66053db25c8d104857b56d1a347",
+        "adff131bbb0ca256e0521467eaf4cb8d59472ea11dd264b8b72fc41fbddfc968"),
+    "abc 1,2,4 basis": (
+        "2632bc4b8814dfea131be486958bbba16b79f8bf9f77372e6d8a6b792c02664f",
+        "b473fbba7ff766c7ca534b218082f704bb35bf7dae292670422e0dbc032873bb"),
+    "matrix 1,2,4": (
+        "8206764eee27ce844f207131926cdbcf0a771a1dd5651d8b1d3091628709fd62",
+        "b473fbba7ff766c7ca534b218082f704bb35bf7dae292670422e0dbc032873bb"),
+}
+
+
+def test_analyze_outputs_match_golden_digests(tmp_path):
+    inputs = {
+        "abc 1,2,4": ["--abc", "1,2,4"],
+        "abc 1,1,2": ["--abc", "1,1,2"],
+        "abc 1,2,4 basis": ["--abc", "1,2,4",
+                            "--basis", "[[1,0,0],[1,1,0],[2,1,1]]"],
+        "matrix 1,2,4": _write_system(tmp_path, FAMILY_124,
+                                      [[i, 0, 0] for i in range(4)]),
+    }
+    key_sets = set()
+    for i, (name, args) in enumerate(inputs.items()):
+        out, dot = tmp_path / f"{i}.json", tmp_path / f"{i}.dot"
+        assert cli.main(["analyze"] + args + ["--json", str(out),
+                                              "--dot", str(dot)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                        for p in (out, dot))
+        assert digests == ANALYZE_GOLDEN[name], name
+        key_sets.add(frozenset(json.loads(out.read_text())))
+    assert len(key_sets) == 4
 
 
 def test_sweep_smallest_box(tmp_path, capsys):
@@ -254,8 +301,9 @@ def test_system_outside_the_theory_is_rejected_first(
     def forbidden(*args, **kwargs):
         raise AssertionError("work ran before the input was validated")
 
-    for name in ("contact_set", "analysis_for", "approximate_tile"):
+    for name in ("analysis_for", "approximate_tile"):
         monkeypatch.setattr(cli, name, forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
     argv = [command] + _write_system(tmp_path, matrix, digits) + extra
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
@@ -275,7 +323,7 @@ def test_degenerate_basis_is_rejected_first(basis, message, monkeypatch,
         raise AssertionError("a fixpoint ran before --basis was validated")
 
     monkeypatch.setattr(cli, "analysis_for", forbidden)
-    monkeypatch.setattr(cli, "contact_set", forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
     assert cli.main(["analyze", "--abc", "1,2,4", "--basis", basis]) == 2
     assert message in capsys.readouterr().err
 

@@ -1,7 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from tileforge import topology
 from tileforge.analysis import AbcTriple, analysis_for
 from tileforge.topology import (
     ChainReport,
@@ -193,6 +195,26 @@ def test_bing_audit_passes_on_124():
     assert report.messages == ()
     assert all(ok for _, _, _, ok in report.loop_checks)
     assert all(ok for *_rest, ok in report.partition_checks)
+
+
+def test_bing_audit_fails_a_loop_that_is_a_chain_without_witness(monkeypatch):
+    # A regular chain carries no witness; the audit must still fail it.
+    real = topology.classify
+
+    def broken(h):
+        report = real(h)
+        if report.is_circular_chain:
+            return dataclasses.replace(report, classification="regular_chain")
+        return report
+
+    monkeypatch.setattr(topology, "classify", broken)
+    report = bing_audit((1, 2, 4), k_max=1)
+    failed = [c for c in report.loop_checks if not c[3]]
+    assert len(failed) == 14
+    assert not report.ok
+    assert len(report.messages) == len(failed)
+    assert report.messages[0] == loop_chains_failure((1, 2, 4))
+    assert report.messages[0].endswith(" at depth 1 is regular_chain")
 
 
 def test_bing_second_attachment_set_is_single_arc():

@@ -20,6 +20,11 @@ print(json.dumps({"codes": codes, "trace": t.snapshot()}))
 """
 
 
+# The audit registry's four checks, as the tracer names their spans.
+AUDIT_SPANS = ("topology.successor_paths", "topology.four_fold",
+               "topology.loop_chains", "topology.walk_points")
+
+
 def traced(*argvs):
     """Run the CLI commands under the tracer in a fresh interpreter."""
     proc = subprocess.run(
@@ -46,7 +51,8 @@ def test_tracer_installs_and_records_geometry(tmp_path):
     assert counts["geometry_io.bytes_written"] > 0
     calls = trace["calls"]
     for name in ("geometry_io.tile_points", "geometry_io.boundary_points",
-                 "geometry_io.write", "graphs.contact", "graphs.neighbor"):
+                 "geometry_io.write", "graphs.contact", "graphs.neighbor",
+                 *AUDIT_SPANS):
         assert calls.get(name, 0) > 0, name
 
 
@@ -58,3 +64,18 @@ def test_tracer_counts_level_graph_sizes(tmp_path):
     assert trace["calls"]["power.level2"] == 1
     assert trace["counts"]["power.level_vertices"] == 6873
     assert trace["counts"]["power.level_edges"] == 72903
+
+
+def test_tracer_records_every_audit_of_the_sweep():
+    calls = traced(["sweep", "--max", "4"])["calls"]
+    for name in AUDIT_SPANS:
+        assert calls.get(name, 0) > 0, name
+
+
+def test_tracer_records_level_graphs_of_an_explicit_system(tmp_path):
+    m, d = tmp_path / "m.json", tmp_path / "d.json"
+    m.write_text("[[0,0,-4],[1,0,-2],[0,1,-1]]")
+    d.write_text(json.dumps([[i, 0, 0] for i in range(4)]))
+    calls = traced(["analyze", "--matrix", str(m), "--digits", str(d)])["calls"]
+    for name in ("graphs.contact", "graphs.neighbor", "power.level2"):
+        assert calls.get(name, 0) > 0, name
