@@ -112,12 +112,17 @@ def check_system(matrix: IntMatrix, digits, basis=None) -> None:
     if not is_complete_residue_system(matrix, digits):
         raise ValueError("digits are not a complete residue system modulo "
                          "the matrix")
-    if basis is None:
-        return
+    if basis is not None:
+        check_basis(basis, size)
+
+
+def check_basis(basis, size: int) -> None:
+    """Reject a contact seed basis that is not size linearly independent
+    vectors of length size."""
     if len(basis) != size or any(len(v) != size for v in basis):
-        raise ValueError(f"--basis needs {size} vectors of length {size}")
+        raise ValueError(f"basis needs {size} vectors of length {size}")
     if IntMatrix(basis).det == 0:
-        raise ValueError("--basis vectors are linearly dependent")
+        raise ValueError("basis vectors are linearly dependent")
 
 
 class TileAnalysis:
@@ -156,8 +161,12 @@ class TileAnalysis:
         return build_graph(pts, self.matrix, self.digits)
 
     def level(self, k: int) -> PowerGraph:
+        """The level-k graph, resumed from the highest level below k that
+        is already built."""
         if k not in self._levels:
-            self._levels[k] = power_graph(self.boundary_graph, k)
+            below = [j for j in self._levels if j < k]
+            start = self._levels[max(below)] if below else None
+            self._levels[k] = power_graph(self.boundary_graph, k, start)
         return self._levels[k]
 
     def is_vertex(self, k: int, candidate: VertexSet) -> bool:
@@ -174,7 +183,11 @@ class TileAnalysis:
         return unique_walk(self.level(len(vertex)), vertex)
 
     def point_of(self, vertex: VertexSet):
-        return walk_point(self.walk(vertex), self.matrix)
+        return self.word_point(self.walk(vertex))
+
+    def word_point(self, word: DigitWord):
+        """Exact point addressed by an eventually periodic digit word."""
+        return walk_point(word, self.matrix)
 
 
 @lru_cache(maxsize=None)

@@ -6,7 +6,13 @@ import argparse
 import json
 import sys
 
-from .analysis import AbcTriple, TileAnalysis, analysis_for
+from .analysis import (
+    AbcTriple,
+    TileAnalysis,
+    analysis_for,
+    check_basis,
+    check_system,
+)
 from .family import audit_report, disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
@@ -16,6 +22,7 @@ from .geometry_io import (
     export,
     merge_clouds,
 )
+from .graphs import RoundLimitError
 from .lattice import IntMatrix
 
 
@@ -55,8 +62,14 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
                                         "matrix file"))
         digits = _int_vectors(_load_json(args.digits, "digits"),
                               "digits file")
-    basis = (_int_vectors(json.loads(basis_text), "--basis")
-             if basis_text else None)
+    if not basis_text:
+        return TileAnalysis(matrix, digits, None, triple)
+    basis = _int_vectors(json.loads(basis_text), "--basis")
+    check_system(matrix, digits)
+    try:
+        check_basis(basis, matrix.size)
+    except ValueError as exc:
+        raise ValueError(f"--{exc}") from None
     return TileAnalysis(matrix, digits, basis, triple)
 
 
@@ -165,7 +178,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, RoundLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .analysis import AbcTriple, analysis_for, as_triple, predicts_14
 from .graphs import LabeledEdge, minkowski_sum
 from .lattice import Vec, vec_neg
-from .power import vertex_set
+from .power import negated, vertex_set
 from .topology import (
     census,
     four_fold_failure,
@@ -161,36 +161,39 @@ def _g3_cycles(triple: AbcTriple):
     )
 
 
-def expected_graph(p, which: str):
-    """Instantiated edge table; which is contact, g2, or g3.
+def expected_edges(p, which: str) -> set:
+    """Instantiated edge table as a set; which is contact, g2, or g3.
 
     contact edges are LabeledEdge objects over the origin-free contact set;
     g2 and g3 edges are (src, digit, dst) triples matching the level graphs.
     """
     triple = as_triple(p)
     if which == "contact":
-        return tuple(sorted(_contact_edges(triple, include_origin=False)))
+        return _contact_edges(triple, include_origin=False)
     if not predicts_14(triple):
         raise ValueError("edge tables for levels 2 and 3 require a "
                          "14-neighbor family member")
     digit = lambda i: (i, 0, 0)
+    edges = set()
     if which == "g2":
-        edges = set()
         for src, dst, lo, hi in _g2_rows(triple):
+            nsrc, ndst = negated(src), negated(dst)
             for i in range(lo, hi + 1):
                 edges.add((src, digit(i), dst))
-                edges.add((vertex_set(vec_neg(v) for v in src),
-                           digit(triple.C - 1 - i),
-                           vertex_set(vec_neg(v) for v in dst)))
-        return tuple(sorted(edges))
+                edges.add((nsrc, digit(triple.C - 1 - i), ndst))
+        return edges
     if which == "g3":
-        edges = set()
         for cycle in _g3_cycles(triple):
             for idx, (members, label) in enumerate(cycle):
                 nxt = cycle[(idx + 1) % len(cycle)][0]
                 edges.add((vertex_set(members), digit(label), vertex_set(nxt)))
-        return tuple(sorted(edges))
+        return edges
     raise ValueError(f"unknown table {which!r}")
+
+
+def expected_graph(p, which: str):
+    """expected_edges(p, which), sorted."""
+    return tuple(sorted(expected_edges(p, which)))
 
 
 @dataclass(frozen=True)
@@ -313,7 +316,7 @@ def _evaluate(triple: AbcTriple) -> SweepRecord:
 
     if tuple(sorted(t.contact.points)) != expected_contact_set(triple):
         failures.append("contact set deviates from its closed form")
-    if set(t.contact_graph.edges) != set(expected_graph(triple, "contact")):
+    if set(t.contact_graph.edges) != expected_edges(triple, "contact"):
         failures.append("contact edges deviate from the table")
     if triple.A < triple.B:
         if len(minkowski_sum(t.contact.points, t.contact.points)) != 65:
@@ -326,9 +329,9 @@ def _evaluate(triple: AbcTriple) -> SweepRecord:
         c, g2, g3 = census(t), t.level(2), t.level(3)
         g2_count, g3_count, euler = c.edges, c.points, c.euler
         g4_empty = not t.level(4).vertices
-        if predicted and set(g2.edges) != set(expected_graph(triple, "g2")):
+        if predicted and set(g2.edges) != expected_edges(triple, "g2"):
             failures.append("arc-graph edges deviate from the table")
-        if predicted and set(g3.edges) != set(expected_graph(triple, "g3")):
+        if predicted and set(g3.edges) != expected_edges(triple, "g3"):
             failures.append("point-graph edges deviate from the table")
         if (g2_count, g3_count) != (36, 24):
             failures.append("level sizes are not 36 and 24")

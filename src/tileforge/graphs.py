@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add
+from operator import add, mul
 
 from .lattice import IntMatrix, Vec, char_poly, vec_add, vec_neg, vec_sub
 
 MAX_ROUNDS = 64
+
+
+class RoundLimitError(RuntimeError):
+    """A fixpoint iteration did not settle within MAX_ROUNDS rounds."""
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +63,23 @@ class BoundaryGraph:
         for e in self.edges:
             table.setdefault((e.src, e.d), []).append((e.dst, e.d_prime))
         return table
+
+    @cached_property
+    def bit_tables(self) -> tuple:
+        """(verts, bit, succ, live) for fixpoints on int bitmasks.
+
+        verts are the sorted vertices and bit[v] the one-bit mask of v;
+        succ[j][i] lists the masks of the successors of verts[i] under
+        digits[j], and bit j of live[i] is set when that list is nonempty.
+        """
+        verts = tuple(sorted(self.vertices))
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        table = self.digit_successors
+        succ = [[[bit[dst] for dst, _ in table.get((v, d), ())] for v in verts]
+                for d in self.digits]
+        live = [sum(1 << j for j, d in enumerate(self.digits) if (v, d) in table)
+                for v in verts]
+        return verts, bit, succ, live
 
     @property
     def is_sink_free(self) -> bool:
@@ -133,16 +154,54 @@ def digit_differences(digits) -> tuple[Vec, ...]:
     return tuple(sorted({vec_sub(dp, d) for d in digits for dp in digits}))
 
 
+def _packed_successors(points, matrix: IntMatrix, diffs):
+    """successor_map on packed vectors: (index, succ) where index maps the
+    pack of each point back to it and succ maps packs to successor packs.
+
+    A vector v packs to sum(v[i] * base**i).  With r bounding every
+    coordinate of a point and of an image M a + delta, r < base / 2, so
+    each coordinate is a balanced digit of the base and the packing is
+    injective on the points and their images.  Packing is linear, so the
+    pack of M a is sum(a[j] * pack(M e_j)) and an image costs one addition.
+    """
+    pts = set(points)
+    if not pts:
+        return {}, {}
+    norm = max(sum(map(abs, row)) for row in matrix.rows)
+    r = (norm * max(max(map(max, pts)), -min(map(min, pts)))
+         + max(max(map(max, diffs)), -min(map(min, diffs))))
+    base = 2 * r + 3
+    powers = [base ** i for i in range(matrix.size)]
+
+    def pack(v):
+        return sum(map(mul, v, powers))
+
+    cols = [pack(col) for col in zip(*matrix.rows)]
+    packed_diffs = [pack(d) for d in diffs]
+    index = {pack(p): p for p in pts}
+    keys = index.keys()
+    succ = {}
+    for packed, p in index.items():
+        image = sum(map(mul, p, cols))
+        succ[packed] = keys & [image + d for d in packed_diffs]
+    return index, succ
+
+
 def successor_map(points, matrix: IntMatrix, diffs) -> dict[Vec, set[Vec]]:
     """a -> {M a + delta : delta in diffs} within points; with diffs = D - D
     these are the edges of build_graph(points) without their labels."""
-    pset = set(points)
-    return {a: pset.intersection([tuple(map(add, ma, delta)) for delta in diffs])
-            for a, ma in zip(pset, map(matrix.mul_vec, pset))}
+    index, succ = _packed_successors(points, matrix, diffs)
+    return {index[a]: {index[b] for b in out} for a, out in succ.items()}
+
+
+def _walk_alive(points, matrix: IntMatrix, diffs) -> set[Vec]:
+    """The points from which an infinite walk of successor_map starts."""
+    index, succ = _packed_successors(points, matrix, diffs)
+    return {index[a] for a in prune_sinks(succ)}
 
 
 def minkowski_sum(left, right) -> set[Vec]:
-    return {vec_add(a, b) for a in left for b in right}
+    return {tuple(map(add, a, b)) for a in left for b in right}
 
 
 def default_contact_basis(matrix: IntMatrix) -> tuple[Vec, ...]:
@@ -178,6 +237,20 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
         pts.add(b)
         pts.add(vec_neg(b))
     diffs = digit_differences(digits)
+    # M k = w has an integer solution exactly when adj(M) w = 0 mod |det M|,
+    # and then k = adj(M) w / det M.  So the differences are indexed by the
+    # residue of adj(M) delta, and a point l looks up the deltas whose
+    # residue cancels that of adj(M) l.
+    det, adj = matrix.det, matrix.adjugate
+    modulus = abs(det)
+
+    def adj_mul(v):
+        return tuple(sum(map(mul, row, v)) for row in adj)
+
+    by_residue: dict[Vec, list[Vec]] = {}
+    for delta in diffs:
+        t = adj_mul(delta)
+        by_residue.setdefault(tuple(x % modulus for x in t), []).append(t)
     # Predecessors of points already closed were found in earlier rounds,
     # so each round solves only for the points the previous round added.
     frontier = pts
@@ -185,18 +258,18 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
     for _ in range(MAX_ROUNDS):
         found = set()
         for l in frontier:
-            for delta in diffs:
-                k = matrix.solve_int(vec_add(l, delta))
-                if k is not None:
-                    found.add(k)
+            t = adj_mul(l)
+            for s in by_residue.get(tuple(-x % modulus for x in t), ()):
+                found.add(tuple((a + b) // det for a, b in zip(t, s)))
         frontier = found - pts
         if not frontier:
             break
         pts = pts | frontier
         rounds += 1
     else:
-        raise RuntimeError("contact iteration exceeded 64 rounds")
-    alive = prune_sinks(successor_map(pts, matrix, diffs))
+        raise RoundLimitError(f"contact stage: iteration exceeded {MAX_ROUNDS} "
+                              f"rounds with {len(pts)} points")
+    alive = _walk_alive(pts, matrix, diffs)
     return ContactSet(tuple(sorted(alive)), basis, rounds)
 
 
@@ -224,14 +297,15 @@ def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
     current = set(s0)
     rounds = 0
     for _ in range(MAX_ROUNDS):
-        nxt = prune_sinks(successor_map(minkowski_sum(current, s0), matrix, diffs))
+        nxt = _walk_alive(minkowski_sum(current, s0), matrix, diffs)
         if nxt == current:
             break
         current = nxt
         rounds += 1
     else:
-        raise RuntimeError("neighbor iteration exceeded 64 rounds")
+        raise RoundLimitError(f"neighbor stage: iteration exceeded "
+                              f"{MAX_ROUNDS} rounds with {len(current)} points")
     points = tuple(sorted(current - {zero}))
-    if len(prune_sinks(successor_map(points, matrix, diffs))) != len(points):
+    if len(_walk_alive(points, matrix, diffs)) != len(points):
         raise AssertionError("neighbor set lost walk-freeness without the origin")
     return NeighborSet(points, rounds)

@@ -50,6 +50,27 @@ def _det(rows):
     return total
 
 
+def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Determinant and adjugate of a square integer matrix given as rows,
+    checked against the identity adjugate @ M == det * I."""
+    m = len(rows)
+    det = _det(rows)
+    adj = tuple(
+        tuple(
+            (-1) ** (i + j)
+            * _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+    ident = tuple(
+        tuple(det if i == j else 0 for j in range(m)) for i in range(m)
+    )
+    if _mat_mul(adj, rows) != ident:
+        raise AssertionError("adjugate self-check failed")
+    return det, adj
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Square integer matrix with exact determinant and adjugate.
@@ -68,22 +89,9 @@ class IntMatrix:
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("matrix must be square and nonempty")
         object.__setattr__(self, "rows", rows)
-        det = _det(rows)
-        adj = tuple(
-            tuple(
-                (-1) ** (i + j)
-                * _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-                for j in range(m)
-            )
-            for i in range(m)
-        )
+        det, adj = det_adjugate(rows)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "adjugate", adj)
-        ident = tuple(
-            tuple(det if i == j else 0 for j in range(m)) for i in range(m)
-        )
-        if _mat_mul(adj, rows) != ident:
-            raise AssertionError("adjugate self-check failed")
 
     @property
     def size(self) -> int:

@@ -13,10 +13,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 
 from .graphs import BoundaryGraph, prune_sinks
-from .lattice import IntMatrix, Vec, mat_pow, vec_add, vec_neg, vec_sub
+from .lattice import (
+    IntMatrix,
+    Vec,
+    det_adjugate,
+    mat_pow,
+    vec_add,
+    vec_neg,
+    vec_sub,
+)
 
 VertexSet = tuple[Vec, ...]
 
@@ -33,22 +42,6 @@ def vertex_set(members) -> VertexSet:
 
 def negated(vs: VertexSet) -> VertexSet:
     return tuple(sorted(vec_neg(p) for p in vs))
-
-
-def _bit_tables(base: BoundaryGraph):
-    """The base graph's sorted vertices, as bit indices, and two tables.
-
-    succ[j][i] lists the one-bit masks of the successors of vertex i under
-    digits[j]; bit j of live[i] is set when that list is nonempty.
-    """
-    verts = tuple(sorted(base.vertices))
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    table = base.digit_successors
-    succ = [[[bit[dst] for dst, _ in table.get((v, d), ())] for v in verts]
-            for d in base.digits]
-    live = [sum(1 << j for j, d in enumerate(base.digits) if (v, d) in table)
-            for v in verts]
-    return verts, succ, live
 
 
 def _bit_indices(mask: int) -> list[int]:
@@ -152,8 +145,7 @@ class PowerGraph:
 def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     """Every (src, d, dst) between the given vertex sets, sorted by vertex
     set and digit value."""
-    verts, succ, live = _bit_tables(base)
-    bit = {v: 1 << i for i, v in enumerate(verts)}
+    _, bit, succ, live = base.bit_tables
     alive = {sum(bit[x] for x in v): v for v in vertices}
     edges = []
     for mask, src in alive.items():
@@ -165,20 +157,30 @@ def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     return tuple(edges)
 
 
-def power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
+def power_graph(base: BoundaryGraph, level: int,
+                start: PowerGraph | None = None) -> PowerGraph:
     """Level graph on size-`level` subsets of the base graph's vertex set.
 
     The fixpoint runs on int bitmasks over the sorted base vertices and
     keeps no labels; the returned graph labels its edges when they are read.
+    start, a lower level graph of the same base, resumes the fixpoint from
+    its vertices instead of from level 1.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    verts, succ, live = _bit_tables(base)
-    zero = (0,) * base.matrix.size
-    origin = 1 << verts.index(zero) if zero in verts else 0
-    cand = {1 << i for i in range(len(verts))}
-    for k in range(1, level + 1):
-        if k > 1:
+    verts, bit, succ, live = base.bit_tables
+    if start is None:
+        first, alive = 1, None
+    elif start._base is not base or not 1 <= start.level < level:
+        raise ValueError("start must be a lower level graph of the same base")
+    else:
+        first = start.level + 1
+        alive = {sum(bit[x] for x in v) for v in start.vertices}
+    origin = bit.get((0,) * base.matrix.size, 0)
+    for k in range(first, level + 1):
+        if alive is None:
+            cand = set(bit.values())
+        else:
             if k == 2 and origin in alive and len(alive) > 1:
                 raise ValueError("vertex set must not contain the origin")
             cand = _candidates(alive)
@@ -264,23 +266,37 @@ def unique_walk(graph: PowerGraph, start: VertexSet,
     raise RuntimeError("walk failed to close within the step budget")
 
 
+@lru_cache(maxsize=64)
+def _period_system(rows, p: int):
+    """K = M^p - I for the matrix with these rows, det K and adj(K)."""
+    k = tuple(tuple(x - (i == j) for j, x in enumerate(r))
+              for i, r in enumerate(mat_pow(rows, p)))
+    det, adj = det_adjugate(k)
+    if det == 0:
+        raise ValueError("matrix is singular")
+    return k, det, adj
+
+
 def walk_point(word: DigitWord, matrix: IntMatrix) -> tuple[Fraction, ...]:
-    """Exact point addressed by the word: x = sum_k M^-k d_k."""
+    """Exact point addressed by the word: x = sum_k M^-k d_k.
+
+    The periodic point solves K x = c with K = M^p - I, so x = adj(K) c /
+    det K; each preperiod digit d maps x to M^-1 (x + d) = adj(M)(x + d) /
+    det M.  Numerators stay integral over one common denominator, and only
+    the result is made of Fractions.
+    """
     c = (0,) * matrix.size
     for d in word.period:
         c = vec_add(matrix.mul_vec(c), d)
-    # K = M^p - I, multiplied as rows so the constructor's check runs once.
-    k = IntMatrix(tuple(
-        tuple(x - (i == j) for j, x in enumerate(r))
-        for i, r in enumerate(mat_pow(matrix.rows, len(word.period)))))
-    x = k.solve_fraction(c)
-    check = tuple(sum(Fraction(r[j]) * x[j] for j in range(matrix.size))
-                  for r in k.rows)
-    if check != tuple(Fraction(v) for v in c):
+    k, den, adj = _period_system(matrix.rows, len(word.period))
+    num = tuple(sum(map(mul, r, c)) for r in adj)
+    if tuple(sum(map(mul, r, num)) for r in k) != tuple(den * v for v in c):
         raise AssertionError("periodic point must satisfy its fixed-point equation")
     for d in reversed(word.preperiod):
-        x = matrix.solve_fraction(vec_add(x, d))
-    return x
+        shifted = tuple(x + den * y for x, y in zip(num, d))
+        num = tuple(sum(map(mul, r, shifted)) for r in matrix.adjugate)
+        den *= matrix.det
+    return tuple(Fraction(x, den) for x in num)
 
 
 def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bool:

@@ -14,7 +14,6 @@ from .analysis import (
     AbcTriple,
     TileAnalysis,
     analysis_for,
-    as_triple,
     predicts_14,
 )
 from .lattice import Vec, vec_add, vec_neg, vec_sub
@@ -296,7 +295,7 @@ def walk_points_failure(ctx) -> str | None:
     pts = {}
     for v in t.level(3).vertices:
         word = t.walk(v)
-        x = t.point_of(v)
+        x = t.word_point(word)
         if x in pts:
             return f"{v} and {pts[x]} share the point {x}"
         pts[x] = v
@@ -383,13 +382,19 @@ def _equation_failure(t: TileAnalysis, alpha: Vec) -> tuple[int, str | None]:
     return len(out), None
 
 
-def bing_audit(p, k_max: int = 4) -> BingReport:
+def bing_audit(ctx, k_max: int = 4) -> BingReport:
     """Loops are circular chains, face equations meet adjacent-only, and the
-    fixed face order gives nonempty connected attachment sets."""
-    triple = as_triple(p)
+    fixed face order gives nonempty connected attachment sets.
+
+    ctx is a family triple or a context of a family member on its default
+    basis: the face order is read off the triple.
+    """
+    t = analysis_for(ctx)
+    triple = t.triple
+    if triple is None or t.basis is not None:
+        raise ValueError("audit needs a family member on its default basis")
     if not predicts_14(triple):
         raise ValueError("audit requires a 14-neighbor family member")
-    t = analysis_for(triple)
     messages = []
 
     loop_checks = []

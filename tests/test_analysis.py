@@ -46,3 +46,13 @@ def test_constructor_rejects_system_before_any_fixpoint(
     monkeypatch.setattr(analysis, "neighbor_set", forbidden)
     with pytest.raises(ValueError, match=message):
         TileAnalysis(matrix, digits, basis)
+
+
+def test_library_basis_errors_name_no_flag():
+    m, d = companion_form([1, 1, 2, 4])
+    with pytest.raises(ValueError) as exc:
+        TileAnalysis(m, d, basis=((1, 0, 0), (2, 0, 0), (0, 0, 1)))
+    assert str(exc.value) == "basis vectors are linearly dependent"
+    with pytest.raises(ValueError) as exc:
+        TileAnalysis(m, d, basis=((1, 0, 0), (0, 1, 0)))
+    assert str(exc.value) == "basis needs 3 vectors of length 3"

@@ -336,3 +336,18 @@ def test_non_expanding_matrix_exits_instead_of_hanging(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "error: matrix is not expanding" in proc.stderr
+
+
+def test_round_cap_exits_2_and_names_the_stage(tmp_path):
+    # x^3 + 5x^2 + 2x + 5 is expanding with a complete residue system, but
+    # its contact iteration does not settle within the round cap.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    matrix = [[0, 0, -5], [1, 0, -2], [0, 1, -5]]
+    argv = ["analyze"] + _write_system(tmp_path, matrix,
+                                       [[i, 0, 0] for i in range(5)])
+    proc = subprocess.run([sys.executable, "-m", "tileforge.cli"] + argv,
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: contact stage: ")
+    assert "Traceback" not in proc.stderr

@@ -1,12 +1,14 @@
 import pytest
 
-from tileforge.analysis import analysis_for
+from tileforge.analysis import analysis_for, as_triple, predicts_14
 from tileforge.family import (
     CSV_HEADER,
     SweepRecord,
+    _g2_rows,
     _sweep_worker,
     disagreements,
     expected_contact_set,
+    expected_edges,
     expected_graph,
     expected_structures,
     family_triples,
@@ -14,6 +16,8 @@ from tileforge.family import (
     sweep_csv,
 )
 from tileforge.graphs import LabeledEdge
+from tileforge.lattice import vec_neg
+from tileforge.power import vertex_set
 
 
 def test_expected_contact_set_sizes():
@@ -138,3 +142,31 @@ def test_sweep_csv_header_and_booleans():
                         "contact_size,g2,g3,g4_empty,euler,audit_pass")
     assert lines[1] == "1,2,4,14,true,true,15,36,24,true,2,true"
     assert text.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the arc-graph table that negated each endpoint once per label,
+# kept verbatim apart from its name.
+
+
+def oracle_g2_table(p):
+    triple = as_triple(p)
+    digit = lambda i: (i, 0, 0)
+    edges = set()
+    for src, dst, lo, hi in _g2_rows(triple):
+        for i in range(lo, hi + 1):
+            edges.add((src, digit(i), dst))
+            edges.add((vertex_set(vec_neg(v) for v in src),
+                       digit(triple.C - 1 - i),
+                       vertex_set(vec_neg(v) for v in dst)))
+    return tuple(sorted(edges))
+
+
+def test_tables_match_oracle_and_their_sets_on_the_family():
+    members = [abc for abc in family_triples(12, 12, 12) if predicts_14(abc)]
+    assert len(members) == 111
+    for abc in members:
+        assert expected_graph(abc, "g2") == oracle_g2_table(abc), abc
+        for which in ("contact", "g2", "g3"):
+            assert expected_edges(abc, which) == set(
+                expected_graph(abc, which)), (abc, which)

@@ -1,11 +1,17 @@
+import itertools
+from operator import add
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import tileforge.graphs
+from tileforge.family import family_triples
 from tileforge.graphs import (
     MAX_ROUNDS,
     BoundaryGraph,
+    ContactSet,
     LabeledEdge,
+    RoundLimitError,
     build_graph,
     contact_set,
     default_contact_basis,
@@ -16,7 +22,15 @@ from tileforge.graphs import (
     reduce,
     successor_map,
 )
-from tileforge.lattice import companion_form, vec_add, vec_neg, vec_sub
+from tileforge.lattice import (
+    IntMatrix,
+    companion_form,
+    vec_add,
+    vec_neg,
+    vec_sub,
+)
+
+from strategies import expanding_systems
 
 
 def setup_tile(a, b, c):
@@ -239,3 +253,155 @@ def test_fixpoints_build_no_labeled_graph(monkeypatch):
     m, digits = setup_tile(3, 4, 10)
     s = neighbor_set(contact_set(m, digits), m, digits)
     assert len(s.points) == 14
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the trial-division contact iteration and the tuple successor map,
+# kept verbatim apart from their names.  The residue-indexed search and the
+# packed images must reproduce them exactly.
+
+
+def oracle_successor_map(points, matrix, diffs) -> dict:
+    """a -> {M a + delta : delta in diffs} within points; with diffs = D - D
+    these are the edges of build_graph(points) without their labels."""
+    pset = set(points)
+    return {a: pset.intersection([tuple(map(add, ma, delta)) for delta in diffs])
+            for a, ma in zip(pset, map(matrix.mul_vec, pset))}
+
+
+def oracle_contact_set(matrix, digits, basis=None) -> ContactSet:
+    """Close {0, +-basis} under predecessors, then trim walk-dead points."""
+    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    if basis is None:
+        basis = default_contact_basis(matrix)
+    basis = tuple(tuple(int(x) for x in b) for b in basis)
+    zero = (0,) * matrix.size
+    pts: set = {zero}
+    for b in basis:
+        pts.add(b)
+        pts.add(vec_neg(b))
+    diffs = digit_differences(digits)
+    # Predecessors of points already closed were found in earlier rounds,
+    # so each round solves only for the points the previous round added.
+    frontier = pts
+    rounds = 0
+    for _ in range(MAX_ROUNDS):
+        found = set()
+        for l in frontier:
+            for delta in diffs:
+                k = matrix.solve_int(vec_add(l, delta))
+                if k is not None:
+                    found.add(k)
+        frontier = found - pts
+        if not frontier:
+            break
+        pts = pts | frontier
+        rounds += 1
+    else:
+        raise RuntimeError("contact iteration exceeded 64 rounds")
+    alive = prune_sinks(oracle_successor_map(pts, matrix, diffs))
+    return ContactSet(tuple(sorted(alive)), basis, rounds)
+
+
+def test_contact_set_matches_oracle_on_the_family():
+    for abc in family_triples(12, 12, 12):
+        m, digits = setup_tile(*abc)
+        got, want = contact_set(m, digits), oracle_contact_set(m, digits)
+        assert (got.points, got.rounds) == (want.points, want.rounds), abc
+
+
+@st.composite
+def residue_systems(draw):
+    """An expanding matrix, a complete residue system of short digits modulo
+    it that need not be collinear, and the unit vectors as seed basis."""
+    matrix, _, _ = draw(expanding_systems())
+    modulus = abs(matrix.det)
+    box = draw(st.permutations(list(itertools.product(range(-2, 3), repeat=3))))
+    classes = {}
+    for v in sorted(box, key=lambda v: sum(map(abs, v))):
+        key = tuple(sum(a * b for a, b in zip(r, v)) % modulus
+                    for r in matrix.adjugate)
+        classes.setdefault(key, v)
+    assume(len(classes) == modulus)
+    return matrix, tuple(classes.values()), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@given(residue_systems())
+def test_contact_set_matches_oracle_on_other_systems(system):
+    matrix, digits, basis = system
+    try:
+        want = oracle_contact_set(matrix, digits, basis)
+    except RuntimeError as exc:
+        assert "exceeded 64 rounds" in str(exc)
+        with pytest.raises(RoundLimitError):
+            contact_set(matrix, digits, basis)
+        return
+    got = contact_set(matrix, digits, basis)
+    assert (got.points, got.rounds) == (want.points, want.rounds)
+
+
+def predecessor_closure(matrix, digits, rounds):
+    """{0, +-default basis} after some rounds of adding predecessors."""
+    pts = {(0,) * matrix.size}
+    for b in default_contact_basis(matrix):
+        pts.update((b, vec_neg(b)))
+    frontier = set(pts)
+    for _ in range(rounds):
+        frontier = {k for l in frontier for delta in digit_differences(digits)
+                    if (k := matrix.solve_int(vec_add(l, delta))) is not None}
+        frontier -= pts
+        pts |= frontier
+    return pts
+
+
+def test_contact_round_cap_names_its_stage():
+    m, digits = setup_tile(5, 2, 5)
+    with pytest.raises(RoundLimitError, match="contact stage"):
+        contact_set(m, digits)
+    with pytest.raises(RuntimeError, match="contact iteration exceeded"):
+        oracle_contact_set(m, digits)
+
+
+def test_successor_map_matches_oracle_on_a_diverging_frontier():
+    # (5,2,5) is not in the family; its contact points grow without bound.
+    m, digits = setup_tile(5, 2, 5)
+    pts = predecessor_closure(m, digits, MAX_ROUNDS)
+    assert len(pts) > 800
+    diffs = digit_differences(digits)
+    assert successor_map(pts, m, diffs) == oracle_successor_map(pts, m, diffs)
+
+
+def test_successor_map_packing_base_covers_the_images():
+    # The images (10,0,0) and (30,0,0) leave the points' range [-3, 3].  A
+    # base bounded by the points alone (9) would pack (10,0,0) like (1,1,0),
+    # and one without the factor 2 (31) would pack (30,0,0) like (-1,1,0).
+    m = IntMatrix(((10, 0, 0), (0, 2, 0), (0, 0, 2)))
+    pts = {(1, 0, 0), (3, 0, 0), (1, 1, 0), (-1, 1, 0)}
+    got = successor_map(pts, m, ((0, 0, 0),))
+    assert got == oracle_successor_map(pts, m, ((0, 0, 0),))
+    assert got == {p: set() for p in pts}
+
+
+@st.composite
+def point_sets(draw):
+    """An expanding system, its D - D, and points: a dense subset of a small
+    box or a sparse set of large coordinates, with some of their images."""
+    matrix, digits, _ = draw(expanding_systems())
+    diffs = digit_differences(digits)
+    if draw(st.booleans()):
+        h = draw(st.integers(1, 3))
+        box = list(itertools.product(range(-h, h + 1), repeat=3))
+        pts = draw(st.sets(st.sampled_from(box), min_size=1, max_size=80))
+    else:
+        big = st.integers(-2 ** 70, 2 ** 70)
+        pts = draw(st.sets(st.tuples(big, big, big), min_size=1, max_size=12))
+    images = [vec_add(matrix.mul_vec(a), delta) for a in pts for delta in diffs]
+    pts |= set(draw(st.lists(st.sampled_from(images), max_size=20)))
+    return matrix, diffs, pts
+
+
+@given(point_sets())
+def test_successor_map_matches_oracle(case):
+    matrix, diffs, pts = case
+    assert successor_map(pts, matrix, diffs) == oracle_successor_map(
+        pts, matrix, diffs)

@@ -5,11 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tileforge import power
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
+from tileforge.family import family_triples
 from tileforge.graphs import BoundaryGraph, build_graph, prune_sinks
-from tileforge.lattice import IntMatrix, Vec
+from tileforge.lattice import IntMatrix, Vec, mat_pow, vec_add
 from tileforge.power import (
     DigitWord,
+    PowerGraph,
     SubtileRef,
     VertexSet,
     negated,
@@ -22,6 +25,9 @@ from tileforge.power import (
     walk_point,
     word_admissible_from,
 )
+from tileforge.power import _bit_indices, _candidates, _images
+
+from strategies import expanding_systems
 
 
 def vecs(*points):
@@ -393,3 +399,138 @@ def shuffled_subgraphs(draw):
 def test_level_graphs_of_subsets_match_oracle(case):
     base, level = case
     assert_matches_oracle(base, level)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the level graph that restarted from level 1 on every call, and
+# the walk point solved in Fractions, kept verbatim apart from their names.
+# Resumed levels and integer walk points must reproduce them exactly.
+
+
+def oracle_bit_tables(base: BoundaryGraph):
+    """The base graph's sorted vertices, as bit indices, and two tables.
+
+    succ[j][i] lists the one-bit masks of the successors of vertex i under
+    digits[j]; bit j of live[i] is set when that list is nonempty.
+    """
+    verts = tuple(sorted(base.vertices))
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    table = base.digit_successors
+    succ = [[[bit[dst] for dst, _ in table.get((v, d), ())] for v in verts]
+            for d in base.digits]
+    live = [sum(1 << j for j, d in enumerate(base.digits) if (v, d) in table)
+            for v in verts]
+    return verts, succ, live
+
+
+def oracle_restart_power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
+    """Level graph on size-`level` subsets of the base graph's vertex set.
+
+    The fixpoint runs on int bitmasks over the sorted base vertices and
+    keeps no labels; the returned graph labels its edges when they are read.
+    """
+    if level < 1:
+        raise ValueError("level must be at least 1")
+    verts, succ, live = oracle_bit_tables(base)
+    zero = (0,) * base.matrix.size
+    origin = 1 << verts.index(zero) if zero in verts else 0
+    cand = {1 << i for i in range(len(verts))}
+    for k in range(1, level + 1):
+        if k > 1:
+            if k == 2 and origin in alive and len(alive) > 1:
+                raise ValueError("vertex set must not contain the origin")
+            cand = _candidates(alive)
+        alive = prune_sinks({
+            m: cand.intersection(itertools.chain.from_iterable(
+                sums for _, sums in _images(succ, live, m)))
+            for m in cand})
+
+    vertices = tuple(tuple(verts[i] for i in ix)
+                     for ix in sorted(map(_bit_indices, alive)))
+    return PowerGraph(level, vertices, base.matrix, base.digits, base)
+
+
+def oracle_walk_point(word: DigitWord, matrix: IntMatrix) -> tuple[Fraction, ...]:
+    """Exact point addressed by the word: x = sum_k M^-k d_k."""
+    c = (0,) * matrix.size
+    for d in word.period:
+        c = vec_add(matrix.mul_vec(c), d)
+    # K = M^p - I, multiplied as rows so the constructor's check runs once.
+    k = IntMatrix(tuple(
+        tuple(x - (i == j) for j, x in enumerate(r))
+        for i, r in enumerate(mat_pow(matrix.rows, len(word.period)))))
+    x = k.solve_fraction(c)
+    check = tuple(sum(Fraction(r[j]) * x[j] for j in range(matrix.size))
+                  for r in k.rows)
+    if check != tuple(Fraction(v) for v in c):
+        raise AssertionError("periodic point must satisfy its fixed-point equation")
+    for d in reversed(word.preperiod):
+        x = matrix.solve_fraction(vec_add(x, d))
+    return x
+
+
+@pytest.mark.parametrize("abc,top", [
+    ((1, 2, 4), 4), ((3, 4, 10), 4), ((1, 1, 4), 4), ((2, 2, 5), 4),
+    ((5, 5, 6), 3)])
+def test_resumed_levels_match_restarted_oracle_in_any_order(abc, top):
+    base = analysis_for(abc).boundary_graph
+    want = {k: oracle_restart_power_graph(base, k).vertices
+            for k in range(1, top + 1)}
+    for order in itertools.permutations(range(1, top + 1)):
+        t = TileAnalysis(*AbcTriple(*abc).system(), triple=AbcTriple(*abc))
+        for k in order:
+            assert t.level(k).vertices == want[k], (order, k)
+
+
+def test_power_graph_resumes_only_from_a_lower_level_of_its_base():
+    t = analysis_for((1, 2, 4))
+    base, g2 = t.boundary_graph, t.level(2)
+    assert power_graph(base, 3, g2).vertices == t.level(3).vertices
+    with pytest.raises(ValueError, match="lower level graph"):
+        power_graph(base, 2, g2)
+    other = build_graph(base.vertices, base.matrix, base.digits)
+    with pytest.raises(ValueError, match="lower level graph"):
+        power_graph(other, 3, g2)
+
+
+def test_walk_points_match_oracle_on_the_family():
+    count = 0
+    for abc in family_triples(12, 12, 12):
+        if not predicts_14(abc):
+            continue
+        t = analysis_for(abc)
+        for v in t.level(3).vertices:
+            word = t.walk(v)
+            assert walk_point(word, t.matrix) == oracle_walk_point(
+                word, t.matrix), (abc, v)
+            count += 1
+    assert count == 111 * 24
+
+
+@st.composite
+def eventually_periodic_words(draw):
+    """A random expanding system and a word over its digits."""
+    matrix, digits, _ = draw(expanding_systems())
+    word = st.lists(st.sampled_from(digits), max_size=4)
+    period = draw(word.filter(bool))
+    return matrix, DigitWord(tuple(draw(word)), tuple(period))
+
+
+@given(eventually_periodic_words())
+def test_walk_point_matches_oracle(case):
+    matrix, word = case
+    assert walk_point(word, matrix) == oracle_walk_point(word, matrix)
+
+
+def test_walk_point_resubstitutes_its_periodic_solution(monkeypatch):
+    # A wrong adjugate must be caught by the check K num == det K c.
+    real = power._period_system
+
+    def skewed(rows, p):
+        k, det, adj = real(rows, p)
+        return k, det, ((adj[0][0] + 1,) + adj[0][1:],) + adj[1:]
+
+    monkeypatch.setattr(power, "_period_system", skewed)
+    t = analysis_for((1, 2, 4))
+    with pytest.raises(AssertionError, match="fixed-point equation"):
+        walk_point(DigitWord((), ((1, 0, 0),)), t.matrix)

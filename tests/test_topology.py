@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tileforge import topology
-from tileforge.analysis import AbcTriple, analysis_for
+from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for
+from tileforge.lattice import companion_form
 from tileforge.topology import (
     ChainReport,
     HataGraph,
@@ -215,6 +216,20 @@ def test_bing_audit_fails_a_loop_that_is_a_chain_without_witness(monkeypatch):
     assert len(report.messages) == len(failed)
     assert report.messages[0] == loop_chains_failure((1, 2, 4))
     assert report.messages[0].endswith(" at depth 1 is regular_chain")
+
+
+def test_bing_audit_takes_a_family_context():
+    assert bing_audit(analysis_for((1, 2, 4)), k_max=1) == bing_audit(
+        (1, 2, 4), k_max=1)
+
+
+@pytest.mark.parametrize("basis,triple", [
+    (None, None), (((1, 0, 0), (1, 1, 0), (2, 1, 1)), AbcTriple(1, 2, 4))])
+def test_bing_audit_rejects_contexts_off_the_default_family_basis(basis,
+                                                                  triple):
+    t = TileAnalysis(*companion_form([1, 1, 2, 4]), basis, triple)
+    with pytest.raises(ValueError, match="family member on its default basis"):
+        bing_audit(t, k_max=1)
 
 
 def test_bing_second_attachment_set_is_single_arc():
