@@ -139,6 +139,12 @@ class TileAnalysis:
         self.matrix, self.digits = matrix, digits
         self.basis, self.triple = basis, triple
         self._levels: dict[int, PowerGraph] = {}
+        self._walks: dict[VertexSet, DigitWord] = {}
+        # The link table of topology.hata_graph for pieces at shift 0: the
+        # canonical piece of each vertex, and the intersection of each pair
+        # of such pieces decided so far, None included.
+        self.shift0_pieces: dict = {}
+        self.shift0_links: dict = {}
 
     @cached_property
     def contact(self) -> ContactSet:
@@ -180,7 +186,13 @@ class TileAnalysis:
         return intersection_vertex(beta1, a1, beta2, a2, self.is_vertex)
 
     def walk(self, vertex: VertexSet) -> DigitWord:
-        return unique_walk(self.level(len(vertex)), vertex)
+        """The digit word of the unique walk from a level vertex, found once
+        per vertex; a vertex whose walk raises is not stored."""
+        word = self._walks.get(vertex)
+        if word is None:
+            word = unique_walk(self.level(len(vertex)), vertex)
+            self._walks[vertex] = word
+        return word
 
     def point_of(self, vertex: VertexSet):
         return self.word_point(self.walk(vertex))
@@ -190,15 +202,21 @@ class TileAnalysis:
         return walk_point(word, self.matrix)
 
 
-@lru_cache(maxsize=None)
+# Contexts keep their level graphs and memos, so the cache holds only the
+# most recently used ones.
+CONTEXT_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def _analysis_cached(a: int, b: int, c: int) -> TileAnalysis:
     triple = AbcTriple(a, b, c)
     return TileAnalysis(*triple.system(), triple=triple)
 
 
 def analysis_for(obj) -> TileAnalysis:
-    """obj itself when it is a TileAnalysis, else the shared, cached context
-    of a triple or (A, B, C) tuple."""
+    """obj itself when it is a TileAnalysis, else the shared context of a
+    triple or (A, B, C) tuple, cached among the CONTEXT_CACHE_SIZE most
+    recently used."""
     if isinstance(obj, TileAnalysis):
         return obj
     triple = as_triple(obj)

@@ -99,6 +99,8 @@ def run_analyze(args) -> int:
 
 
 def run_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError("--jobs must be at least 1")
     records = sweep(args.max, args.max, args.max, parallelism=args.jobs)
     bad = disagreements(records)
     failed = tuple(r for r in records if not r.audit_pass)
@@ -155,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--max", type=int, default=12,
                            help="bound on A, B, and C (default 12)")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
-                           help="parallel worker processes")
+                           help="parallel worker processes, at least 1 "
+                                "(default 1)")
     sweep_cmd.add_argument("--csv", help="write sweep records here")
     sweep_cmd.set_defaults(func=run_sweep)
 

@@ -371,11 +371,18 @@ def family_triples(a_max: int, b_max: int, c_max: int):
 
 def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
           parallelism: int = 1) -> tuple[SweepRecord, ...]:
-    """Audit every family member in the box; order is deterministic."""
+    """Audit every family member in the box; order is deterministic.
+
+    parallelism bounds the worker processes; no more are started than there
+    are triples, and one runs the sweep in this process.
+    """
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
     triples = family_triples(a_max, b_max, c_max)
-    if parallelism <= 1:
+    workers = min(parallelism, len(triples))
+    if workers <= 1:
         return tuple(_sweep_worker(abc) for abc in triples)
-    with ProcessPoolExecutor(max_workers=parallelism) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(pool.map(_sweep_worker, triples, chunksize=4))
 
 

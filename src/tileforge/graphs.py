@@ -154,36 +154,60 @@ def digit_differences(digits) -> tuple[Vec, ...]:
     return tuple(sorted({vec_sub(dp, d) for d in digits for dp in digits}))
 
 
-def _packed_successors(points, matrix: IntMatrix, diffs):
-    """successor_map on packed vectors: (index, succ) where index maps the
-    pack of each point back to it and succ maps packs to successor packs.
+def _max_abs(vectors) -> int:
+    """The largest absolute value of a coordinate of the vectors."""
+    return max(max(map(max, vectors)), -min(map(min, vectors)))
 
-    A vector v packs to sum(v[i] * base**i).  With r bounding every
-    coordinate of a point and of an image M a + delta, r < base / 2, so
-    each coordinate is a balanced digit of the base and the packing is
-    injective on the points and their images.  Packing is linear, so the
-    pack of M a is sum(a[j] * pack(M e_j)) and an image costs one addition.
+
+def _packing(matrix: IntMatrix, r: int, diffs):
+    """(pack, image, packed diffs, unpack) for vectors whose coordinates are
+    bounded by r in absolute value, and for their images M a + delta.
+
+    A vector v packs to sum(v[i] * base**i), with base = 2 * (norm * r +
+    max|delta|) + 3 and norm the largest absolute row sum of M.  Every
+    coordinate of such a vector and of its images is then below
+    base / 2 in absolute value, so each is a balanced digit of the base and
+    the packing is injective on them.  Packing is linear: image(a), the pack
+    of M a, is sum(a[j] * pack(M e_j)), an image M a + delta costs one
+    addition, and pack(a + b) = pack(a) + pack(b).
     """
-    pts = set(points)
-    if not pts:
-        return {}, {}
     norm = max(sum(map(abs, row)) for row in matrix.rows)
-    r = (norm * max(max(map(max, pts)), -min(map(min, pts)))
-         + max(max(map(max, diffs)), -min(map(min, diffs))))
-    base = 2 * r + 3
+    base = 2 * (norm * r + _max_abs(diffs)) + 3
+    half = base // 2
     powers = [base ** i for i in range(matrix.size)]
 
     def pack(v):
         return sum(map(mul, v, powers))
 
     cols = [pack(col) for col in zip(*matrix.rows)]
-    packed_diffs = [pack(d) for d in diffs]
+
+    def image(v):
+        return sum(map(mul, v, cols))
+
+    def unpack(x):
+        v = []
+        for _ in powers:
+            digit = (x + half) % base - half
+            v.append(digit)
+            x = (x - digit) // base
+        return tuple(v)
+
+    return pack, image, [pack(d) for d in diffs], unpack
+
+
+def _packed_successors(points, matrix: IntMatrix, diffs):
+    """successor_map on packed vectors: (index, succ) where index maps the
+    pack of each point back to it and succ maps packs to successor packs."""
+    pts = set(points)
+    if not pts:
+        return {}, {}
+    pack, image, packed_diffs, _ = _packing(matrix, _max_abs(pts), diffs)
     index = {pack(p): p for p in pts}
     keys = index.keys()
     succ = {}
     for packed, p in index.items():
-        image = sum(map(mul, p, cols))
-        succ[packed] = keys & [image + d for d in packed_diffs]
+        m = image(p)
+        succ[packed] = keys & [m + d for d in packed_diffs]
     return index, succ
 
 
@@ -294,10 +318,21 @@ def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
     zero = (0,) * matrix.size
     s0 = {tuple(int(x) for x in p) for p in base} | {zero}
     diffs = digit_differences(digits)
+    s0_max = _max_abs(s0)
     current = set(s0)
     rounds = 0
     for _ in range(MAX_ROUNDS):
-        nxt = _walk_alive(minkowski_sum(current, s0), matrix, diffs)
+        # Each sum a + b and its image are made from the packs of a and b,
+        # so the sums are never built as vectors; only survivors are.
+        pack, image, packed_diffs, unpack = _packing(
+            matrix, _max_abs(current) + s0_max, diffs)
+        right = [(pack(b), image(b)) for b in s0]
+        sums = {pa + pb: ma + mb
+                for pa, ma in [(pack(a), image(a)) for a in current]
+                for pb, mb in right}
+        keys = sums.keys()
+        nxt = {unpack(x) for x in prune_sinks(
+            {x: keys & [m + d for d in packed_diffs] for x, m in sums.items()})}
         if nxt == current:
             break
         current = nxt

@@ -182,16 +182,22 @@ def companion_form(coeffs) -> tuple[IntMatrix, tuple[Vec, ...]]:
 
 def char_poly(matrix: IntMatrix) -> list[int]:
     """Coefficients [1, c1, ..., cm] of det(xI - M) in descending powers."""
-    m = matrix.size
+    # Faddeev-LeVerrier on row tuples: N_1 = M, c_k = -tr(N_k) / k and
+    # N_(k+1) = M (N_k + c_k I).
+    rows = matrix.rows
+    m = len(rows)
     coeffs = [1]
-    n = matrix
+    n = rows
     for k in range(1, m + 1):
-        t = n.trace
+        t = sum(n[i][i] for i in range(m))
         if t % k != 0:
             raise AssertionError("characteristic coefficients must be integral")
-        coeffs.append(-(t // k))
+        c = -(t // k)
+        coeffs.append(c)
         if k < m:
-            n = matrix @ n.plus_scalar(coeffs[-1])
+            n = _mat_mul(rows, tuple(
+                tuple(x + c if i == j else x for j, x in enumerate(r))
+                for i, r in enumerate(n)))
     return coeffs
 
 

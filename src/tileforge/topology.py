@@ -63,15 +63,23 @@ class HataGraph:
 
 
 def hata_graph(ctx, pieces) -> HataGraph:
-    """Intersection graph of pieces given as (vertex, shift) pairs or Pieces."""
+    """Intersection graph of pieces given as (vertex, shift) pairs or Pieces.
+
+    Two pieces can meet only if their shifts differ by 0 or a neighbor.
+    When every piece is a (vertex, 0) pair, the graph is read off the
+    context's link table; any other set is paired by shift.
+    """
     t = analysis_for(ctx)
+    pieces = tuple(pieces)
+    zero = (0,) * t.matrix.size
+    if all(not isinstance(p, Piece) and p[1] == zero for p in pieces):
+        return _shift0_hata(t, pieces, zero)
     canon = sorted({
         p if isinstance(p, Piece) else make_piece(*p) for p in pieces
     })
     by_shift: dict[Vec, list[int]] = {}
     for i, p in enumerate(canon):
         by_shift.setdefault(p.shift, []).append(i)
-    zero = (0,) * t.matrix.size
     offsets = (zero,) + t.neighbors.points
     edges = []
     for i, p in enumerate(canon):
@@ -84,6 +92,45 @@ def hata_graph(ctx, pieces) -> HataGraph:
                 if gamma is not None:
                     edges.append((i, j, gamma))
     return HataGraph(tuple(canon), tuple(sorted(edges)))
+
+
+_UNDECIDED = object()
+
+
+def _shift0_hata(t: TileAnalysis, pieces, zero: Vec) -> HataGraph:
+    """hata_graph of (vertex, zero) pairs.
+
+    A link depends only on its two pieces, so each pair of canonical
+    pieces is decided once per context, by the offset test and the
+    intersection of the by-shift enumeration, and kept in t.shift0_links.
+    The graph of any set of such pieces is an induced subgraph of that
+    table.
+    """
+    memo = t.shift0_pieces
+    canon = set()
+    for v, _ in pieces:
+        p = memo.get(v)
+        if p is None:
+            p = memo[v] = make_piece(v, zero)
+        canon.add(p)
+    canon = sorted(canon)
+    links = t.shift0_links
+    offsets = None
+    edges = []
+    for i, p in enumerate(canon):
+        for j in range(i + 1, len(canon)):
+            q = canon[j]
+            gamma = links.get((p, q), _UNDECIDED)
+            if gamma is _UNDECIDED:
+                if offsets is None:
+                    offsets = {zero, *t.neighbors.points}
+                gamma = None
+                if vec_sub(q.shift, p.shift) in offsets:
+                    gamma = t.intersection(p.vertex, p.shift, q.vertex, q.shift)
+                links[p, q] = gamma
+            if gamma is not None:
+                edges.append((i, j, gamma))
+    return HataGraph(tuple(canon), tuple(edges))
 
 
 @dataclass(frozen=True)
@@ -220,7 +267,8 @@ def four_fold_placement(ctx, alpha_set) -> FourFold:
     """Exactly two triple-points bound each arc; returns them with first digits."""
     t = analysis_for(ctx)
     vs = vertex_set(alpha_set)
-    supersets = [w for w in t.level(3).vertices if set(vs) <= set(w)]
+    members = set(vs)
+    supersets = [w for w in t.level(3).vertices if members.issubset(w)]
     if len(supersets) != 2:
         raise ValueError(f"{vs} lies in {len(supersets)} level-3 vertices, not 2")
     first = []

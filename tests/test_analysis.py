@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from tileforge import analysis
-from tileforge.analysis import TileAnalysis, analysis_for
+from tileforge.analysis import CONTEXT_CACHE_SIZE, TileAnalysis, analysis_for
+from tileforge.family import sweep
 from tileforge.lattice import IntMatrix, companion_form
 
 
@@ -56,3 +59,12 @@ def test_library_basis_errors_name_no_flag():
     with pytest.raises(ValueError) as exc:
         TileAnalysis(m, d, basis=((1, 0, 0), (0, 1, 0)))
     assert str(exc.value) == "basis needs 3 vectors of length 3"
+
+
+def test_family_contexts_stay_bounded_after_a_sweep():
+    records = sweep(12, 12, 12)
+    assert len(records) == 286
+    gc.collect()
+    alive = [o for o in gc.get_objects()
+             if isinstance(o, TileAnalysis) and o.triple is not None]
+    assert len(alive) <= CONTEXT_CACHE_SIZE

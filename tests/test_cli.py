@@ -174,6 +174,16 @@ def test_sweep_csv_independent_of_jobs(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_rejects_jobs_below_one(jobs, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sweep ran with an invalid --jobs")
+
+    monkeypatch.setattr(cli, "sweep", forbidden)
+    assert cli.main(["sweep", "--max", "2", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+
+
 def test_sweep_exit_code_flags_disagreement(monkeypatch, capsys):
     fake = SweepRecord(1, 2, 4, 15, True, False, 15, 36, 24, True, 2, True)
     monkeypatch.setattr(cli, "sweep", lambda *a, **k: (fake,))

@@ -1,5 +1,6 @@
 import pytest
 
+from tileforge import family
 from tileforge.analysis import analysis_for, as_triple, predicts_14
 from tileforge.family import (
     CSV_HEADER,
@@ -124,6 +125,43 @@ def test_sweep_is_deterministic_across_parallelism():
     serial = sweep(4, 4, 5, parallelism=1)
     parallel = sweep(4, 4, 5, parallelism=2)
     assert serial == parallel
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that starts no process: it records
+    the worker count it is asked for and maps in this process."""
+
+    asked: list = []
+
+    def __init__(self, max_workers):
+        RecordingPool.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+def test_sweep_starts_no_more_workers_than_triples(monkeypatch):
+    monkeypatch.setattr(family, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "asked", [])
+    assert len(family_triples(2, 2, 3)) == 4
+    records = sweep(2, 2, 3, parallelism=10_000)
+    assert RecordingPool.asked == [4]
+    assert records == sweep(2, 2, 3, parallelism=1)
+    # One triple needs no pool at all.
+    assert sweep(1, 1, 2, parallelism=10_000) == sweep(1, 1, 2)
+    assert RecordingPool.asked == [4]
+
+
+@pytest.mark.parametrize("parallelism", [0, -1])
+def test_sweep_rejects_parallelism_below_one(parallelism):
+    with pytest.raises(ValueError, match="at least 1"):
+        sweep(1, 1, 2, parallelism=parallelism)
 
 
 def test_worker_captures_invalid_parameters():

@@ -11,6 +11,7 @@ from tileforge.graphs import (
     BoundaryGraph,
     ContactSet,
     LabeledEdge,
+    NeighborSet,
     RoundLimitError,
     build_graph,
     contact_set,
@@ -22,6 +23,7 @@ from tileforge.graphs import (
     reduce,
     successor_map,
 )
+from tileforge.graphs import _walk_alive
 from tileforge.lattice import (
     IntMatrix,
     companion_form,
@@ -405,3 +407,79 @@ def test_successor_map_matches_oracle(case):
     matrix, diffs, pts = case
     assert successor_map(pts, matrix, diffs) == oracle_successor_map(
         pts, matrix, diffs)
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the neighbor iteration on tuple Minkowski sums, kept verbatim
+# apart from its name.  The packed sums must reproduce it exactly.
+
+
+def oracle_neighbor_set(contact, matrix, digits) -> NeighborSet:
+    """Iterate S <- trim(S + S0) from S0 = contact set until stable."""
+    base = tuple(contact.points) if isinstance(contact, ContactSet) else tuple(contact)
+    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    zero = (0,) * matrix.size
+    s0 = {tuple(int(x) for x in p) for p in base} | {zero}
+    diffs = digit_differences(digits)
+    current = set(s0)
+    rounds = 0
+    for _ in range(MAX_ROUNDS):
+        nxt = _walk_alive(minkowski_sum(current, s0), matrix, diffs)
+        if nxt == current:
+            break
+        current = nxt
+        rounds += 1
+    else:
+        raise RoundLimitError(f"neighbor stage: iteration exceeded "
+                              f"{MAX_ROUNDS} rounds with {len(current)} points")
+    points = tuple(sorted(current - {zero}))
+    if len(_walk_alive(points, matrix, diffs)) != len(points):
+        raise AssertionError("neighbor set lost walk-freeness without the origin")
+    return NeighborSet(points, rounds)
+
+
+def neighbor_outcome(fn, seeds, matrix, digits):
+    """(points, rounds), or the type and text of the error fn raised."""
+    try:
+        s = fn(seeds, matrix, digits)
+    except (RoundLimitError, AssertionError, ValueError) as exc:
+        return type(exc), str(exc)
+    return s.points, s.rounds
+
+
+def test_neighbor_set_matches_oracle_on_the_family():
+    for abc in family_triples(12, 12, 12):
+        m, digits = setup_tile(*abc)
+        c = contact_set(m, digits)
+        got, want = neighbor_set(c, m, digits), oracle_neighbor_set(c, m, digits)
+        assert (got.points, got.rounds) == (want.points, want.rounds), abc
+
+
+def test_neighbor_sums_packing_base_covers_the_seeds():
+    # The seeds +-(0,0,12) are walk-dead, so they leave after the first
+    # round while their sums with the current points stay.  A packing base
+    # bounded by the current points alone, without max|S0|, packs those sums
+    # and their images ambiguously, and the iteration no longer settles.
+    m, digits = setup_tile(1, 2, 4)
+    c = contact_set(m, digits)
+    seeds = set(c.points) | {(0, 0, 12), (0, 0, -12)}
+    got = neighbor_set(seeds, m, digits)
+    want = oracle_neighbor_set(seeds, m, digits)
+    assert (got.points, got.rounds) == (want.points, want.rounds)
+    assert got.points == neighbor_set(c, m, digits).points
+
+
+@given(residue_systems(), st.booleans())
+def test_neighbor_set_matches_oracle_on_other_systems(system, from_contact):
+    # Seeded with the contact set (kept small so an example stays fast), or
+    # with the seed basis alone, which need not give a negation-closed set.
+    matrix, digits, basis = system
+    seeds = basis
+    if from_contact:
+        try:
+            seeds = contact_set(matrix, digits, basis).points
+        except RoundLimitError:
+            assume(False)
+        assume(len(seeds) <= 60)
+    assert neighbor_outcome(neighbor_set, seeds, matrix, digits) == (
+        neighbor_outcome(oracle_neighbor_set, seeds, matrix, digits))

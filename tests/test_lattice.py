@@ -188,3 +188,44 @@ def test_singular_solve_raises():
     m = IntMatrix(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
     with pytest.raises(ValueError):
         m.solve_int((1, 1, 1))
+
+
+# ---------------------------------------------------------------------------
+# Oracle: Faddeev-LeVerrier on IntMatrix objects, one per step, kept
+# verbatim apart from its name.  The row-tuple recursion must reproduce it.
+
+
+def oracle_char_poly(matrix: IntMatrix) -> list[int]:
+    """Coefficients [1, c1, ..., cm] of det(xI - M) in descending powers."""
+    m = matrix.size
+    coeffs = [1]
+    n = matrix
+    for k in range(1, m + 1):
+        t = n.trace
+        if t % k != 0:
+            raise AssertionError("characteristic coefficients must be integral")
+        coeffs.append(-(t // k))
+        if k < m:
+            n = matrix @ n.plus_scalar(coeffs[-1])
+    return coeffs
+
+
+square_rows = st.integers(1, 4).flatmap(lambda m: st.lists(
+    st.lists(st.integers(-9, 9), min_size=m, max_size=m),
+    min_size=m, max_size=m))
+
+
+@given(square_rows)
+def test_char_poly_matches_oracle(rows):
+    matrix = IntMatrix(rows)
+    assert char_poly(matrix) == oracle_char_poly(matrix)
+
+
+def test_char_poly_builds_no_matrix(monkeypatch):
+    matrix, _ = cubic_companion(3, 4, 10)
+
+    def forbidden(self):
+        raise AssertionError("IntMatrix built inside char_poly")
+
+    monkeypatch.setattr(IntMatrix, "__post_init__", forbidden)
+    assert char_poly(matrix) == [1, 3, 4, 10]

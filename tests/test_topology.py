@@ -3,17 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from tileforge import topology
-from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for
-from tileforge.lattice import companion_form
+from tileforge import analysis, topology
+from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
+from tileforge.family import family_triples
+from tileforge.lattice import Vec, companion_form, vec_add, vec_sub
+from tileforge.power import unique_walk, vertex_set
 from tileforge.topology import (
     ChainReport,
+    FourFold,
     HataGraph,
     Piece,
     bing_audit,
     boundary_loop_audit,
+    boundary_loop_pieces,
     census,
     classify,
+    four_fold_failure,
     four_fold_placement,
     hata_graph,
     loop_chains_failure,
@@ -254,3 +259,153 @@ def test_hata_graph_dedupes_equal_pieces():
     pieces = [(((1, 0, 0),), (0, 0, 0)), (((-1, 0, 0),), (1, 0, 0))]
     h = hata_graph(t, pieces)
     assert len(h.nodes) == 1
+
+
+# ---------------------------------------------------------------------------
+# Oracles: hata_graph's by-shift enumeration, the unmemoised walk and
+# four_fold_placement's two-set superset scan, kept verbatim apart from
+# their names (the oracle four-fold walks with the oracle walk).  The link
+# table and the walk memo must reproduce them exactly.
+
+
+def oracle_hata_graph(ctx, pieces) -> HataGraph:
+    """Intersection graph of pieces given as (vertex, shift) pairs or Pieces."""
+    t = analysis_for(ctx)
+    canon = sorted({
+        p if isinstance(p, Piece) else make_piece(*p) for p in pieces
+    })
+    by_shift: dict[Vec, list[int]] = {}
+    for i, p in enumerate(canon):
+        by_shift.setdefault(p.shift, []).append(i)
+    zero = (0,) * t.matrix.size
+    offsets = (zero,) + t.neighbors.points
+    edges = []
+    for i, p in enumerate(canon):
+        for off in offsets:
+            for j in by_shift.get(vec_add(p.shift, off), ()):
+                if j <= i:
+                    continue
+                q = canon[j]
+                gamma = t.intersection(p.vertex, p.shift, q.vertex, q.shift)
+                if gamma is not None:
+                    edges.append((i, j, gamma))
+    return HataGraph(tuple(canon), tuple(sorted(edges)))
+
+
+def oracle_walk(self, vertex):
+    return unique_walk(self.level(len(vertex)), vertex)
+
+
+def oracle_four_fold_placement(ctx, alpha_set) -> FourFold:
+    """Exactly two triple-points bound each arc; returns them with first digits."""
+    t = analysis_for(ctx)
+    vs = vertex_set(alpha_set)
+    supersets = [w for w in t.level(3).vertices if set(vs) <= set(w)]
+    if len(supersets) != 2:
+        raise ValueError(f"{vs} lies in {len(supersets)} level-3 vertices, not 2")
+    first = []
+    for w in supersets:
+        word = oracle_walk(t, w)
+        first.append((word.preperiod + word.period)[0])
+    return FourFold((supersets[0], supersets[1]), (first[0], first[1]))
+
+
+def members_14():
+    members = [abc for abc in family_triples(12, 12, 12) if predicts_14(abc)]
+    assert len(members) == 111
+    return members
+
+
+def test_shift0_hata_graphs_match_oracle_on_the_family():
+    zero = (0, 0, 0)
+    for abc in members_14():
+        t = analysis_for(abc)
+        g2 = t.level(2)
+        for v in g2.vertices:
+            dsts = sorted({dst for _, dst in g2.out_edges(v)})
+            assert successor_hata(t, v)[0] == oracle_hata_graph(
+                t, [(d, zero) for d in dsts]), (abc, v)
+        for alpha in t.neighbors.points:
+            assert boundary_loop_audit(t, alpha, 1)[0] == oracle_hata_graph(
+                t, boundary_loop_pieces(t, alpha, 1)), (abc, alpha)
+
+
+def test_hata_graph_matches_oracle_on_mixed_and_duplicated_pieces():
+    t = analysis_for((2, 3, 5))
+    zero = (0, 0, 0)
+    faces = t.level(2).vertices
+    # faces[0] seen from the frame of its first member: a nonzero shift.
+    base = faces[0][0]
+    reframed = (vertex_set(vec_sub(x, base) for x in (zero,) + faces[0]
+                           if x != base), base)
+    cases = [
+        [(v, zero) for v in faces[:6]] + [(faces[6], t.neighbors.points[0])],
+        [(v, zero) for v in faces[:5]] * 2
+        + [(tuple(reversed(faces[0])), zero)],
+        [(v, zero) for v in faces[:5]] + [reframed],
+        [make_piece(v, zero) for v in faces[:4]] + [(faces[4], zero)],
+        boundary_loop_pieces(t, (1, 0, 0), 2),
+        [],
+    ]
+    for pieces in cases:
+        assert hata_graph(t, pieces) == oracle_hata_graph(t, pieces)
+    assert len(hata_graph(t, cases[1]).nodes) == 5
+    assert len(hata_graph(t, cases[2]).nodes) == 5
+
+
+def test_shift0_links_are_decided_once_and_only_at_neighbor_offsets(
+        monkeypatch):
+    calls = []
+    real = analysis.intersection_vertex
+
+    def recording(beta1, a1, beta2, a2, is_vertex):
+        calls.append((beta1, a1, beta2, a2))
+        return real(beta1, a1, beta2, a2, is_vertex)
+
+    monkeypatch.setattr(analysis, "intersection_vertex", recording)
+    triple = AbcTriple(2, 3, 5)
+    t = TileAnalysis(*triple.system(), triple=triple)
+    assert successor_paths_failure(t) is None
+    assert loop_chains_failure(t) is None
+    decided = len(calls)
+    assert 0 < decided <= len(t.shift0_links)
+    assert len(set(calls)) == decided
+    offsets = {(0, 0, 0), *t.neighbors.points}
+    assert all(vec_sub(a2, a1) in offsets for _, a1, _, a2 in calls)
+    assert successor_paths_failure(t) is None
+    assert loop_chains_failure(t) is None
+    assert len(calls) == decided
+
+
+def test_memoised_walks_and_four_fold_match_oracle_on_the_family():
+    for abc in members_14():
+        t = analysis_for(abc)
+        for v in t.level(3).vertices:
+            assert t.walk(v) == oracle_walk(t, v), (abc, v)
+        for v in t.level(2).vertices:
+            assert four_fold_placement(t, v) == oracle_four_fold_placement(
+                t, v), (abc, v)
+
+
+def test_walk_is_found_once_per_vertex_and_failures_are_not_kept(
+        monkeypatch):
+    calls = []
+    real = analysis.unique_walk
+
+    def recording(graph, vertex):
+        calls.append(vertex)
+        return real(graph, vertex)
+
+    monkeypatch.setattr(analysis, "unique_walk", recording)
+    triple = AbcTriple(1, 2, 4)
+    t = TileAnalysis(*triple.system(), triple=triple)
+    assert four_fold_failure(t) is None
+    assert walk_points_failure(t) is None
+    assert sorted(calls) == sorted(t.level(3).vertices)
+    v = t.level(3).vertices[0]
+    assert t.walk(v) is t.walk(v)
+    branching = vertex_set(((-1, 0, 0), (0, 1, 0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outgoing"):
+            t.walk(branching)
+    assert calls[-2:] == [branching, branching]

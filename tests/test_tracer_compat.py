@@ -67,12 +67,15 @@ def test_tracer_counts_level_graph_sizes(tmp_path):
 
 
 def test_tracer_records_every_audit_of_the_sweep():
-    # Resumed levels and integer walk points still pass through the traced
-    # names, so every level, the walk points and both fixpoints are seen.
+    # Resumed levels, integer walk points and the link table of shift-0
+    # Hata graphs still pass through the traced names, so every level, the
+    # walk points, both fixpoints, the Hata graphs, their intersections and
+    # their classification are seen.
     calls = traced(["sweep", "--max", "4"])["calls"]
     for name in (*AUDIT_SPANS, "power.level2", "power.level3",
                  "power.level4", "power.walk_point", "graphs.contact",
-                 "graphs.neighbor"):
+                 "graphs.neighbor", "topology.hata_graph",
+                 "topology.intersection", "topology.classify"):
         assert calls.get(name, 0) > 0, name
 
 
