@@ -140,11 +140,11 @@ class TileAnalysis:
         self.basis, self.triple = basis, triple
         self._levels: dict[int, PowerGraph] = {}
         self._walks: dict[VertexSet, DigitWord] = {}
-        # The link table of topology.hata_graph for pieces at shift 0: the
-        # canonical piece of each vertex, and the intersection of each pair
-        # of such pieces decided so far, None included.
-        self.shift0_pieces: dict = {}
-        self.shift0_links: dict = {}
+        # The memos of topology.hata_graph: the canonical piece of each
+        # vertex at shift 0, and each link decided so far, None included,
+        # keyed by (vertex, offset, vertex).
+        self.pieces: dict = {}
+        self.links: dict = {}
 
     @cached_property
     def contact(self) -> ContactSet:

@@ -24,6 +24,7 @@ from .geometry_io import (
 )
 from .graphs import RoundLimitError
 from .lattice import IntMatrix
+from .topology import MAX_LOOP_DEPTH
 
 
 def _parse_abc(text: str) -> AbcTriple:
@@ -85,6 +86,8 @@ def _int_vectors(value, what: str):
 def run_analyze(args) -> int:
     if args.k < 1:
         raise ValueError(f"--k must be at least 1, got {args.k}")
+    if args.k > MAX_LOOP_DEPTH:
+        raise ValueError(f"--k must be at most {MAX_LOOP_DEPTH}")
     t = _load_context(args, args.basis)
     report = audit_report(t, k_max=args.k)
     if args.json:
@@ -99,6 +102,8 @@ def run_analyze(args) -> int:
 
 
 def run_sweep(args) -> int:
+    if args.max < 2:
+        raise ValueError("--max must be at least 2")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
     records = sweep(args.max, args.max, args.max, parallelism=args.jobs)
@@ -148,14 +153,16 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--digits", help="JSON file with digit vectors")
     analyze.add_argument("--basis", help="JSON list of contact seed vectors")
     analyze.add_argument("--k", type=int, default=1,
-                         help="loop audit depth, at least 1 (default 1)")
+                         help=f"loop audit depth, 1 to {MAX_LOOP_DEPTH} "
+                              "(default 1)")
     analyze.add_argument("--json", help="write the JSON report here")
     analyze.add_argument("--dot", help="write the contact graph as DOT here")
     analyze.set_defaults(func=run_analyze)
 
     sweep_cmd = sub.add_parser("sweep", help="audit a whole parameter box")
     sweep_cmd.add_argument("--max", type=int, default=12,
-                           help="bound on A, B, and C (default 12)")
+                           help="bound on A, B, and C, at least 2 "
+                                "(default 12)")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="parallel worker processes, at least 1 "
                                 "(default 1)")

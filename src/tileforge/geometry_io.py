@@ -448,20 +448,8 @@ def _json_chunks(cloud: PointCloud):
 _CLOUD_CHUNKS = {"ply": _ply_chunks, "csv": _csv_chunks, "json": _json_chunks}
 
 
-def cloud_ply(cloud: PointCloud) -> str:
-    return "".join(_ply_chunks(cloud))
-
-
-def cloud_csv(cloud: PointCloud) -> str:
-    return "".join(_csv_chunks(cloud))
-
-
 def json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def cloud_json(cloud: PointCloud) -> str:
-    return "".join(_json_chunks(cloud))
 
 
 def render(doc, fmt: str) -> str:
@@ -473,12 +461,8 @@ def render(doc, fmt: str) -> str:
             return to_dot(doc)
         raise ValueError(f"graphs cannot be rendered as {fmt}")
     if isinstance(doc, PointCloud):
-        if fmt == "ply":
-            return cloud_ply(doc)
-        if fmt == "csv":
-            return cloud_csv(doc)
-        if fmt == "json":
-            return cloud_json(doc)
+        if fmt in _CLOUD_CHUNKS:
+            return "".join(_CLOUD_CHUNKS[fmt](doc))
         raise ValueError(f"point clouds cannot be rendered as {fmt}")
     if isinstance(doc, (list, tuple)) and doc and isinstance(doc[0], SweepRecord):
         if fmt == "csv":

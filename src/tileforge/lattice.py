@@ -230,8 +230,6 @@ def is_expanding(matrix: IntMatrix) -> bool:
     one, a, b, c = char_poly(matrix)
     if c == 0:
         return False  # zero eigenvalue
-    if 1 <= a <= b < c:
-        return True
     return _all_roots_strictly_inside([c, b, a, one])
 
 

@@ -65,72 +65,55 @@ class HataGraph:
 def hata_graph(ctx, pieces) -> HataGraph:
     """Intersection graph of pieces given as (vertex, shift) pairs or Pieces.
 
-    Two pieces can meet only if their shifts differ by 0 or a neighbor.
-    When every piece is a (vertex, 0) pair, the graph is read off the
-    context's link table; any other set is paired by shift.
+    Two pieces can meet only if their shifts differ by 0 or a neighbor, so
+    the pieces are paired by shift.  The intersection of B_v + a and
+    B_w + a + off does not depend on a, so each link is decided once per
+    context and kept in t.links under (v, off, w), None included: a link
+    decided for one pair of pieces holds for every translate of the pair.
     """
     t = analysis_for(ctx)
-    pieces = tuple(pieces)
-    zero = (0,) * t.matrix.size
-    if all(not isinstance(p, Piece) and p[1] == zero for p in pieces):
-        return _shift0_hata(t, pieces, zero)
     canon = sorted({
-        p if isinstance(p, Piece) else make_piece(*p) for p in pieces
+        p if isinstance(p, Piece) else _canonical_piece(t, *p) for p in pieces
     })
     by_shift: dict[Vec, list[int]] = {}
     for i, p in enumerate(canon):
         by_shift.setdefault(p.shift, []).append(i)
-    offsets = (zero,) + t.neighbors.points
+    offsets = ((0,) * t.matrix.size,) + t.neighbors.points
+    links = t.links
     edges = []
-    for i, p in enumerate(canon):
+    for shift, left in by_shift.items():
         for off in offsets:
-            for j in by_shift.get(vec_add(p.shift, off), ()):
-                if j <= i:
-                    continue
-                q = canon[j]
-                gamma = t.intersection(p.vertex, p.shift, q.vertex, q.shift)
-                if gamma is not None:
-                    edges.append((i, j, gamma))
+            right = by_shift.get(vec_add(shift, off))
+            if right is None:
+                continue
+            for i in left:
+                p = canon[i]
+                for j in right:
+                    if j <= i:
+                        continue
+                    q = canon[j]
+                    key = (p.vertex, off, q.vertex)
+                    gamma = links.get(key, _UNDECIDED)
+                    if gamma is _UNDECIDED:
+                        gamma = links[key] = t.intersection(
+                            p.vertex, p.shift, q.vertex, q.shift)
+                    if gamma is not None:
+                        edges.append((i, j, gamma))
     return HataGraph(tuple(canon), tuple(sorted(edges)))
 
 
 _UNDECIDED = object()
 
 
-def _shift0_hata(t: TileAnalysis, pieces, zero: Vec) -> HataGraph:
-    """hata_graph of (vertex, zero) pairs.
-
-    A link depends only on its two pieces, so each pair of canonical
-    pieces is decided once per context, by the offset test and the
-    intersection of the by-shift enumeration, and kept in t.shift0_links.
-    The graph of any set of such pieces is an induced subgraph of that
-    table.
-    """
-    memo = t.shift0_pieces
-    canon = set()
-    for v, _ in pieces:
-        p = memo.get(v)
-        if p is None:
-            p = memo[v] = make_piece(v, zero)
-        canon.add(p)
-    canon = sorted(canon)
-    links = t.shift0_links
-    offsets = None
-    edges = []
-    for i, p in enumerate(canon):
-        for j in range(i + 1, len(canon)):
-            q = canon[j]
-            gamma = links.get((p, q), _UNDECIDED)
-            if gamma is _UNDECIDED:
-                if offsets is None:
-                    offsets = {zero, *t.neighbors.points}
-                gamma = None
-                if vec_sub(q.shift, p.shift) in offsets:
-                    gamma = t.intersection(p.vertex, p.shift, q.vertex, q.shift)
-                links[p, q] = gamma
-            if gamma is not None:
-                edges.append((i, j, gamma))
-    return HataGraph(tuple(canon), tuple(edges))
+def _canonical_piece(t: TileAnalysis, vertex, shift) -> Piece:
+    """make_piece(vertex, shift), from the context's per-vertex memo of
+    make_piece(vertex, 0): lexicographic order is translation invariant, so
+    a shift moves only the canonical shift."""
+    v = tuple(sorted(map(tuple, vertex)))
+    base = t.pieces.get(v)
+    if base is None:
+        base = t.pieces[v] = make_piece(v, (0,) * t.matrix.size)
+    return Piece(base.vertex, vec_add(base.shift, shift))
 
 
 @dataclass(frozen=True)
@@ -232,11 +215,23 @@ def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
     return h, classify(h)
 
 
-def boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
-    """Depth-k pieces of the closed piece loop around one neighbor."""
-    t = analysis_for(ctx)
+# Per depth, a loop grows about 1.85 times in pieces and its audit about 8
+# times in time, so depths above this bound are refused rather than run.
+MAX_LOOP_DEPTH = 6
+
+
+def _check_loop_depth(k: int) -> None:
+    """Reject a loop depth outside 1..MAX_LOOP_DEPTH."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    if k > MAX_LOOP_DEPTH:
+        raise ValueError(f"k must be at most {MAX_LOOP_DEPTH}")
+
+
+def boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
+    """Depth-k pieces of the closed piece loop around one neighbor."""
+    _check_loop_depth(k)
+    t = analysis_for(ctx)
     alpha = tuple(int(x) for x in alpha)
     faces = [v for v in t.level(2).vertices if alpha in v]
     if not faces:
@@ -327,6 +322,7 @@ def four_fold_failure(ctx) -> str | None:
 
 
 def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
+    _check_loop_depth(k_max)
     t = analysis_for(ctx)
     for alpha in t.neighbors.points:
         for k in range(1, k_max + 1):
@@ -437,6 +433,7 @@ def bing_audit(ctx, k_max: int = 4) -> BingReport:
     ctx is a family triple or a context of a family member on its default
     basis: the face order is read off the triple.
     """
+    _check_loop_depth(k_max)
     t = analysis_for(ctx)
     triple = t.triple
     if triple is None or t.basis is not None:

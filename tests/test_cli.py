@@ -70,6 +70,17 @@ def test_analyze_rejects_loop_depth_below_one(k, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: --k must be at least 1")
 
 
+@pytest.mark.parametrize("k", ["7", "100"])
+def test_analyze_rejects_loop_depth_above_max(k, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fixpoint ran before --k was validated")
+
+    monkeypatch.setattr(cli, "analysis_for", forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
+    assert cli.main(["analyze", "--abc", "1,2,4", "--k", k]) == 2
+    assert capsys.readouterr().err == "error: --k must be at most 6\n"
+
+
 def test_cli_module_runs_without_runpy_warning():
     src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -163,6 +174,22 @@ def test_sweep_smallest_box(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("1,1,2,")
+
+
+@pytest.mark.parametrize("bound", ["1", "-5"])
+@pytest.mark.parametrize("with_csv", [False, True])
+def test_sweep_rejects_an_empty_box(bound, with_csv, tmp_path, monkeypatch,
+                                    capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sweep ran on an empty box")
+
+    monkeypatch.setattr(cli, "sweep", forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
+    out = tmp_path / "records.csv"
+    argv = ["sweep", "--max", bound] + (["--csv", str(out)] if with_csv else [])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: --max must be at least 2\n"
+    assert not out.exists()
 
 
 def test_sweep_csv_independent_of_jobs(tmp_path):

@@ -17,9 +17,6 @@ from tileforge.geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
     attractor_radius,
-    cloud_csv,
-    cloud_json,
-    cloud_ply,
     count_walks,
     export,
     graph_document,
@@ -163,7 +160,7 @@ def test_dot_rejects_garbage():
 def test_ply_header_counts_vertices():
     M, digits = system_124()
     cloud = approximate_tile(M, digits, 2)
-    text = cloud_ply(cloud)
+    text = render(cloud, "ply")
     assert "element vertex 16" in text
     assert "property uchar face" not in text
     assert text.endswith("\n")
@@ -172,7 +169,7 @@ def test_ply_header_counts_vertices():
 def test_ply_tagged_cloud_declares_face_property():
     t = analysis_for((1, 2, 4))
     cloud = approximate_boundary_piece(t, (1, 0, 0), 2)
-    text = cloud_ply(cloud)
+    text = render(cloud, "ply")
     assert "property uchar face" in text
     body = text.split("end_header\n")[1]
     assert all(len(line.split()) == 4 for line in body.strip().split("\n"))
@@ -181,7 +178,7 @@ def test_ply_tagged_cloud_declares_face_property():
 def test_csv_cloud_golden():
     cloud = PointCloud(((Fraction(-1, 2), Fraction(0), Fraction(1, 4)),),
                        1, "test", 1.0)
-    assert cloud_csv(cloud) == "x,y,z\n-0.5,0,0.25\n"
+    assert render(cloud, "csv") == "x,y,z\n-0.5,0,0.25\n"
 
 
 def test_render_rejects_incompatible_pairs():
@@ -317,7 +314,7 @@ def test_points_view_is_sized_without_fractions(monkeypatch):
     piece = approximate_boundary_piece(t, (1, 0, 0), 4)
     assert len(piece.points) == len(piece.tags) == count_walks(
         t.boundary_graph, (1, 0, 0), 4)
-    text = cloud_csv(merge_clouds([piece, piece]))
+    text = render(merge_clouds([piece, piece]), "csv")
     assert len(text.splitlines()) == 1 + 2 * len(piece.points)
 
 
@@ -328,8 +325,9 @@ def test_merge_rescales_to_common_denominator():
     merged = merge_clouds([shallow, deep])
     assert merged.points.denominator == 16
     assert list(merged.points) == list(shallow.points) + list(deep.points)
-    assert cloud_csv(merged).splitlines()[1:] == (
-        cloud_csv(shallow).splitlines()[1:] + cloud_csv(deep).splitlines()[1:])
+    assert render(merged, "csv").splitlines()[1:] == (
+        render(shallow, "csv").splitlines()[1:]
+        + render(deep, "csv").splitlines()[1:])
 
 
 def _peak_rss_kb(depth, fmt="csv"):
@@ -380,4 +378,4 @@ def test_streamed_cloud_json_equals_json_text_of_payload():
         }
         if cloud.tags is not None:
             payload["tags"] = list(cloud.tags)
-        assert cloud_json(cloud) == json_text(payload)
+        assert render(cloud, "json") == json_text(payload)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tileforge.family import family_triples
 from tileforge.lattice import (
     IntMatrix,
     RadixExpansion,
@@ -57,6 +58,15 @@ def test_is_expanding_examples():
     assert not is_expanding(m)
     m, _ = cubic_companion(5, 5, 6)
     assert is_expanding(m)
+
+
+def test_is_expanding_holds_on_every_family_member():
+    # The exact Schur-Cohn test alone, with no shortcut for 1 <= A <= B < C.
+    triples = family_triples(12, 12, 12)
+    assert len(triples) == 286
+    for abc in triples:
+        m, _ = companion_form([1, *abc])
+        assert is_expanding(m), abc
 
 
 def test_is_expanding_rejects_other_sizes():

@@ -265,7 +265,7 @@ def test_hata_graph_dedupes_equal_pieces():
 # Oracles: hata_graph's by-shift enumeration, the unmemoised walk and
 # four_fold_placement's two-set superset scan, kept verbatim apart from
 # their names (the oracle four-fold walks with the oracle walk).  The link
-# table and the walk memo must reproduce them exactly.
+# memo and the walk memo must reproduce them exactly.
 
 
 def oracle_hata_graph(ctx, pieces) -> HataGraph:
@@ -353,8 +353,7 @@ def test_hata_graph_matches_oracle_on_mixed_and_duplicated_pieces():
     assert len(hata_graph(t, cases[2]).nodes) == 5
 
 
-def test_shift0_links_are_decided_once_and_only_at_neighbor_offsets(
-        monkeypatch):
+def test_links_are_decided_once_and_only_at_neighbor_offsets(monkeypatch):
     calls = []
     real = analysis.intersection_vertex
 
@@ -368,13 +367,64 @@ def test_shift0_links_are_decided_once_and_only_at_neighbor_offsets(
     assert successor_paths_failure(t) is None
     assert loop_chains_failure(t) is None
     decided = len(calls)
-    assert 0 < decided <= len(t.shift0_links)
+    assert 0 < decided <= len(t.links)
     assert len(set(calls)) == decided
     offsets = {(0, 0, 0), *t.neighbors.points}
     assert all(vec_sub(a2, a1) in offsets for _, a1, _, a2 in calls)
     assert successor_paths_failure(t) is None
     assert loop_chains_failure(t) is None
     assert len(calls) == decided
+
+
+def face_equation_pieces(t, alpha):
+    return [make_piece((e.dst,), e.d) for e in t.boundary_graph.out_edges(alpha)]
+
+
+@pytest.mark.parametrize("abc", [(1, 2, 4), (3, 4, 10), (6, 8, 12)])
+def test_hata_graph_matches_oracle_on_loops_and_face_equations(abc):
+    t = analysis_for(abc)
+    for alpha in t.neighbors.points:
+        for k in (1, 2, 3):
+            pieces = boundary_loop_pieces(t, alpha, k)
+            assert hata_graph(t, pieces) == oracle_hata_graph(t, pieces), (
+                alpha, k)
+        pieces = face_equation_pieces(t, alpha)
+        assert hata_graph(t, pieces) == oracle_hata_graph(t, pieces), alpha
+
+
+def test_translated_pieces_keep_their_links():
+    t = analysis_for((3, 4, 10))
+    pieces = boundary_loop_pieces(t, (1, 0, 0), 2)
+    h = hata_graph(t, pieces)
+    for off in t.neighbors.points[:4]:
+        moved = [(v, vec_add(s, off)) for v, s in pieces]
+        h_moved = hata_graph(t, moved)
+        assert h_moved == oracle_hata_graph(t, moved)
+        assert h_moved.edges == h.edges
+        assert h_moved.nodes == tuple(
+            Piece(p.vertex, vec_add(p.shift, off)) for p in h.nodes)
+
+
+def test_bing_audit_equals_its_run_on_the_oracle(monkeypatch):
+    report = bing_audit((6, 8, 12), k_max=4)
+    monkeypatch.setattr(topology, "hata_graph", oracle_hata_graph)
+    assert bing_audit((6, 8, 12), k_max=4) == report
+    assert report.ok
+
+
+@pytest.mark.parametrize("k, message", [(0, "k must be at least 1"),
+                                        (7, "k must be at most 6")])
+def test_loop_depth_out_of_range_builds_no_loop(k, message, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a loop was built")
+
+    monkeypatch.setattr(topology, "subdivide", forbidden)
+    monkeypatch.setattr(topology, "analysis_for", forbidden)
+    for run in (lambda: boundary_loop_pieces((1, 2, 4), (1, 0, 0), k),
+                lambda: loop_chains_failure((1, 2, 4), k),
+                lambda: bing_audit((1, 2, 4), k_max=k)):
+        with pytest.raises(ValueError, match=message):
+            run()
 
 
 def test_memoised_walks_and_four_fold_match_oracle_on_the_family():
