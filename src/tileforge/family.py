@@ -65,11 +65,11 @@ def _contact_rows(triple: AbcTriple):
     return rows
 
 
-def _contact_edges(triple: AbcTriple, include_origin: bool) -> set[LabeledEdge]:
+def _contact_edges(triple: AbcTriple) -> set[LabeledEdge]:
     digit = lambda i: (i, 0, 0)
     edges: set[LabeledEdge] = set()
     for src, dst, lo, hi, off in _contact_rows(triple):
-        if not include_origin and ORIGIN in (src, dst):
+        if ORIGIN in (src, dst):
             continue
         for i in range(lo, hi + 1):
             e = LabeledEdge(src, dst, digit(i), digit(i + off))
@@ -169,7 +169,7 @@ def expected_edges(p, which: str) -> set:
     """
     triple = as_triple(p)
     if which == "contact":
-        return _contact_edges(triple, include_origin=False)
+        return _contact_edges(triple)
     if not predicts_14(triple):
         raise ValueError("edge tables for levels 2 and 3 require a "
                          "14-neighbor family member")

@@ -113,9 +113,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(x + (c if i == j else 0) for j, x in enumerate(r))
                                for i, r in enumerate(self.rows)))
 
-    def pow(self, k: int) -> "IntMatrix":
-        return IntMatrix(mat_pow(self.rows, k))
-
     @property
     def trace(self) -> int:
         return sum(self.rows[i][i] for i in range(self.size))

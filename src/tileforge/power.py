@@ -241,13 +241,11 @@ class DigitWord:
         object.__setattr__(self, "period", per)
 
 
-def unique_walk(graph: PowerGraph, start: VertexSet,
-                max_steps: int | None = None) -> DigitWord:
+def unique_walk(graph: PowerGraph, start: VertexSet) -> DigitWord:
     """Digit word of the single walk from start; errors on any branching."""
     if not graph.has_vertex(start):
         raise ValueError(f"{start} is not a vertex of the level-{graph.level} graph")
-    if max_steps is None:
-        max_steps = len(graph.vertices) + 1
+    max_steps = len(graph.vertices) + 1
     seen: dict[VertexSet, int] = {}
     labels: list[Vec] = []
     v = start
@@ -331,45 +329,17 @@ def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bo
                 return False
 
 
-@dataclass(frozen=True)
-class SubtileRef:
-    """Piece of a boundary set after depth-1 subdivision steps.
+def subdivide(graph: PowerGraph, pieces, steps: int) -> tuple:
+    """Expand (vertex, shift) pieces through `steps` rounds of children.
 
-    The piece denoted is M^-(depth-1) (B_vertex + shift(word)) where word
-    lists the left digits of the walk from the root.
+    The child of B_v + s along the edge (d, dst) is B_dst + M s + d, one
+    scale finer; each piece's children follow it in sorted out-edge order.
     """
-
-    depth: int
-    word: tuple[Vec, ...]
-    vertex: VertexSet
-
-    def __post_init__(self):
-        if self.depth < 1 or len(self.word) != self.depth - 1:
-            raise ValueError("word length must equal depth - 1")
-
-
-def ref_shift(matrix: IntMatrix, word) -> Vec:
-    """Accumulated translation of a walk word in the piece's own scale."""
-    c = (0,) * matrix.size
-    for d in word:
-        c = vec_add(matrix.mul_vec(c), d)
-    return c
-
-
-def piece_key(vertex: VertexSet, shift: Vec) -> frozenset:
-    """Identity of a piece as the set of tiles it lies in (same-scale frame)."""
-    return frozenset((shift,) + tuple(vec_add(b, shift) for b in vertex))
-
-
-def subdivide(graph: PowerGraph, ref: SubtileRef, steps: int) -> tuple[SubtileRef, ...]:
-    """Expand a piece through `steps` rounds of one-step walk children."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    frontier = [ref]
+    frontier = tuple(pieces)
     for _ in range(steps):
-        nxt = []
-        for r in frontier:
-            for d, dst in sorted(graph.out_edges(r.vertex)):
-                nxt.append(SubtileRef(r.depth + 1, r.word + (d,), dst))
-        frontier = nxt
-    return tuple(frontier)
+        frontier = tuple((dst, vec_add(graph.matrix.mul_vec(s), d))
+                         for v, s in frontier
+                         for d, dst in sorted(graph.out_edges(v)))
+    return frontier

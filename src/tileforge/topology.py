@@ -17,14 +17,7 @@ from .analysis import (
     predicts_14,
 )
 from .lattice import Vec, vec_add, vec_neg, vec_sub
-from .power import (
-    SubtileRef,
-    VertexSet,
-    piece_key,
-    ref_shift,
-    subdivide,
-    vertex_set,
-)
+from .power import PowerGraph, VertexSet, subdivide, vertex_set
 
 
 @dataclass(frozen=True, order=True)
@@ -36,12 +29,14 @@ class Piece:
 
     @property
     def key(self) -> frozenset:
-        return piece_key(self.vertex, self.shift)
+        """Identity of the piece: the set of tiles it lies in."""
+        return frozenset((self.shift,) + tuple(
+            vec_add(b, self.shift) for b in self.vertex))
 
 
 def make_piece(vertex, shift) -> Piece:
     """Canonical piece: reframe so the shift is the smallest family member."""
-    key = piece_key(tuple(vertex), tuple(shift))
+    key = Piece(tuple(vertex), tuple(shift)).key
     base = min(key)
     members = tuple(sorted(vec_sub(t, base) for t in key if t != base))
     return Piece(members, base)
@@ -209,6 +204,11 @@ def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
     g = t.level(len(vs))
     if not g.has_vertex(vs):
         raise ValueError(f"{vs} is not a level-{len(vs)} vertex")
+    return _successor_hata(t, g, vs)
+
+
+def _successor_hata(t: TileAnalysis, g: PowerGraph, vs: VertexSet):
+    """successor_hata on vs, a vertex of the level graph g."""
     zero = (0,) * t.matrix.size
     dsts = sorted({dst for _, dst in g.out_edges(vs)})
     h = hata_graph(t, [(d, zero) for d in dsts])
@@ -236,12 +236,8 @@ def boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
     faces = [v for v in t.level(2).vertices if alpha in v]
     if not faces:
         raise ValueError(f"{alpha} appears in no level-2 vertex")
-    g2 = t.level(2)
-    pieces = []
-    for f in faces:
-        for ref in subdivide(g2, SubtileRef(1, (), f), k - 1):
-            pieces.append((ref.vertex, ref_shift(t.matrix, ref.word)))
-    return tuple(pieces)
+    zero = (0,) * t.matrix.size
+    return subdivide(t.level(2), [(f, zero) for f in faces], k - 1)
 
 
 def boundary_loop_audit(ctx, alpha: Vec, k: int = 1) -> tuple[HataGraph, ChainReport]:
@@ -260,8 +256,11 @@ class FourFold:
 
 def four_fold_placement(ctx, alpha_set) -> FourFold:
     """Exactly two triple-points bound each arc; returns them with first digits."""
-    t = analysis_for(ctx)
-    vs = vertex_set(alpha_set)
+    return _four_fold_placement(analysis_for(ctx), vertex_set(alpha_set))
+
+
+def _four_fold_placement(t: TileAnalysis, vs: VertexSet) -> FourFold:
+    """four_fold_placement on vs, a canonical vertex set."""
     members = set(vs)
     supersets = [w for w in t.level(3).vertices if members.issubset(w)]
     if len(supersets) != 2:
@@ -302,8 +301,9 @@ def census(ctx) -> ComplexCensus:
 
 def successor_paths_failure(ctx) -> str | None:
     t = analysis_for(ctx)
-    for v in t.level(2).vertices:
-        _, report = successor_hata(t, v)
+    g2 = t.level(2)
+    for v in g2.vertices:
+        _, report = _successor_hata(t, g2, v)
         if not report.is_path:
             return f"successors of {v} form {report.classification}"
     return None
@@ -313,7 +313,7 @@ def four_fold_failure(ctx) -> str | None:
     t = analysis_for(ctx)
     for v in t.level(2).vertices:
         try:
-            ff = four_fold_placement(t, v)
+            ff = _four_fold_placement(t, v)
         except ValueError as exc:
             return str(exc)
         if len(t.level(2).out_edges(v)) > 1 and ff.first_digits[0] == ff.first_digits[1]:
@@ -363,11 +363,12 @@ def _loop_failure(t: TileAnalysis, alpha: Vec, k: int):
 
 def _loop_point_failure(h: HataGraph) -> str | None:
     incident: dict[int, list[frozenset]] = {}
+    node_keys = [p.key for p in h.nodes]
     keys = []
     for i, j, gamma in h.edges:
         if len(gamma) != 3:
             return f"link {i}-{j} is not a point"
-        key = h.nodes[i].key | h.nodes[j].key
+        key = node_keys[i] | node_keys[j]
         keys.append(key)
         incident.setdefault(i, []).append(key)
         incident.setdefault(j, []).append(key)

@@ -2,6 +2,7 @@ import gc
 
 import pytest
 
+import tileforge
 from tileforge import analysis
 from tileforge.analysis import CONTEXT_CACHE_SIZE, TileAnalysis, analysis_for
 from tileforge.family import sweep
@@ -68,3 +69,10 @@ def test_family_contexts_stay_bounded_after_a_sweep():
     alive = [o for o in gc.get_objects()
              if isinstance(o, TileAnalysis) and o.triple is not None]
     assert len(alive) <= CONTEXT_CACHE_SIZE
+
+
+def test_every_exported_name_resolves_once():
+    missing = [name for name in tileforge.__all__
+               if not hasattr(tileforge, name)]
+    assert missing == []
+    assert len(set(tileforge.__all__)) == len(tileforge.__all__)

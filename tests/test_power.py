@@ -13,12 +13,9 @@ from tileforge.lattice import IntMatrix, Vec, mat_pow, vec_add
 from tileforge.power import (
     DigitWord,
     PowerGraph,
-    SubtileRef,
     VertexSet,
     negated,
-    piece_key,
     power_graph,
-    ref_shift,
     subdivide,
     unique_walk,
     vertex_set,
@@ -213,41 +210,59 @@ def test_digit_word_canonical_forms():
         DigitWord((), ())
 
 
-def test_subtile_ref_invariant():
-    with pytest.raises(ValueError):
-        SubtileRef(1, ((0, 0, 0),), (((1, 0, 0)),))
-    ref = SubtileRef(1, (), vecs((1, 0, 0)))
-    assert ref.depth == 1
-
-
 def test_subdivide_steps_zero_is_identity():
     t = analysis_for((1, 2, 4))
-    ref = SubtileRef(1, (), t.level(2).vertices[0])
-    assert subdivide(t.level(2), ref, 0) == (ref,)
+    piece = (t.level(2).vertices[0], (0, 0, 0))
+    assert subdivide(t.level(2), [piece], 0) == (piece,)
 
 
 def test_subdivide_124_single_child():
     t = analysis_for((1, 2, 4))
-    root = SubtileRef(1, (), vecs((0, 1, 0), (1, 1, 1)))  # {Q-P, N-P}
-    kids = subdivide(t.level(2), root, 1)
-    assert len(kids) == 1
-    assert kids[0].word == ((0, 0, 0),)
-    assert kids[0].vertex == vecs((-1, -1, 0), (1, 0, 1))  # {-Q, N-Q}
+    root = (vecs((0, 1, 0), (1, 1, 1)), (0, 0, 0))  # {Q-P, N-P}
+    kids = subdivide(t.level(2), [root], 1)
+    assert kids == ((vecs((-1, -1, 0), (1, 0, 1)), (0, 0, 0)),)  # {-Q, N-Q}
 
 
 def test_subdivide_235_four_children():
     t = analysis_for((2, 3, 5))
-    root = SubtileRef(1, (), vecs((1, 1, 0), (2, 2, 1)))  # {Q-P, N-P}
-    kids = subdivide(t.level(2), root, 1)
+    root = (vecs((1, 1, 0), (2, 2, 1)), (0, 0, 0))  # {Q-P, N-P}
+    kids = subdivide(t.level(2), [root], 1)
     assert len(kids) == 4
 
 
-def test_ref_shift_and_piece_key():
-    t = analysis_for((1, 2, 4))
-    assert ref_shift(t.matrix, ((1, 0, 0), (2, 0, 0))) == \
-        tuple(a + b for a, b in zip(t.matrix.mul_vec((1, 0, 0)), (2, 0, 0)))
-    v = vecs((1, 0, 0))
-    assert piece_key(v, (0, 0, 0)) == frozenset({(0, 0, 0), (1, 0, 0)})
+def test_subdivide_child_of_a_shifted_piece_is_m_s_plus_d():
+    t = analysis_for((2, 3, 5))
+    g = t.level(2)
+    v = vecs((1, 1, 0), (2, 2, 1))
+    s = (1, -2, 3)
+    m_s = tuple(sum(a * b for a, b in zip(row, s)) for row in t.matrix.rows)
+    kids = subdivide(g, [(v, s)], 1)
+    assert kids == tuple((dst, vec_add(m_s, d))
+                         for d, dst in sorted(g.out_edges(v)))
+    # Two steps from B_v + s are the two steps from B_v, moved by M^2 s;
+    # the pieces of a list follow one another in list order.
+    m2_s = tuple(sum(a * b for a, b in zip(row, s))
+                 for row in mat_pow(t.matrix.rows, 2))
+    assert subdivide(g, [(v, s)], 2) == tuple(
+        (w, vec_add(c, m2_s)) for w, c in subdivide(g, [(v, (0, 0, 0))], 2))
+    w = g.vertices[0]
+    assert subdivide(g, [(v, s), (w, s)], 2) == \
+        subdivide(g, [(v, s)], 2) + subdivide(g, [(w, s)], 2)
+
+
+def test_subdivide_takes_children_in_sorted_edge_order():
+    # A PowerGraph lists its out-edges sorted already; a graph that lists
+    # them in another order must give the same children.
+    g = analysis_for((2, 3, 5)).level(2)
+    root = (vecs((1, 1, 0), (2, 2, 1)), (0, 0, 0))
+
+    class Reversed:
+        matrix = g.matrix
+
+        def out_edges(self, v):
+            return g.out_edges(v)[::-1]
+
+    assert subdivide(Reversed(), [root], 2) == subdivide(g, [root], 2)
 
 
 def test_analysis_for_caches():

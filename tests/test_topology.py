@@ -1,4 +1,5 @@
 import dataclasses
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,84 @@ def members_14():
     members = [abc for abc in family_triples(12, 12, 12) if predicts_14(abc)]
     assert len(members) == 111
     return members
+
+
+# ---------------------------------------------------------------------------
+# Oracle: word-addressed subdivision, which replayed each piece's digit word
+# to find its shift, kept verbatim apart from its names.  Subdivision of
+# (vertex, shift) pieces must give the same loop pieces in the same order.
+
+
+@dataclass(frozen=True)
+class OracleSubtileRef:
+    """Piece of a boundary set after depth-1 subdivision steps.
+
+    The piece denoted is M^-(depth-1) (B_vertex + shift(word)) where word
+    lists the left digits of the walk from the root.
+    """
+
+    depth: int
+    word: tuple[Vec, ...]
+    vertex: tuple
+
+    def __post_init__(self):
+        if self.depth < 1 or len(self.word) != self.depth - 1:
+            raise ValueError("word length must equal depth - 1")
+
+
+def oracle_ref_shift(matrix, word) -> Vec:
+    """Accumulated translation of a walk word in the piece's own scale."""
+    c = (0,) * matrix.size
+    for d in word:
+        c = vec_add(matrix.mul_vec(c), d)
+    return c
+
+
+def oracle_subdivide(graph, ref: OracleSubtileRef, steps: int) -> tuple:
+    """Expand a piece through `steps` rounds of one-step walk children."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    frontier = [ref]
+    for _ in range(steps):
+        nxt = []
+        for r in frontier:
+            for d, dst in sorted(graph.out_edges(r.vertex)):
+                nxt.append(OracleSubtileRef(r.depth + 1, r.word + (d,), dst))
+        frontier = nxt
+    return tuple(frontier)
+
+
+def oracle_boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
+    """Depth-k pieces of the closed piece loop around one neighbor."""
+    topology._check_loop_depth(k)
+    t = analysis_for(ctx)
+    alpha = tuple(int(x) for x in alpha)
+    faces = [v for v in t.level(2).vertices if alpha in v]
+    if not faces:
+        raise ValueError(f"{alpha} appears in no level-2 vertex")
+    g2 = t.level(2)
+    pieces = []
+    for f in faces:
+        for ref in oracle_subdivide(g2, OracleSubtileRef(1, (), f), k - 1):
+            pieces.append((ref.vertex, oracle_ref_shift(t.matrix, ref.word)))
+    return tuple(pieces)
+
+
+def test_loop_pieces_match_the_word_oracle_on_the_family():
+    for abc in members_14():
+        t = analysis_for(abc)
+        for alpha in t.neighbors.points:
+            for k in (1, 2, 3):
+                assert boundary_loop_pieces(t, alpha, k) == \
+                    oracle_boundary_loop_pieces(t, alpha, k), (abc, alpha, k)
+
+
+def test_loop_pieces_match_the_word_oracle_at_depth_4():
+    t = analysis_for((6, 8, 12))
+    for alpha in t.neighbors.points:
+        pieces = boundary_loop_pieces(t, alpha, 4)
+        assert pieces == oracle_boundary_loop_pieces(t, alpha, 4), alpha
+        assert len(pieces) > len(boundary_loop_pieces(t, alpha, 3))
 
 
 def test_shift0_hata_graphs_match_oracle_on_the_family():
