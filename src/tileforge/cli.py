@@ -50,6 +50,8 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
     rejects a system or basis outside the theory before any fixpoint runs."""
     if bool(args.abc) == bool(args.matrix):
         raise ValueError("provide exactly one of --abc or --matrix")
+    if args.abc and args.digits:
+        raise ValueError("--digits requires --matrix")
     if args.abc:
         triple = _parse_abc(args.abc)
         if not basis_text:
@@ -120,17 +122,14 @@ def run_sweep(args) -> int:
 
 def run_render(args) -> int:
     depth = args.depth if args.depth is not None else (6 if args.boundary else 8)
+    t = _load_context(args)
     if args.boundary:
-        if not args.abc:
-            raise ValueError("boundary rendering requires --abc")
-        t = analysis_for(_parse_abc(args.abc))
         check_cap(sum(count_walks(t.boundary_graph, a, depth)
                       for a in t.neighbors.points))
         pieces = [approximate_boundary_piece(t, a, depth)
                   for a in t.neighbors.points]
         cloud = merge_clouds(pieces)
     else:
-        t = _load_context(args)
         cloud = approximate_tile(t.matrix, t.digits, depth)
     for path, fmt in ((args.ply, "ply"), (args.csv, "csv"),
                       (args.json, "json")):

@@ -196,28 +196,6 @@ def expected_graph(p, which: str):
     return tuple(sorted(expected_edges(p, which)))
 
 
-@dataclass(frozen=True)
-class ExpectedStructures:
-    """All closed-form structures of one 14-neighbor family member."""
-
-    triple: AbcTriple
-    contact_points: tuple[Vec, ...]
-    contact_edges: tuple[LabeledEdge, ...]
-    g2_edges: tuple
-    g3_edges: tuple
-
-
-def expected_structures(p) -> ExpectedStructures:
-    triple = as_triple(p)
-    return ExpectedStructures(
-        triple,
-        expected_contact_set(triple),
-        expected_graph(triple, "contact"),
-        expected_graph(triple, "g2"),
-        expected_graph(triple, "g3"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the audit registry and the report of one context
 

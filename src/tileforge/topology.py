@@ -9,6 +9,7 @@ the right size.  All Hata graphs here compare pieces at one common scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import (
     AbcTriple,
@@ -20,8 +21,7 @@ from .lattice import Vec, vec_add, vec_neg, vec_sub
 from .power import PowerGraph, VertexSet, subdivide, vertex_set
 
 
-@dataclass(frozen=True, order=True)
-class Piece:
+class Piece(NamedTuple):
     """Same-scale boundary piece, canonically framed by its tile family."""
 
     vertex: VertexSet
@@ -58,7 +58,8 @@ class HataGraph:
 
 
 def hata_graph(ctx, pieces) -> HataGraph:
-    """Intersection graph of pieces given as (vertex, shift) pairs or Pieces.
+    """Intersection graph of pieces given as (vertex, shift) pairs, Pieces
+    included; every piece is canonicalised, so one piece is one node.
 
     Two pieces can meet only if their shifts differ by 0 or a neighbor, so
     the pieces are paired by shift.  The intersection of B_v + a and
@@ -67,9 +68,7 @@ def hata_graph(ctx, pieces) -> HataGraph:
     decided for one pair of pieces holds for every translate of the pair.
     """
     t = analysis_for(ctx)
-    canon = sorted({
-        p if isinstance(p, Piece) else _canonical_piece(t, *p) for p in pieces
-    })
+    canon = sorted({_canonical_piece(t, *p) for p in pieces})
     by_shift: dict[Vec, list[int]] = {}
     for i, p in enumerate(canon):
         by_shift.setdefault(p.shift, []).append(i)

@@ -250,14 +250,15 @@ def test_render_cap_exceeded_is_input_error(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_render_boundary_requires_abc(tmp_path):
-    m = tmp_path / "m.json"
-    d = tmp_path / "d.json"
-    m.write_text("[[0,0,-4],[1,0,-2],[0,1,-1]]")
-    d.write_text(json.dumps([[i, 0, 0] for i in range(4)]))
-    code = cli.main(["render", "--matrix", str(m), "--digits", str(d),
-                     "--boundary"])
-    assert code == 2
+def test_render_boundary_takes_an_explicit_system(tmp_path):
+    files = tmp_path / "files.ply"
+    abc = tmp_path / "abc.ply"
+    system = _write_system(tmp_path, FAMILY_124, [[i, 0, 0] for i in range(4)])
+    assert cli.main(["render"] + system + ["--boundary", "--depth", "5",
+                                           "--ply", str(files)]) == 0
+    assert cli.main(["render", "--abc", "1,2,4", "--boundary", "--depth", "5",
+                     "--ply", str(abc)]) == 0
+    assert files.read_bytes() == abc.read_bytes()
 
 
 def test_render_explicit_matrix_tile(tmp_path):
@@ -344,6 +345,27 @@ def test_system_outside_the_theory_is_rejected_first(
     argv = [command] + _write_system(tmp_path, matrix, digits) + extra
     assert cli.main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["render"],
+                                     ["render", "--boundary"]])
+@pytest.mark.parametrize("keep,message", [
+    ("--matrix", "provide exactly one of --abc or --matrix"),
+    ("--digits", "--digits requires --matrix"),
+])
+def test_abc_with_a_system_file_is_rejected_first(
+        command, keep, message, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before the input was validated")
+
+    for name in ("analysis_for", "approximate_tile",
+                 "approximate_boundary_piece"):
+        monkeypatch.setattr(cli, name, forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
+    files = _write_system(tmp_path, FAMILY_124, [[i, 0, 0] for i in range(4)])
+    flag = files.index(keep)
+    assert cli.main(command + ["--abc", "1,2,4"] + files[flag:flag + 2]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("basis,message", [

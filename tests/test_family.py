@@ -11,7 +11,6 @@ from tileforge.family import (
     expected_contact_set,
     expected_edges,
     expected_graph,
-    expected_structures,
     family_triples,
     sweep,
     sweep_csv,
@@ -81,10 +80,9 @@ def test_expected_graph_rejects_unknown_table():
 @pytest.mark.parametrize("abc", [(1, 2, 4), (2, 3, 5)])
 def test_tables_match_computed_graphs(abc):
     t = analysis_for(abc)
-    exp = expected_structures(abc)
-    assert set(exp.contact_edges) == set(t.contact_graph.edges)
-    assert set(exp.g2_edges) == set(t.level(2).edges)
-    assert set(exp.g3_edges) == set(t.level(3).edges)
+    assert expected_edges(abc, "contact") == set(t.contact_graph.edges)
+    assert expected_edges(abc, "g2") == set(t.level(2).edges)
+    assert expected_edges(abc, "g3") == set(t.level(3).edges)
 
 
 def test_family_triples_smallest_box():

@@ -262,19 +262,48 @@ def test_hata_graph_dedupes_equal_pieces():
     assert len(h.nodes) == 1
 
 
+def test_hata_graph_canonicalises_a_piece_given_as_a_piece():
+    # Piece(v, 0) is not canonical: it is the piece below, framed by another
+    # member of its tile family, so it and the pair (v, 0) are one node.
+    t = triple_124()
+    v = ((-2, -1, -1), (-2, 0, -1))
+    h = hata_graph(t, [Piece(v, (0, 0, 0)), (v, (0, 0, 0))])
+    assert h.nodes == (Piece(((0, 1, 0), (2, 1, 1)), (-2, -1, -1)),)
+    assert h.edges == ()
+
+
+@pytest.mark.parametrize("abc", [(1, 2, 4), (3, 4, 10)])
+def test_hata_graph_of_a_piece_equals_that_of_its_pair(abc):
+    t = analysis_for(abc)
+    for v in t.level(2).vertices:
+        for s in ((0, 0, 0), t.neighbors.points[0]):
+            assert hata_graph(t, [Piece(v, s)]) == hata_graph(t, [(v, s)]), (
+                v, s)
+
+
+def test_piece_is_its_pair():
+    t = triple_124()
+    pairs = [(v, s) for v in t.level(2).vertices
+             for s in ((0, 0, 0), (0, 1, 0), (-1, 0, 0))]
+    pieces = [Piece(v, s) for v, s in pairs]
+    assert pieces == pairs
+    assert [tuple(p) for p in sorted(pieces)] == sorted(pairs)
+    v, s = pairs[0]
+    assert repr(pieces[0]) == f"Piece(vertex={v!r}, shift={s!r})"
+
+
 # ---------------------------------------------------------------------------
 # Oracles: hata_graph's by-shift enumeration, the unmemoised walk and
 # four_fold_placement's two-set superset scan, kept verbatim apart from
-# their names (the oracle four-fold walks with the oracle walk).  The link
-# memo and the walk memo must reproduce them exactly.
+# their names (the oracle four-fold walks with the oracle walk, and the
+# oracle Hata graph canonicalises every piece with make_piece).  The link
+# memo, the piece memo and the walk memo must reproduce them exactly.
 
 
 def oracle_hata_graph(ctx, pieces) -> HataGraph:
     """Intersection graph of pieces given as (vertex, shift) pairs or Pieces."""
     t = analysis_for(ctx)
-    canon = sorted({
-        p if isinstance(p, Piece) else make_piece(*p) for p in pieces
-    })
+    canon = sorted({make_piece(*p) for p in pieces})
     by_shift: dict[Vec, list[int]] = {}
     for i, p in enumerate(canon):
         by_shift.setdefault(p.shift, []).append(i)

@@ -83,6 +83,10 @@ def test_tracer_records_level_graphs_of_an_explicit_system(tmp_path):
     m, d = tmp_path / "m.json", tmp_path / "d.json"
     m.write_text("[[0,0,-4],[1,0,-2],[0,1,-1]]")
     d.write_text(json.dumps([[i, 0, 0] for i in range(4)]))
-    calls = traced(["analyze", "--matrix", str(m), "--digits", str(d)])["calls"]
-    for name in ("graphs.contact", "graphs.neighbor", "power.level2"):
+    system = ["--matrix", str(m), "--digits", str(d)]
+    trace = traced(["analyze"] + system,
+                   ["render"] + system + ["--boundary", "--depth", "2"])
+    calls = trace["calls"]
+    for name in ("graphs.contact", "graphs.neighbor", "power.level2",
+                 "geometry_io.boundary_points"):
         assert calls.get(name, 0) > 0, name
