@@ -17,8 +17,8 @@ from .family import audit_report, disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
+    boundary_point_count,
     check_cap,
-    count_walks,
     export,
     merge_clouds,
 )
@@ -124,8 +124,7 @@ def run_render(args) -> int:
     depth = args.depth if args.depth is not None else (6 if args.boundary else 8)
     t = _load_context(args)
     if args.boundary:
-        check_cap(sum(count_walks(t.boundary_graph, a, depth)
-                      for a in t.neighbors.points))
+        check_cap(boundary_point_count(t, depth))
         pieces = [approximate_boundary_piece(t, a, depth)
                   for a in t.neighbors.points]
         cloud = merge_clouds(pieces)

@@ -17,6 +17,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, repeat
 
 from .analysis import analysis_for
@@ -268,15 +269,30 @@ def approximate_tile(matrix: IntMatrix, digits, depth: int,
                       f"tile depth {depth}", attractor_radius(matrix, digits))
 
 
-def count_walks(graph: BoundaryGraph, start: Vec, depth: int) -> int:
-    counts = {start: 1}
+@lru_cache(maxsize=1)
+def _boundary_setup(t, depth: int):
+    """What every face of one boundary render shares: each vertex's
+    (digit, successor) steps in sorted edge order, the number of depth-n
+    walks from each vertex, the depth-n columns and their denominator, and
+    the attractor radius.  One render's faces share one entry, which keeps
+    that context alive until another context or depth is rendered."""
+    g = t.boundary_graph
+    step = {v: [(e.d, e.dst) for e in sorted(g.out_edges(v))]
+            for v in g.vertices}
+    counts = dict.fromkeys(step, 1)
     for _ in range(depth):
-        nxt: dict[Vec, int] = {}
-        for v, c in counts.items():
-            for e in graph.out_edges(v):
-                nxt[e.dst] = nxt.get(e.dst, 0) + c
-        counts = nxt
-    return sum(counts.values())
+        counts = {v: sum(counts[w] for _, w in out) for v, out in step.items()}
+    columns, den = _level_columns(t.matrix, t.digits, depth)
+    return step, counts, columns, den, attractor_radius(t.matrix, t.digits)
+
+
+def boundary_point_count(ctx, depth: int) -> int:
+    """Points of a whole boundary render: the length-depth boundary-graph
+    walks from every neighbor."""
+    t = analysis_for(ctx)
+    if depth < 1:
+        raise ValueError("depth must be at least 1")
+    return sum(_boundary_setup(t, depth)[1].values())
 
 
 def approximate_boundary_piece(ctx, alpha, depth: int,
@@ -286,19 +302,15 @@ def approximate_boundary_piece(ctx, alpha, depth: int,
     if depth < 1:
         raise ValueError("depth must be at least 1")
     alpha = tuple(int(x) for x in alpha)
-    g = t.boundary_graph
-    if alpha not in g.vertices:
+    if alpha not in t.boundary_graph.vertices:
         raise ValueError(f"{alpha} is not a neighbor")
-    count = count_walks(g, alpha, depth)
+    step, counts, columns, den, radius = _boundary_setup(t, depth)
+    count = counts[alpha]
     check_cap(count, cap)
-    columns, den = _level_columns(t.matrix, t.digits, depth)
-    succ = {v: [(e.d, e.dst) for e in sorted(g.out_edges(v))]
-            for v in g.vertices}
     face = t.neighbors.points.index(alpha)
-    blocks = _walk_blocks(succ.__getitem__, alpha, columns, t.matrix.size)
+    blocks = _walk_blocks(step.__getitem__, alpha, columns, t.matrix.size)
     return PointCloud(PointRows(blocks, count, den), depth,
-                      f"boundary piece {alpha}",
-                      attractor_radius(t.matrix, t.digits),
+                      f"boundary piece {alpha}", radius,
                       TagRuns(((face, count),)))
 
 

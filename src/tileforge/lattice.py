@@ -109,14 +109,6 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(_mat_mul(self.rows, other.rows))
 
-    def plus_scalar(self, c: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(x + (c if i == j else 0) for j, x in enumerate(r))
-                               for i, r in enumerate(self.rows)))
-
-    @property
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.size))
-
     def solve_int(self, w: Vec) -> Vec | None:
         """Integer solution x of M x = w, or None when none exists."""
         if self.det == 0:

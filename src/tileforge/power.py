@@ -3,9 +3,10 @@
 A level-k vertex is a set of k distinct nonzero translations seen together;
 an edge carries a single left digit d and pairs every member alpha with an
 image sigma(alpha) through some labeled edge alpha ->(d|d') sigma(alpha) of
-the base graph, sigma a bijection.  Level-k vertices exist only where every
-(k-1)-subset survives at level k-1, which prunes the candidate space before
-the sink-removal fixpoint runs.
+the base graph, sigma a bijection.  The candidates of the sink-removal
+fixpoint are pruned first: a level-2 pair must differ by a translation that
+can itself walk forever, and a level-k set with k > 2 must have every
+(k-1)-subset alive at level k-1.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .graphs import BoundaryGraph, prune_sinks
+from .graphs import (
+    BoundaryGraph,
+    _max_abs,
+    _packing,
+    digit_differences,
+    prune_sinks,
+)
 from .lattice import (
     IntMatrix,
     Vec,
@@ -54,7 +61,7 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _images(succ, live, mask: int):
+def _images(succ, live, mask: int) -> list:
     """(j, sums) for each digit index j that every member of mask can read.
 
     A sum adds one successor bit per member.  A repeated successor carries
@@ -65,9 +72,8 @@ def _images(succ, live, mask: int):
     common = -1
     for i in members:
         common &= live[i]
-    for j in _bit_indices(common):
-        row = succ[j]
-        yield j, map(sum, itertools.product(*[row[i] for i in members]))
+    return [(j, map(sum, itertools.product(*[succ[j][i] for i in members])))
+            for j in _bit_indices(common)]
 
 
 def _candidates(alive: set[int]) -> set[int]:
@@ -157,6 +163,37 @@ def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     return tuple(edges)
 
 
+def _pairs(base: BoundaryGraph, alive: set[int]) -> set[int]:
+    """Level-2 candidates: the pairs {a, a + c} of alive level-1 vertices
+    whose difference c can walk forever.
+
+    An edge {a, b} -> {a', b'} of the level-2 graph reads one left digit d
+    on both members, so with every base edge dst = M src + d' - d the
+    difference c = b - a steps to c' = b' - a' = M c + delta, delta in
+    D - D, and c' != 0.  An infinite level-2 walk therefore gives an
+    infinite walk of nonzero differences in V - V, and sink-pruning that
+    relation first leaves every level-2 vertex among the candidates.
+    Packing is linear, so pack(b) - pack(a) and image(b) - image(a) are the
+    pack and image of b - a; both orientations of each pair are made.  As
+    a + c may exceed the packing's bound, p + c may name another member;
+    such an extra pair only adds a candidate, which the fixpoint prunes.
+    """
+    verts, bit = base.bit_tables[:2]
+    members = [v for v in verts if bit[v] in alive]
+    if not members:
+        return set()
+    pack, image, packed_diffs, _ = _packing(
+        base.matrix, 2 * _max_abs(members), digit_differences(base.digits))
+    packed = [(pack(v), image(v), bit[v]) for v in members]
+    diffs = {pb - pa: ib - ia for pa, ia, _ in packed
+             for pb, ib, _ in packed if pa != pb}
+    keys = diffs.keys()
+    live = prune_sinks({c: keys & [m + d for d in packed_diffs]
+                        for c, m in diffs.items()})
+    at = {p: b for p, _, b in packed}
+    return {b | at[p + c] for p, _, b in packed for c in live if p + c in at}
+
+
 def power_graph(base: BoundaryGraph, level: int,
                 start: PowerGraph | None = None) -> PowerGraph:
     """Level graph on size-`level` subsets of the base graph's vertex set.
@@ -164,7 +201,9 @@ def power_graph(base: BoundaryGraph, level: int,
     The fixpoint runs on int bitmasks over the sorted base vertices and
     keeps no labels; the returned graph labels its edges when they are read.
     start, a lower level graph of the same base, resumes the fixpoint from
-    its vertices instead of from level 1.
+    its vertices instead of from level 1.  Level 2 takes its candidates from
+    _pairs, which needs every base edge to satisfy dst = M src + d' - d, as
+    build_graph's do.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
@@ -180,14 +219,19 @@ def power_graph(base: BoundaryGraph, level: int,
     for k in range(first, level + 1):
         if alive is None:
             cand = set(bit.values())
-        else:
-            if k == 2 and origin in alive and len(alive) > 1:
+        elif k == 2:
+            if origin in alive and len(alive) > 1:
                 raise ValueError("vertex set must not contain the origin")
+            cand = _pairs(base, alive)
+        else:
             cand = _candidates(alive)
-        alive = prune_sinks({
-            m: cand.intersection(itertools.chain.from_iterable(
-                sums for _, sums in _images(succ, live, m)))
-            for m in cand})
+        targets = {}
+        for m in cand:
+            sums = set()
+            for _, images in _images(succ, live, m):
+                sums.update(images)
+            targets[m] = cand.intersection(sums)
+        alive = prune_sinks(targets)
 
     vertices = tuple(tuple(verts[i] for i in ix)
                      for ix in sorted(map(_bit_indices, alive)))

@@ -283,7 +283,7 @@ def test_render_is_byte_deterministic(tmp_path):
 
 def test_render_boundary_cap_counts_merged_cloud(monkeypatch, capsys):
     t = tileforge.analysis_for((1, 2, 4))
-    sizes = [tileforge.geometry_io.count_walks(t.boundary_graph, a, 3)
+    sizes = [len(tileforge.geometry_io.approximate_boundary_piece(t, a, 3).points)
              for a in t.neighbors.points]
     assert max(sizes) < sum(sizes) - 1
     monkeypatch.setenv("TILEFORGE_CAP_POINTS", str(sum(sizes) - 1))

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,14 @@ import tileforge
 from tileforge import cli, geometry_io
 from tileforge.analysis import analysis_for
 from tileforge.family import sweep
+from tileforge.graphs import BoundaryGraph
 from tileforge.geometry_io import (
     GraphDocument,
     PointCloud,
     approximate_boundary_piece,
     approximate_tile,
     attractor_radius,
-    count_walks,
+    boundary_point_count,
     export,
     graph_document,
     json_text,
@@ -26,13 +28,27 @@ from tileforge.geometry_io import (
     render,
     to_dot,
 )
-from tileforge.lattice import companion_form
+from tileforge.lattice import Vec, companion_form
 
 from strategies import expanding_systems
 
 
 def system_124():
     return companion_form([1, 1, 2, 4])
+
+
+# Oracle: the walks of one length from one start, counted forward from
+# that start alone, kept verbatim apart from its name.  The boundary
+# set-up counts them for every vertex in one backward pass.
+def oracle_count_walks(graph: BoundaryGraph, start: Vec, depth: int) -> int:
+    counts = {start: 1}
+    for _ in range(depth):
+        nxt: dict[Vec, int] = {}
+        for v, c in counts.items():
+            for e in graph.out_edges(v):
+                nxt[e.dst] = nxt.get(e.dst, 0) + c
+        counts = nxt
+    return sum(counts.values())
 
 
 def test_tile_depth_one_points_are_inverse_digit_images():
@@ -93,9 +109,46 @@ def test_boundary_piece_counts_follow_walks():
     g = t.boundary_graph
     for alpha in ((1, 0, 0), (1, 1, 0)):
         for depth in (1, 2, 3):
-            expected = count_walks(g, alpha, depth)
+            expected = oracle_count_walks(g, alpha, depth)
             cloud = approximate_boundary_piece(t, alpha, depth)
             assert len(cloud.points) == expected
+
+
+def test_boundary_point_count_sums_the_walks_from_every_face():
+    for abc in ((1, 2, 4), (2, 3, 5)):
+        t = analysis_for(abc)
+        for depth in (1, 2, 4):
+            assert boundary_point_count(t, depth) == sum(
+                oracle_count_walks(t.boundary_graph, a, depth)
+                for a in t.neighbors.points)
+    with pytest.raises(ValueError, match="depth must be at least 1"):
+        boundary_point_count(t, 0)
+
+
+def test_boundary_render_sets_up_once_for_all_faces(monkeypatch, tmp_path):
+    # One radius, one column table and one pass over each vertex's edges
+    # serve the cap check and all 14 faces of (1,2,4).
+    t = analysis_for((1, 2, 4))
+    assert len(t.neighbors.points) == 14
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("attractor_radius", "_level_columns"):
+        counted(geometry_io, name)
+    counted(BoundaryGraph, "out_edges")
+    geometry_io._boundary_setup.cache_clear()
+    out = tmp_path / "b.ply"
+    assert cli.main(["render", "--abc", "1,2,4", "--boundary", "--depth", "3",
+                     "--ply", str(out)]) == 0
+    assert calls == {"attractor_radius": 1, "_level_columns": 1,
+                     "out_edges": 14}
 
 
 def test_boundary_piece_rejects_non_neighbor():
@@ -312,7 +365,7 @@ def test_points_view_is_sized_without_fractions(monkeypatch):
     assert len(cloud.points) == 4 ** 6
     t = analysis_for((1, 2, 4))
     piece = approximate_boundary_piece(t, (1, 0, 0), 4)
-    assert len(piece.points) == len(piece.tags) == count_walks(
+    assert len(piece.points) == len(piece.tags) == oracle_count_walks(
         t.boundary_graph, (1, 0, 0), 4)
     text = render(merge_clouds([piece, piece]), "csv")
     assert len(text.splitlines()) == 1 + 2 * len(piece.points)

@@ -202,7 +202,17 @@ def test_singular_solve_raises():
 
 # ---------------------------------------------------------------------------
 # Oracle: Faddeev-LeVerrier on IntMatrix objects, one per step, kept
-# verbatim apart from its name.  The row-tuple recursion must reproduce it.
+# verbatim apart from its name; the two IntMatrix methods that only it read
+# are kept here as functions.  The row-tuple recursion must reproduce it.
+
+
+def oracle_plus_scalar(n: IntMatrix, c: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(x + (c if i == j else 0) for j, x in enumerate(r))
+                           for i, r in enumerate(n.rows)))
+
+
+def oracle_trace(n: IntMatrix) -> int:
+    return sum(n.rows[i][i] for i in range(n.size))
 
 
 def oracle_char_poly(matrix: IntMatrix) -> list[int]:
@@ -211,12 +221,12 @@ def oracle_char_poly(matrix: IntMatrix) -> list[int]:
     coeffs = [1]
     n = matrix
     for k in range(1, m + 1):
-        t = n.trace
+        t = oracle_trace(n)
         if t % k != 0:
             raise AssertionError("characteristic coefficients must be integral")
         coeffs.append(-(t // k))
         if k < m:
-            n = matrix @ n.plus_scalar(coeffs[-1])
+            n = matrix @ oracle_plus_scalar(n, coeffs[-1])
     return coeffs
 
 

@@ -22,7 +22,6 @@ from tileforge.power import (
     walk_point,
     word_admissible_from,
 )
-from tileforge.power import _bit_indices, _candidates, _images
 
 from strategies import expanding_systems
 
@@ -416,10 +415,102 @@ def test_level_graphs_of_subsets_match_oracle(case):
     assert_matches_oracle(base, level)
 
 
+BOX = tuple(p for p in itertools.product(range(-2, 3), repeat=3) if any(p))
+
+
+@st.composite
+def systems_on_a_box(draw):
+    """build_graph of a random expanding system on the nonzero points of
+    [-2, 2]^3, a few of them drawn out, so that V - V reaches beyond V."""
+    matrix, digits, _ = draw(expanding_systems())
+    gone = draw(st.sets(st.sampled_from(BOX), max_size=8))
+    return build_graph([p for p in BOX if p not in gone], matrix, digits)
+
+
+@given(systems_on_a_box())
+def test_level_graphs_of_expanding_systems_match_oracle(base):
+    for level in (1, 2, 3):
+        assert_matches_oracle(base, level)
+
+
+def test_level2_candidates_are_pairs_whose_difference_walks(monkeypatch):
+    # Of the C(182, 2) = 16,471 pairs only 7,275 differ by a translation
+    # that can walk forever, and 6,873 of those survive.  The calls are
+    # level 1, the difference relation, then level 2.
+    sizes = []
+    real = power.prune_sinks
+
+    def recording(succ):
+        sizes.append(len(succ))
+        return real(succ)
+
+    monkeypatch.setattr(power, "prune_sinks", recording)
+    g = power_graph(analysis_for((10, 10, 11)).boundary_graph, 2)
+    assert sizes[0] == 182 and sizes[-1] == 7275
+    assert len(g.vertices) == 6873
+
+
+def test_level2_rejects_a_base_graph_that_holds_the_origin():
+    t = analysis_for((1, 2, 4))
+    base = build_graph(t.contact.points, t.matrix, t.digits)
+    assert (0, 0, 0) in base.vertices
+    assert len(power_graph(base, 1).vertices) > 1
+    with pytest.raises(ValueError, match="origin"):
+        power_graph(base, 2)
+
+
 # ---------------------------------------------------------------------------
-# Oracles: the level graph that restarted from level 1 on every call, and
-# the walk point solved in Fractions, kept verbatim apart from their names.
-# Resumed levels and integer walk points must reproduce them exactly.
+# Oracles: the level graph that restarted from level 1 on every call, with
+# the three bitmask helpers it ran on, and the walk point solved in
+# Fractions, kept verbatim apart from their names.  Resumed levels and
+# integer walk points must reproduce them exactly.
+
+
+def oracle_bit_indices(mask: int) -> list[int]:
+    """Indices of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def oracle_images(succ, live, mask: int):
+    """(j, sums) for each digit index j that every member of mask can read.
+
+    A sum adds one successor bit per member.  A repeated successor carries
+    and lowers the bit count, so a sum is the mask of a k-set, and the
+    members' images are a bijection, exactly when it has k bits.
+    """
+    members = oracle_bit_indices(mask)
+    common = -1
+    for i in members:
+        common &= live[i]
+    for j in oracle_bit_indices(common):
+        row = succ[j]
+        yield j, map(sum, itertools.product(*[row[i] for i in members]))
+
+
+def oracle_candidates(alive: set[int]) -> set[int]:
+    """(k+1)-sets all of whose k-subsets are in alive.
+
+    Two alive k-sets that differ only in their top bit join to one
+    candidate, so each candidate is made once, from its two k-subsets that
+    keep its lower k-1 members; its other k-1 subsets are looked up.
+    """
+    groups: dict[int, list[int]] = {}
+    for v in alive:
+        top = 1 << (v.bit_length() - 1)
+        groups.setdefault(v ^ top, []).append(top)
+    out = set()
+    for prefix, tops in groups.items():
+        rest = [1 << i for i in oracle_bit_indices(prefix)]
+        for a, b in itertools.combinations(tops, 2):
+            cand = prefix | a | b
+            if all(cand ^ x in alive for x in rest):
+                out.add(cand)
+    return out
 
 
 def oracle_bit_tables(base: BoundaryGraph):
@@ -454,14 +545,14 @@ def oracle_restart_power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
         if k > 1:
             if k == 2 and origin in alive and len(alive) > 1:
                 raise ValueError("vertex set must not contain the origin")
-            cand = _candidates(alive)
+            cand = oracle_candidates(alive)
         alive = prune_sinks({
             m: cand.intersection(itertools.chain.from_iterable(
-                sums for _, sums in _images(succ, live, m)))
+                sums for _, sums in oracle_images(succ, live, m)))
             for m in cand})
 
     vertices = tuple(tuple(verts[i] for i in ix)
-                     for ix in sorted(map(_bit_indices, alive)))
+                     for ix in sorted(map(oracle_bit_indices, alive)))
     return PowerGraph(level, vertices, base.matrix, base.digits, base)
 
 
