@@ -9,7 +9,6 @@ in the report of a single context.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analysis import AbcTriple, analysis_for, as_triple, predicts_14
@@ -360,6 +359,9 @@ def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
     workers = min(parallelism, len(triples))
     if workers <= 1:
         return tuple(_sweep_worker(abc) for abc in triples)
+    # Imported here, so that runs that start no pool do not pay for it.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return tuple(pool.map(_sweep_worker, triples, chunksize=4))
 

@@ -11,8 +11,9 @@ the set stabilizes.  Labeled graphs only certify the final sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import add, mul
+from typing import NamedTuple
 
 from .lattice import IntMatrix, Vec, char_poly, vec_add, vec_neg, vec_sub
 
@@ -23,8 +24,7 @@ class RoundLimitError(RuntimeError):
     """A fixpoint iteration did not settle within MAX_ROUNDS rounds."""
 
 
-@dataclass(frozen=True, order=True)
-class LabeledEdge:
+class LabeledEdge(NamedTuple):
     src: Vec
     dst: Vec
     d: Vec
@@ -66,20 +66,24 @@ class BoundaryGraph:
 
     @cached_property
     def bit_tables(self) -> tuple:
-        """(verts, bit, succ, live) for fixpoints on int bitmasks.
+        """(verts, bit, out) for fixpoints on int bitmasks.
 
-        verts are the sorted vertices and bit[v] the one-bit mask of v;
-        succ[j][i] lists the masks of the successors of verts[i] under
-        digits[j], and bit j of live[i] is set when that list is nonempty.
+        verts are the sorted vertices and bit[v] the one-bit mask of v.
+        out[i] lists (successor bit, digit mask) once for each distinct
+        successor of verts[i]; bit j of the digit mask is set when digits[j]
+        is the left digit of some edge from verts[i] to that successor.
         """
         verts = tuple(sorted(self.vertices))
         bit = {v: 1 << i for i, v in enumerate(verts)}
         table = self.digit_successors
-        succ = [[[bit[dst] for dst, _ in table.get((v, d), ())] for v in verts]
-                for d in self.digits]
-        live = [sum(1 << j for j, d in enumerate(self.digits) if (v, d) in table)
-                for v in verts]
-        return verts, bit, succ, live
+        out = []
+        for v in verts:
+            masks: dict[int, int] = {}
+            for j, d in enumerate(self.digits):
+                for dst, _ in table.get((v, d), ()):
+                    masks[bit[dst]] = masks.get(bit[dst], 0) | 1 << j
+            out.append(tuple(masks.items()))
+        return verts, bit, out
 
     @property
     def is_sink_free(self) -> bool:
@@ -149,8 +153,13 @@ def reduce(graph: BoundaryGraph) -> BoundaryGraph:
                          graph.matrix, graph.digits)
 
 
+@lru_cache(maxsize=16)
 def digit_differences(digits) -> tuple[Vec, ...]:
-    """The difference set D - D, sorted."""
+    """The difference set D - D, sorted; digits is a tuple of tuples.
+
+    Cached per digit set, so the contact, neighbor and level-2 stages of one
+    system build it once.
+    """
     return tuple(sorted({vec_sub(dp, d) for d in digits for dp in digits}))
 
 

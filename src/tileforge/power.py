@@ -61,19 +61,29 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _images(succ, live, mask: int) -> list:
-    """(j, sums) for each digit index j that every member of mask can read.
+def _images(out, mask: int) -> dict[int, int]:
+    """Image mask -> digit mask of the members of mask, one successor each.
 
-    A sum adds one successor bit per member.  A repeated successor carries
-    and lowers the bit count, so a sum is the mask of a k-set, and the
-    members' images are a bijection, exactly when it has k bits.
+    The product runs over the members' out-lists (see bit_tables) and ANDs
+    their digit masks as it goes: a partial choice that no one digit serves
+    is dropped, and choices with the same image OR their digit masks.  The
+    image ORs one successor bit per member, so a repeated successor leaves
+    fewer than k bits: an image is a k-set, and the members' images a
+    bijection, exactly when it has k bits.
     """
-    members = _bit_indices(mask)
-    common = -1
-    for i in members:
-        common &= live[i]
-    return [(j, map(sum, itertools.product(*[succ[j][i] for i in members])))
-            for j in _bit_indices(common)]
+    first, *rest = _bit_indices(mask)
+    images = dict(out[first])
+    for i in rest:
+        row = out[i]
+        step: dict[int, int] = {}
+        for s, common in images.items():
+            for b, m in row:
+                m &= common
+                if m:
+                    s_b = s | b
+                    step[s_b] = step.get(s_b, 0) | m
+        images = step
+    return images
 
 
 def _candidates(alive: set[int]) -> set[int]:
@@ -151,14 +161,16 @@ class PowerGraph:
 def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     """Every (src, d, dst) between the given vertex sets, sorted by vertex
     set and digit value."""
-    _, bit, succ, live = base.bit_tables
+    _, bit, out = base.bit_tables
     alive = {sum(bit[x] for x in v): v for v in vertices}
+    digits = base.digits
     edges = []
     for mask, src in alive.items():
-        for j, sums in _images(succ, live, mask):
-            d = base.digits[j]
-            edges.extend((src, d, alive[dst])
-                         for dst in alive.keys() & set(sums))
+        for image, digit_mask in _images(out, mask).items():
+            dst = alive.get(image)
+            if dst is not None:
+                edges.extend((src, digits[j], dst)
+                             for j in _bit_indices(digit_mask))
     edges.sort()
     return tuple(edges)
 
@@ -207,7 +219,7 @@ def power_graph(base: BoundaryGraph, level: int,
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    verts, bit, succ, live = base.bit_tables
+    verts, bit, out = base.bit_tables
     if start is None:
         first, alive = 1, None
     elif start._base is not base or not 1 <= start.level < level:
@@ -225,13 +237,8 @@ def power_graph(base: BoundaryGraph, level: int,
             cand = _pairs(base, alive)
         else:
             cand = _candidates(alive)
-        targets = {}
-        for m in cand:
-            sums = set()
-            for _, images in _images(succ, live, m):
-                sums.update(images)
-            targets[m] = cand.intersection(sums)
-        alive = prune_sinks(targets)
+        alive = prune_sinks({m: cand.intersection(_images(out, m))
+                             for m in cand})
 
     vertices = tuple(tuple(verts[i] for i in ix)
                      for ix in sorted(map(_bit_indices, alive)))

@@ -91,6 +91,27 @@ def test_cli_module_runs_without_runpy_warning():
     assert "usage: tileforge" in proc.stdout
 
 
+def test_runs_without_a_pool_do_not_import_one(tmp_path):
+    # sweep imports concurrent.futures only when it starts worker processes.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    code = "\n".join([
+        "import sys",
+        "from tileforge import cli",
+        "json_out, csv_out = sys.argv[1:]",
+        "assert cli.main(['analyze', '--abc', '1,2,4', '--json', json_out]) == 0",
+        "assert cli.main(['sweep', '--max', '3', '--jobs', '1',",
+        "                 '--csv', csv_out]) == 0",
+        "print(sorted(m for m in sys.modules",
+        "             if m.startswith(('concurrent', 'multiprocessing'))))"])
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "a.json"),
+         str(tmp_path / "s.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_analyze_requires_exactly_one_input(tmp_path):
     m = tmp_path / "m.json"
     m.write_text("[[0,0,-4],[1,0,-2],[0,1,-1]]")

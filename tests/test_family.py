@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import pytest
 
 from tileforge import family
@@ -145,7 +147,7 @@ class RecordingPool:
 
 
 def test_sweep_starts_no_more_workers_than_triples(monkeypatch):
-    monkeypatch.setattr(family, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "asked", [])
     assert len(family_triples(2, 2, 3)) == 4
     records = sweep(2, 2, 3, parallelism=10_000)

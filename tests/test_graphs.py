@@ -44,6 +44,17 @@ def triples(max_c=8):
                      st.integers(2, max_c)).filter(lambda t: t[0] <= t[1] < t[2])
 
 
+def test_labeled_edge_is_a_named_tuple_of_its_fields():
+    # Edges sort, hash and compare as their (src, dst, d, d_prime) tuples.
+    e = LabeledEdge((1, 0, 0), (1, 1, 0), (0, 0, 0), (1, 0, 0))
+    assert e == ((1, 0, 0), (1, 1, 0), (0, 0, 0), (1, 0, 0))
+    assert hash(e) == hash(tuple(e))
+    assert repr(e) == ("LabeledEdge(src=(1, 0, 0), dst=(1, 1, 0), "
+                       "d=(0, 0, 0), d_prime=(1, 0, 0))")
+    assert e.mirrored() == LabeledEdge((-1, 0, 0), (-1, -1, 0), (1, 0, 0),
+                                       (0, 0, 0))
+
+
 def test_build_graph_origin_only_gives_digit_loops():
     m, digits = setup_tile(1, 2, 4)
     g = build_graph([(0, 0, 0)], m, digits)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -8,8 +9,19 @@ from hypothesis import given, strategies as st
 from tileforge import power
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
 from tileforge.family import family_triples
-from tileforge.graphs import BoundaryGraph, build_graph, prune_sinks
-from tileforge.lattice import IntMatrix, Vec, mat_pow, vec_add
+from tileforge.graphs import (
+    BoundaryGraph,
+    build_graph,
+    digit_differences,
+    prune_sinks,
+)
+from tileforge.lattice import (
+    IntMatrix,
+    Vec,
+    companion_form,
+    mat_pow,
+    vec_add,
+)
 from tileforge.power import (
     DigitWord,
     PowerGraph,
@@ -448,6 +460,96 @@ def test_level2_candidates_are_pairs_whose_difference_walks(monkeypatch):
     g = power_graph(analysis_for((10, 10, 11)).boundary_graph, 2)
     assert sizes[0] == 182 and sizes[-1] == 7275
     assert len(g.vertices) == 6873
+
+
+def k_images(base: BoundaryGraph, mask: int) -> tuple:
+    """The k-bit images of mask, with their digit masks, from _images and
+    from the per-digit oracle, and how often the oracle meets each
+    (image, digit)."""
+    k = mask.bit_count()
+    images = power._images(base.bit_tables[2], mask)
+    got = {image: digit_mask for image, digit_mask in images.items()
+           if image.bit_count() == k}
+    _, succ, live = oracle_bit_tables(base)
+    want, met = {}, collections.Counter()
+    for j, sums in oracle_images(succ, live, mask):
+        for image in sums:
+            if image.bit_count() == k:
+                want[image] = want.get(image, 0) | 1 << j
+                met[image, j] += 1
+    return got, want, met
+
+
+@given(systems_on_a_box(), st.data())
+def test_images_match_the_per_digit_oracle(base, data):
+    # out lists each distinct successor once, with the left digits of the
+    # edges to it as a mask; _images reads the k-bit images of a k-set, and
+    # the digits that carry it there, as the per-digit products did.
+    verts, bit, out = base.bit_tables
+    table = base.digit_successors
+    want_out = []
+    for v in verts:
+        row = {}
+        for j, d in enumerate(base.digits):
+            for dst, _ in table.get((v, d), ()):
+                row[bit[dst]] = row.get(bit[dst], 0) | 1 << j
+        want_out.append(row)
+    assert [dict(row) for row in out] == want_out
+    assert all(len(row) == len(dict(row)) for row in out)
+    for _ in range(4):
+        members = data.draw(st.sets(st.integers(0, len(verts) - 1),
+                                    min_size=1, max_size=4))
+        got, want, _ = k_images(base, sum(1 << i for i in members))
+        assert got == want
+
+
+def test_images_or_the_digits_of_two_bijections_onto_one_image():
+    # Here both bijections from {(-2,-2,0), (0,-2,0)} onto one pair of
+    # successors read the same left digit; that digit is set once.
+    matrix, _ = companion_form([1, 3, 0, 4])
+    base = build_graph(BOX, matrix, ((-1, 2, 1), (-1, 0, 1), (-1, -2, 1)))
+    _, bit, _ = base.bit_tables
+    got, want, met = k_images(base, bit[(-2, -2, 0)] | bit[(0, -2, 0)])
+    assert max(met.values()) == 2
+    assert got == want
+
+
+class CountingMask(int):
+    """A digit mask that counts the intersections taken with it."""
+
+    ands = 0
+
+    def __and__(self, other):
+        CountingMask.ands += 1
+        return int.__and__(self, other)
+
+    __rand__ = __and__
+
+
+def test_level2_meets_each_pair_of_successors_once(monkeypatch):
+    # On (11,11,12) the 7,275 level-2 candidates have 30,153 pairs of
+    # successors, one successor per member, and 121,920 (pair, common left
+    # digit) combinations.  The product over the out-lists meets each pair
+    # once and ANDs its two digit masks once; level 1 ANDs nothing.
+    t = analysis_for((11, 11, 12))
+    base = build_graph(t.neighbors.points, t.matrix, t.digits)
+    verts, bit, out = base.bit_tables
+    # Preset the cached property with counting masks.
+    base.__dict__["bit_tables"] = (verts, bit, [
+        tuple((b, CountingMask(m)) for b, m in row) for row in out])
+    monkeypatch.setattr(CountingMask, "ands", 0)
+    g = power_graph(base, 2)
+    assert CountingMask.ands == 30153
+    assert len(g.vertices) == 6873
+
+
+def test_digit_differences_are_built_once_per_digit_set():
+    # The contact, neighbor and level-2 stages of a context share one D - D.
+    digit_differences.cache_clear()
+    t = TileAnalysis(*AbcTriple(1, 2, 4).system(), triple=AbcTriple(1, 2, 4))
+    assert len(t.level(2).vertices) == 36
+    info = digit_differences.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
 
 
 def test_level2_rejects_a_base_graph_that_holds_the_origin():
