@@ -194,9 +194,6 @@ class TileAnalysis:
             self._walks[vertex] = word
         return word
 
-    def point_of(self, vertex: VertexSet):
-        return self.word_point(self.walk(vertex))
-
     def word_point(self, word: DigitWord):
         """Exact point addressed by an eventually periodic digit word."""
         return walk_point(word, self.matrix)

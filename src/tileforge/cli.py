@@ -31,7 +31,12 @@ def _parse_abc(text: str) -> AbcTriple:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--abc expects A,B,C, got {text!r}")
-    return AbcTriple(*(int(x) for x in parts))
+    try:
+        values = [int(x) for x in parts]
+    except ValueError:
+        raise ValueError(
+            f"--abc expects integers A,B,C, got {text!r}") from None
+    return AbcTriple(*values)
 
 
 def _load_json(path, what: str):
@@ -67,7 +72,10 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
                               "digits file")
     if not basis_text:
         return TileAnalysis(matrix, digits, None, triple)
-    basis = _int_vectors(json.loads(basis_text), "--basis")
+    try:
+        basis = _int_vectors(json.loads(basis_text), "--basis")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"--basis is not valid JSON: {exc}") from exc
     check_system(matrix, digits)
     try:
         check_basis(basis, matrix.size)
@@ -77,12 +85,13 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
 
 
 def _int_vectors(value, what: str):
-    """A parsed JSON list of integer vectors, as tuples."""
-    try:
-        return tuple(tuple(int(x) for x in v) for v in value)
-    except TypeError as exc:
-        raise ValueError(
-            f"{what} must be a JSON list of integer vectors") from exc
+    """A parsed JSON list of integer vectors, as tuples.  Only JSON integers
+    are entries: a float, a bool or a string is rejected, not converted."""
+    if not (isinstance(value, list) and all(
+            isinstance(v, list) and all(type(x) is int for x in v)
+            for v in value)):
+        raise ValueError(f"{what} must be a JSON list of integer vectors")
+    return tuple(map(tuple, value))
 
 
 def run_analyze(args) -> int:

@@ -14,7 +14,6 @@ import json
 import math
 import operator
 import os
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -29,45 +28,24 @@ DEFAULT_POINT_CAP = 10 ** 7
 CAP_ENV_VAR = "TILEFORGE_CAP_POINTS"
 
 
-def _resolve_cap(cap: int | None) -> int:
-    if cap is not None:
-        return int(cap)
-    env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_POINT_CAP
-
-
-def check_cap(count: int, cap: int | None = None) -> None:
+def check_cap(count: int) -> None:
     """Raise ValueError when count points exceed the cap.
 
-    The cap defaults to the TILEFORGE_CAP_POINTS environment variable, or
-    10^7 when it is unset.
+    The cap is the TILEFORGE_CAP_POINTS environment variable, a nonnegative
+    integer, or 10^7 when it is unset or empty.
     """
-    cap = _resolve_cap(cap)
+    env = os.environ.get(CAP_ENV_VAR)
+    cap = DEFAULT_POINT_CAP
+    if env:
+        if not (env.isascii() and env.isdigit()):
+            raise ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, "
+                             f"got {env!r}")
+        cap = int(env)
     if count > cap:
         raise ValueError(f"{count} points exceed the cap of {cap}")
 
 
-class _SizedView:
-    """Sized, re-iterable, unhashable view; equal to any sized iterable with
-    equal items in the same order."""
-
-    _count: int
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __eq__(self, other):
-        try:
-            if len(other) != self._count:
-                return False
-        except TypeError:
-            return NotImplemented
-        return all(map(operator.eq, self, other))
-
-    __hash__ = None
-
-
-class PointRows(_SizedView):
+class PointRows:
     """The exact points of a cloud, generated on demand from integer rows.
 
     blocks is a function returning an iterator of (offset, columns) pairs:
@@ -94,6 +72,9 @@ class PointRows(_SizedView):
             blocks = (((0,) * len(rows[0]), tuple(map(list, zip(*nums)))),)
         return cls(lambda: iter(blocks), len(rows), den)
 
+    def __len__(self) -> int:
+        return self._count
+
     def float_blocks(self):
         """Each block's coordinate columns as floats, one exact int/int
         division (correctly rounded) per coordinate."""
@@ -109,12 +90,15 @@ class PointRows(_SizedView):
                 yield tuple(Fraction(o + x, den) for o, x in zip(offset, row))
 
 
-class TagRuns(_SizedView):
+class TagRuns:
     """Per-point tags stored as (tag, count) runs."""
 
     def __init__(self, runs):
         self.runs = tuple(runs)
         self._count = sum(n for _, n in self.runs)
+
+    def __len__(self) -> int:
+        return self._count
 
     def __iter__(self):
         return chain.from_iterable(repeat(tag, n) for tag, n in self.runs)
@@ -147,10 +131,6 @@ class PointCloud:
                     (tag, 1) for tag in self.tags))
             if len(self.tags) != len(self.points):
                 raise ValueError("one tag per point required")
-
-    def float_rows(self):
-        """Iterator over the points as float tuples."""
-        return chain.from_iterable(zip(*b) for b in self.points.float_blocks())
 
 
 def merge_clouds(clouds) -> PointCloud:
@@ -252,8 +232,7 @@ def _walk_blocks(step, start, columns, dim: int):
     return blocks
 
 
-def approximate_tile(matrix: IntMatrix, digits, depth: int,
-                     cap: int | None = None) -> PointCloud:
+def approximate_tile(matrix: IntMatrix, digits, depth: int) -> PointCloud:
     """All digit-word points of the given depth, in word order."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
@@ -261,7 +240,7 @@ def approximate_tile(matrix: IntMatrix, digits, depth: int,
         raise ValueError("matrix is not expanding")
     digits = tuple(tuple(d) for d in digits)
     count = len(digits) ** depth
-    check_cap(count, cap)
+    check_cap(count)
     columns, den = _level_columns(matrix, digits, depth)
     step = {None: [(d, None) for d in digits]}.__getitem__
     blocks = _walk_blocks(step, None, columns, matrix.size)
@@ -295,8 +274,7 @@ def boundary_point_count(ctx, depth: int) -> int:
     return sum(_boundary_setup(t, depth)[1].values())
 
 
-def approximate_boundary_piece(ctx, alpha, depth: int,
-                               cap: int | None = None) -> PointCloud:
+def approximate_boundary_piece(ctx, alpha, depth: int) -> PointCloud:
     """One point per length-depth boundary-graph walk from one neighbor."""
     t = analysis_for(ctx)
     if depth < 1:
@@ -306,7 +284,7 @@ def approximate_boundary_piece(ctx, alpha, depth: int,
         raise ValueError(f"{alpha} is not a neighbor")
     step, counts, columns, den, radius = _boundary_setup(t, depth)
     count = counts[alpha]
-    check_cap(count, cap)
+    check_cap(count)
     face = t.neighbors.points.index(alpha)
     blocks = _walk_blocks(step.__getitem__, alpha, columns, t.matrix.size)
     return PointCloud(PointRows(blocks, count, den), depth,
@@ -315,67 +293,27 @@ def approximate_boundary_piece(ctx, alpha, depth: int,
 
 
 # ---------------------------------------------------------------------------
-# graph documents and DOT
-
-
-@dataclass(frozen=True)
-class GraphDocument:
-    """Serialization-ready labeled digraph; labels are digit indices."""
-
-    vertices: tuple[Vec, ...]
-    edges: tuple[tuple[Vec, Vec, int, int], ...]
-
-
-def graph_document(g: BoundaryGraph) -> GraphDocument:
-    index = {d: i for i, d in enumerate(g.digits)}
-    edges = tuple(sorted((e.src, e.dst, index[e.d], index[e.d_prime])
-                         for e in g.edges))
-    return GraphDocument(tuple(sorted(g.vertices)), edges)
+# DOT
 
 
 def _node_name(v: Vec) -> str:
     return ",".join(str(x) for x in v)
 
 
-def to_dot(doc: GraphDocument) -> str:
+def to_dot(g: BoundaryGraph) -> str:
+    """The graph as DOT: sorted nodes, then sorted edges labeled by the
+    indices of their digits."""
+    index = {d: i for i, d in enumerate(g.digits)}
+    edges = sorted((e.src, e.dst, index[e.d], index[e.d_prime])
+                   for e in g.edges)
     lines = ["digraph {"]
-    for v in doc.vertices:
+    for v in sorted(g.vertices):
         lines.append(f'  "{_node_name(v)}";')
-    for src, dst, d, dp in doc.edges:
+    for src, dst, d, dp in edges:
         lines.append(f'  "{_node_name(src)}" -> "{_node_name(dst)}" '
                      f'[label="{d}|{dp}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-_DOT_EDGE = re.compile(r'^\s*"([^"]+)"\s*->\s*"([^"]+)"\s*'
-                       r'\[label="(\d+)\|(\d+)"\]\s*;\s*$')
-_DOT_NODE = re.compile(r'^\s*"([^"]+)"\s*;\s*$')
-
-
-def _parse_vec(name: str) -> Vec:
-    return tuple(int(x) for x in name.split(","))
-
-
-def parse_dot(text: str) -> GraphDocument:
-    vertices = set()
-    edges = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped in ("digraph {", "}", ""):
-            continue
-        m = _DOT_EDGE.match(line)
-        if m:
-            src, dst = _parse_vec(m.group(1)), _parse_vec(m.group(2))
-            vertices.update((src, dst))
-            edges.append((src, dst, int(m.group(3)), int(m.group(4))))
-            continue
-        m = _DOT_NODE.match(line)
-        if m:
-            vertices.add(_parse_vec(m.group(1)))
-            continue
-        raise ValueError(f"unparseable DOT line: {line!r}")
-    return GraphDocument(tuple(sorted(vertices)), tuple(sorted(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +405,6 @@ def json_text(payload) -> str:
 def render(doc, fmt: str) -> str:
     """Render a document to text; raises ValueError on incompatible pairs."""
     if isinstance(doc, BoundaryGraph):
-        doc = graph_document(doc)
-    if isinstance(doc, GraphDocument):
         if fmt == "dot":
             return to_dot(doc)
         raise ValueError(f"graphs cannot be rendered as {fmt}")
@@ -479,8 +415,6 @@ def render(doc, fmt: str) -> str:
     if isinstance(doc, (list, tuple)) and doc and isinstance(doc[0], SweepRecord):
         if fmt == "csv":
             return sweep_csv(doc)
-        if fmt == "json":
-            return json_text([r.__dict__ for r in doc])
         raise ValueError(f"sweep records cannot be rendered as {fmt}")
     if isinstance(doc, dict):
         if fmt == "json":

@@ -85,15 +85,6 @@ class BoundaryGraph:
             out.append(tuple(masks.items()))
         return verts, bit, out
 
-    @property
-    def is_sink_free(self) -> bool:
-        return all(self._out[v] for v in self.vertices)
-
-    def symmetry_defects(self) -> tuple[LabeledEdge, ...]:
-        """Edges whose mirror image -src ->(d'|d) -dst is absent."""
-        have = set(self.edges)
-        return tuple(e for e in self.edges if e.mirrored() not in have)
-
 
 def _digit_diff_pairs(digits):
     pairs: dict[Vec, list[tuple[Vec, Vec]]] = {}
@@ -250,7 +241,6 @@ class ContactSet:
     """Predecessor-closed, walk-reduced translation set around the origin."""
 
     points: tuple[Vec, ...]
-    basis_used: tuple[Vec, ...]
     rounds: int
 
     def __post_init__(self):
@@ -303,7 +293,7 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
         raise RoundLimitError(f"contact stage: iteration exceeded {MAX_ROUNDS} "
                               f"rounds with {len(pts)} points")
     alive = _walk_alive(pts, matrix, diffs)
-    return ContactSet(tuple(sorted(alive)), basis, rounds)
+    return ContactSet(tuple(sorted(alive)), rounds)
 
 
 @dataclass(frozen=True)

@@ -97,10 +97,6 @@ class IntMatrix:
     def size(self) -> int:
         return len(self.rows)
 
-    @staticmethod
-    def identity(m: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(m)) for i in range(m)))
-
     def mul_vec(self, v: Vec) -> Vec:
         if len(v) != self.size:
             raise ValueError("dimension mismatch")

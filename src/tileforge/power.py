@@ -142,21 +142,6 @@ class PowerGraph:
     def has_vertex(self, v: VertexSet) -> bool:
         return v in self._vertex_set
 
-    def symmetry_defects(self) -> tuple:
-        """Edges whose mirror -src ->(reversed digit) -dst is absent.
-
-        The digit reversal pairs digits[i] with digits[-1-i]; meaningful for
-        collinear digit sets ordered along their direction.
-        """
-        index = {d: i for i, d in enumerate(self.digits)}
-        have = set(self.edges)
-        bad = []
-        for src, d, dst in self.edges:
-            mirror_d = self.digits[len(self.digits) - 1 - index[d]]
-            if (negated(src), mirror_d, negated(dst)) not in have:
-                bad.append((src, d, dst))
-        return tuple(bad)
-
 
 def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     """Every (src, d, dst) between the given vertex sets, sorted by vertex

@@ -408,6 +408,62 @@ def test_degenerate_basis_is_rejected_first(basis, message, monkeypatch,
     assert message in capsys.readouterr().err
 
 
+DIGITS_124 = [[i, 0, 0] for i in range(4)]
+
+
+def _with_entry(rows, i, j, value):
+    rows = [list(r) for r in rows]
+    rows[i][j] = value
+    return rows
+
+
+@pytest.mark.parametrize("entry", [1.7, -4.9, True, "1"])
+@pytest.mark.parametrize("source", ["matrix file", "digits file", "--basis"])
+def test_non_integer_json_entries_are_rejected_first(
+        source, entry, tmp_path, monkeypatch, capsys):
+    # int() would make 1.7, -4.9 and true into 1, -4 and 1, and answer for
+    # another system; a string leaked int()'s own message.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fixpoint ran before the input was validated")
+
+    monkeypatch.setattr(cli, "analysis_for", forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
+    matrix, digits = FAMILY_124, DIGITS_124
+    basis = [[1, 0, 0], [1, 1, 0], [2, 1, 1]]
+    if source == "matrix file":
+        matrix = _with_entry(matrix, 0, 2, entry)
+    elif source == "digits file":
+        digits = _with_entry(digits, 1, 0, entry)
+    else:
+        basis = _with_entry(basis, 2, 0, entry)
+    argv = (["analyze"] + _write_system(tmp_path, matrix, digits)
+            + ["--basis", json.dumps(basis)])
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: {source} must be a JSON list of integer vectors\n")
+
+
+def test_basis_that_is_not_json_names_the_flag(capsys):
+    assert cli.main(["analyze", "--abc", "1,2,4", "--basis", "notjson"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: --basis is not valid JSON: Expecting value")
+
+
+def test_abc_that_is_not_integers_names_the_flag(capsys):
+    assert cli.main(["analyze", "--abc", "1,2.5,4"]) == 2
+    assert capsys.readouterr().err == (
+        "error: --abc expects integers A,B,C, got '1,2.5,4'\n")
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", "1e6"])
+def test_malformed_cap_variable_is_input_error(value, monkeypatch, capsys):
+    monkeypatch.setenv("TILEFORGE_CAP_POINTS", value)
+    assert cli.main(["render", "--abc", "1,2,4", "--depth", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: TILEFORGE_CAP_POINTS must be a nonnegative integer, "
+        f"got {value!r}\n")
+
+
 def test_non_expanding_matrix_exits_instead_of_hanging(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
     argv = ["analyze"] + _write_system(tmp_path, IDENTITY, [[0, 0, 0]])

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -12,19 +13,16 @@ import tileforge
 from tileforge import cli, geometry_io
 from tileforge.analysis import analysis_for
 from tileforge.family import sweep
-from tileforge.graphs import BoundaryGraph
+from tileforge.graphs import BoundaryGraph, LabeledEdge
 from tileforge.geometry_io import (
-    GraphDocument,
     PointCloud,
     approximate_boundary_piece,
     approximate_tile,
     attractor_radius,
     boundary_point_count,
     export,
-    graph_document,
     json_text,
     merge_clouds,
-    parse_dot,
     render,
     to_dot,
 )
@@ -70,14 +68,15 @@ def test_tile_points_stay_inside_reported_radius():
     M, digits = system_124()
     cloud = approximate_tile(M, digits, 4)
     assert cloud.bound > 0
-    for row in cloud.float_rows():
+    for row in chain.from_iterable(zip(*b) for b in cloud.points.float_blocks()):
         assert max(abs(x) for x in row) <= cloud.bound + 1e-9
 
 
-def test_tile_cap_rejects_large_enumerations():
+def test_tile_cap_rejects_large_enumerations(monkeypatch):
     M, digits = system_124()
+    monkeypatch.setenv("TILEFORGE_CAP_POINTS", "100")
     with pytest.raises(ValueError):
-        approximate_tile(M, digits, 4, cap=100)
+        approximate_tile(M, digits, 4)
 
 
 def test_cap_env_override(monkeypatch):
@@ -100,7 +99,7 @@ def test_tile_rejects_non_expanding_matrix():
 def test_boundary_piece_single_walk_from_far_corner():
     t = analysis_for((1, 2, 4))
     cloud = approximate_boundary_piece(t, (2, 1, 1), 1)
-    assert cloud.points == ((Fraction(0), Fraction(0), Fraction(0)),)
+    assert list(cloud.points) == [(Fraction(0), Fraction(0), Fraction(0))]
     assert cloud.tags is not None and len(cloud.tags) == 1
 
 
@@ -188,26 +187,33 @@ def test_radius_estimate_is_finite_and_positive():
     assert 0 < r < 100
 
 
+def dot_name(v):
+    return ",".join(map(str, v))
+
+
 def test_contact_graph_dot_round_trip():
+    # Every vertex and every edge once, sorted, with digit-index labels.
     t = analysis_for((1, 2, 4))
-    doc = graph_document(t.contact_graph)
-    assert len(doc.vertices) == 14
-    text = to_dot(doc)
+    g = t.contact_graph
+    assert len(g.vertices) == 14
+    text = to_dot(g)
     assert '"2,1,1"' in text
-    assert text.startswith("digraph {\n")
-    assert parse_dot(text) == doc
+    assert text.startswith("digraph {\n") and text.endswith("\n}\n")
+    index = {d: i for i, d in enumerate(g.digits)}
+    edges = sorted((e.src, e.dst, index[e.d], index[e.d_prime])
+                   for e in g.edges)
+    assert text.splitlines()[1:-1] == (
+        [f'  "{dot_name(v)}";' for v in sorted(g.vertices)]
+        + [f'  "{dot_name(a)}" -> "{dot_name(b)}" [label="{d}|{dp}"];'
+           for a, b, d, dp in edges])
 
 
 def test_dot_keeps_isolated_vertices():
-    doc = GraphDocument(((0, 0, 1), (5, 5, 5)), (((0, 0, 1), (0, 0, 1), 0, 0),))
-    text = to_dot(doc)
-    assert '"5,5,5";' in text
-    assert parse_dot(text) == doc
-
-
-def test_dot_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_dot('digraph {\n  what is this\n}\n')
+    M, digits = system_124()
+    loop = LabeledEdge((0, 0, 1), (0, 0, 1), digits[0], digits[0])
+    g = BoundaryGraph(((0, 0, 1), (5, 5, 5)), (loop,), M, digits)
+    assert to_dot(g) == ('digraph {\n  "0,0,1";\n  "5,5,5";\n'
+                         '  "0,0,1" -> "0,0,1" [label="0|0"];\n}\n')
 
 
 def test_ply_header_counts_vertices():
@@ -342,7 +348,9 @@ def test_integer_rows_equal_fraction_sums(system):
     expected = fraction_tile(matrix, digits, depth)
     assert cloud.points.denominator == abs(matrix.det) ** depth
     assert list(cloud.points) == expected
-    assert list(cloud.float_rows()) == [tuple(map(float, p)) for p in expected]
+    assert list(chain.from_iterable(
+        zip(*b) for b in cloud.points.float_blocks())) == [
+            tuple(map(float, p)) for p in expected]
 
 
 @pytest.mark.parametrize("abc", [(1, 1, 4), (1, 2, 4), (2, 3, 5)])
@@ -427,7 +435,8 @@ def test_streamed_cloud_json_equals_json_text_of_payload():
             "source": cloud.source,
             "depth": cloud.depth,
             "bound": cloud.bound,
-            "points": [list(p) for p in cloud.float_rows()],
+            "points": [list(p) for p in chain.from_iterable(
+                zip(*b) for b in cloud.points.float_blocks())],
         }
         if cloud.tags is not None:
             payload["tags"] = list(cloud.tags)
