@@ -2,9 +2,9 @@
 
 A TileAnalysis owns the exact pipeline for one validated system (M, D) and
 contact seed basis: contact set, neighbor set, the boundary graph on the
-neighbors, and the level graphs.  Family members are contexts that also
-carry their (A, B, C) triple.  Audits and exports share one context so the
-expensive structures are computed once.
+neighbors, and the level graphs.  A context reads its (A, B, C) family
+member, if it is one, off (M, D).  Audits and exports share one context so
+the expensive structures are computed once.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .graphs import (
 from .lattice import (
     IntMatrix,
     Vec,
+    char_poly,
     companion_form,
     is_complete_residue_system,
     is_expanding,
@@ -129,15 +130,13 @@ class TileAnalysis:
     """Lazily computed exact structures for one validated system.
 
     basis None seeds the contact set with the default basis read off the
-    characteristic polynomial; triple names the family member the system
-    belongs to, if any.  The constructor validates and computes nothing else.
+    characteristic polynomial.  The constructor validates and computes
+    nothing else.
     """
 
-    def __init__(self, matrix: IntMatrix, digits, basis=None,
-                 triple: AbcTriple | None = None):
+    def __init__(self, matrix: IntMatrix, digits, basis=None):
         check_system(matrix, digits, basis)
-        self.matrix, self.digits = matrix, digits
-        self.basis, self.triple = basis, triple
+        self.matrix, self.digits, self.basis = matrix, digits, basis
         self._levels: dict[int, PowerGraph] = {}
         self._walks: dict[VertexSet, DigitWord] = {}
         # The memos of topology.hata_graph: the canonical piece of each
@@ -145,6 +144,19 @@ class TileAnalysis:
         # keyed by (vertex, offset, vertex).
         self.pieces: dict = {}
         self.links: dict = {}
+
+    @cached_property
+    def triple(self) -> AbcTriple | None:
+        """The family member this system is, if any: M is the companion
+        matrix of x^3 + A x^2 + B x + C with 1 <= A <= B < C, and D, taken
+        as a set, is {(i, 0, 0) : 0 <= i < C}."""
+        _, *abc = char_poly(self.matrix)
+        if len(abc) == 3 and 1 <= abc[0] <= abc[1] < abc[2]:
+            triple = AbcTriple(*abc)
+            m, d = triple.system()
+            if m == self.matrix and set(d) == set(self.digits):
+                return triple
+        return None
 
     @cached_property
     def contact(self) -> ContactSet:
@@ -205,9 +217,8 @@ CONTEXT_CACHE_SIZE = 16
 
 
 @lru_cache(maxsize=CONTEXT_CACHE_SIZE)
-def _analysis_cached(a: int, b: int, c: int) -> TileAnalysis:
-    triple = AbcTriple(a, b, c)
-    return TileAnalysis(*triple.system(), triple=triple)
+def _analysis_cached(triple: AbcTriple) -> TileAnalysis:
+    return TileAnalysis(*triple.system())
 
 
 def analysis_for(obj) -> TileAnalysis:
@@ -216,5 +227,4 @@ def analysis_for(obj) -> TileAnalysis:
     recently used."""
     if isinstance(obj, TileAnalysis):
         return obj
-    triple = as_triple(obj)
-    return _analysis_cached(triple.A, triple.B, triple.C)
+    return _analysis_cached(as_triple(obj))

@@ -9,7 +9,6 @@ import sys
 from .analysis import (
     AbcTriple,
     TileAnalysis,
-    analysis_for,
     check_basis,
     check_system,
 )
@@ -58,20 +57,16 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
     if args.abc and args.digits:
         raise ValueError("--digits requires --matrix")
     if args.abc:
-        triple = _parse_abc(args.abc)
-        if not basis_text:
-            return analysis_for(triple)
-        matrix, digits = triple.system()
+        matrix, digits = _parse_abc(args.abc).system()
     elif not args.digits:
         raise ValueError("--matrix requires --digits")
     else:
-        triple = None
         matrix = IntMatrix(_int_vectors(_load_json(args.matrix, "matrix"),
                                         "matrix file"))
         digits = _int_vectors(_load_json(args.digits, "digits"),
                               "digits file")
     if not basis_text:
-        return TileAnalysis(matrix, digits, None, triple)
+        return TileAnalysis(matrix, digits)
     try:
         basis = _int_vectors(json.loads(basis_text), "--basis")
     except json.JSONDecodeError as exc:
@@ -81,7 +76,7 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
         check_basis(basis, matrix.size)
     except ValueError as exc:
         raise ValueError(f"--{exc}") from None
-    return TileAnalysis(matrix, digits, basis, triple)
+    return TileAnalysis(matrix, digits, basis)
 
 
 def _int_vectors(value, what: str):

@@ -213,10 +213,9 @@ def audit_failures(ctx, k_max: int = 1) -> dict[str, str | None]:
 
 
 def audit_report(ctx, k_max: int = 1) -> dict:
-    """JSON-ready report of one context.  A family member on its default
-    basis adds neighbor_count and, with 14 predicted and computed neighbors,
-    the census and the audits (loops to depth k_max); elsewhere audit_pass
-    is None."""
+    """JSON-ready report of one context.  A family member adds its triple and
+    neighbor_count and, with 14 neighbors, the census and the audits (loops
+    to depth k_max); elsewhere audit_pass is None."""
     t = analysis_for(ctx)
     triple = t.triple
     s_count = len(t.neighbors.points)
@@ -237,18 +236,17 @@ def audit_report(ctx, k_max: int = 1) -> dict:
     if triple is None:
         return report
     report["triple"] = [triple.A, triple.B, triple.C]
-    if t.basis is None:
-        report["neighbor_count"] = s_count
-        if report["predicted_14"] and s_count == 14:
-            c = census(t)
-            report["census"] = {
-                "faces": c.faces, "edges": c.edges, "points": c.points,
-                "euler": c.euler, "degree_sequence": list(c.degree_sequence),
-            }
-            failures = audit_failures(t, k_max)
-            report["audits"] = {k: "ok" if v is None else v
-                                for k, v in failures.items()}
-            report["audit_pass"] = all(v is None for v in failures.values())
+    report["neighbor_count"] = s_count
+    if s_count == 14:
+        c = census(t)
+        report["census"] = {
+            "faces": c.faces, "edges": c.edges, "points": c.points,
+            "euler": c.euler, "degree_sequence": list(c.degree_sequence),
+        }
+        failures = audit_failures(t, k_max)
+        report["audits"] = {k: "ok" if v is None else v
+                            for k, v in failures.items()}
+        report["audit_pass"] = all(v is None for v in failures.values())
     return report
 
 

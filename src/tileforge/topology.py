@@ -430,14 +430,14 @@ def bing_audit(ctx, k_max: int = 4) -> BingReport:
     """Loops are circular chains, face equations meet adjacent-only, and the
     fixed face order gives nonempty connected attachment sets.
 
-    ctx is a family triple or a context of a family member on its default
-    basis: the face order is read off the triple.
+    ctx is a family triple or a context of a family member: the face order
+    is read off the triple.
     """
     _check_loop_depth(k_max)
     t = analysis_for(ctx)
     triple = t.triple
-    if triple is None or t.basis is not None:
-        raise ValueError("audit needs a family member on its default basis")
+    if triple is None:
+        raise ValueError("audit needs a family member")
     if not predicts_14(triple):
         raise ValueError("audit requires a 14-neighbor family member")
     messages = []

@@ -4,15 +4,20 @@ import pytest
 
 import tileforge
 from tileforge import analysis
-from tileforge.analysis import CONTEXT_CACHE_SIZE, TileAnalysis, analysis_for
-from tileforge.family import sweep
+from tileforge.analysis import (
+    CONTEXT_CACHE_SIZE,
+    AbcTriple,
+    TileAnalysis,
+    analysis_for,
+)
+from tileforge.family import family_triples, sweep
 from tileforge.lattice import IntMatrix, companion_form
 
 
 def test_general_context_matches_family_context():
     general = TileAnalysis(*companion_form([1, 1, 2, 4]))
     family = analysis_for((1, 2, 4))
-    assert general.triple is None and general.basis is None
+    assert general.triple == AbcTriple(1, 2, 4) and general.basis is None
     assert general.contact.points == family.contact.points
     assert general.contact.rounds == family.contact.rounds
     assert general.neighbors.points == family.neighbors.points
@@ -24,10 +29,50 @@ def test_general_context_matches_family_context():
 def test_explicit_basis_context_keeps_its_triple():
     family = analysis_for((1, 2, 4))
     t = TileAnalysis(family.matrix, family.digits,
-                     ((1, 0, 0), (1, 1, 0), (2, 1, 1)), family.triple)
+                     ((1, 0, 0), (1, 1, 0), (2, 1, 1)))
     assert analysis_for(t) is t
     assert t.triple == family.triple
     assert t.neighbors.points == family.neighbors.points
+
+
+def forbid_fixpoints(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fixpoint ran")
+
+    for name in ("contact_set", "neighbor_set", "power_graph"):
+        monkeypatch.setattr(analysis, name, forbidden)
+
+
+def test_every_family_system_gives_back_its_triple(monkeypatch):
+    forbid_fixpoints(monkeypatch)
+    triples = [AbcTriple(*abc) for abc in family_triples(12, 12, 12)]
+    assert len(triples) == 286
+    for t in triples:
+        assert TileAnalysis(*t.system()).triple == t
+
+
+def test_triple_ignores_the_digit_order(monkeypatch):
+    forbid_fixpoints(monkeypatch)
+    m, d = companion_form([1, 3, 4, 10])
+    assert TileAnalysis(m, d[::-1]).triple == AbcTriple(3, 4, 10)
+    assert TileAnalysis(m, d[1::2] + d[::2]).triple == AbcTriple(3, 4, 10)
+
+
+def test_triple_is_none_off_the_family(monkeypatch):
+    forbid_fixpoints(monkeypatch)
+    # U^-1 M U with U^-1 D is (1,2,4)'s tile in another frame, which the
+    # rule does not undo.  U fixes e1, so U^-1 D = D and only M differs.
+    m, d = companion_form([1, 1, 2, 4])
+    u = IntMatrix(((1, 0, 0), (0, 1, 0), (0, 1, 1)))
+    u_inv = IntMatrix(((1, 0, 0), (0, 1, 0), (0, -1, 1)))
+    conjugate = TileAnalysis(u_inv @ m @ u, tuple(map(u_inv.mul_vec, d)))
+    assert conjugate.digits == d and conjugate.matrix != m
+    assert conjugate.triple is None
+    # The companion matrix with another complete residue system of digits.
+    shifted = tuple((i, 0, 0) for i in range(-1, 3))
+    assert TileAnalysis(m, shifted).triple is None
+    # x^3 - 2x + 3 has companion digits, but A = 0 lies outside the family.
+    assert TileAnalysis(*companion_form([1, 0, -2, 3])).triple is None
 
 
 M_124, D_124 = companion_form([1, 1, 2, 4])
@@ -62,12 +107,20 @@ def test_library_basis_errors_name_no_flag():
     assert str(exc.value) == "basis needs 3 vectors of length 3"
 
 
+def _family_contexts():
+    gc.collect()
+    return [o for o in gc.get_objects()
+            if isinstance(o, TileAnalysis) and o.triple is not None]
+
+
 def test_family_contexts_stay_bounded_after_a_sweep():
+    # Count only the contexts the sweep left alive: one that an earlier test
+    # holds, such as the last boundary render's, is not the sweep's.
+    before = _family_contexts()
     records = sweep(12, 12, 12)
     assert len(records) == 286
-    gc.collect()
-    alive = [o for o in gc.get_objects()
-             if isinstance(o, TileAnalysis) and o.triple is not None]
+    kept = {id(o) for o in before}
+    alive = [o for o in _family_contexts() if id(o) not in kept]
     assert len(alive) <= CONTEXT_CACHE_SIZE
 
 

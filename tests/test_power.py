@@ -546,7 +546,7 @@ def test_level2_meets_each_pair_of_successors_once(monkeypatch):
 def test_digit_differences_are_built_once_per_digit_set():
     # The contact, neighbor and level-2 stages of a context share one D - D.
     digit_differences.cache_clear()
-    t = TileAnalysis(*AbcTriple(1, 2, 4).system(), triple=AbcTriple(1, 2, 4))
+    t = TileAnalysis(*AbcTriple(1, 2, 4).system())
     assert len(t.level(2).vertices) == 36
     info = digit_differences.cache_info()
     assert (info.misses, info.hits) == (1, 2)
@@ -685,7 +685,7 @@ def test_resumed_levels_match_restarted_oracle_in_any_order(abc, top):
     want = {k: oracle_restart_power_graph(base, k).vertices
             for k in range(1, top + 1)}
     for order in itertools.permutations(range(1, top + 1)):
-        t = TileAnalysis(*AbcTriple(*abc).system(), triple=AbcTriple(*abc))
+        t = TileAnalysis(*AbcTriple(*abc).system())
         for k in order:
             assert t.level(k).vertices == want[k], (order, k)
 

@@ -229,12 +229,16 @@ def test_bing_audit_takes_a_family_context():
         (1, 2, 4), k_max=1)
 
 
-@pytest.mark.parametrize("basis,triple", [
-    (None, None), (((1, 0, 0), (1, 1, 0), (2, 1, 1)), AbcTriple(1, 2, 4))])
-def test_bing_audit_rejects_contexts_off_the_default_family_basis(basis,
-                                                                  triple):
-    t = TileAnalysis(*companion_form([1, 1, 2, 4]), basis, triple)
-    with pytest.raises(ValueError, match="family member on its default basis"):
+@pytest.mark.parametrize("basis", [None, ((1, 0, 0), (1, 1, 0), (2, 1, 1))])
+def test_bing_audit_reads_the_family_member_off_any_spelling(basis):
+    t = TileAnalysis(*companion_form([1, 1, 2, 4]), basis)
+    assert bing_audit(t, k_max=1) == bing_audit((1, 2, 4), k_max=1)
+
+
+def test_bing_audit_rejects_a_system_outside_the_family():
+    # x^3 - 2x + 3 has 14 neighbours, but no family triple to order faces by.
+    t = TileAnalysis(*companion_form([1, 0, -2, 3]))
+    with pytest.raises(ValueError, match="audit needs a family member"):
         bing_audit(t, k_max=1)
 
 
@@ -470,8 +474,7 @@ def test_links_are_decided_once_and_only_at_neighbor_offsets(monkeypatch):
         return real(beta1, a1, beta2, a2, is_vertex)
 
     monkeypatch.setattr(analysis, "intersection_vertex", recording)
-    triple = AbcTriple(2, 3, 5)
-    t = TileAnalysis(*triple.system(), triple=triple)
+    t = TileAnalysis(*AbcTriple(2, 3, 5).system())
     assert successor_paths_failure(t) is None
     assert loop_chains_failure(t) is None
     decided = len(calls)
@@ -555,8 +558,7 @@ def test_walk_is_found_once_per_vertex_and_failures_are_not_kept(
         return real(graph, vertex)
 
     monkeypatch.setattr(analysis, "unique_walk", recording)
-    triple = AbcTriple(1, 2, 4)
-    t = TileAnalysis(*triple.system(), triple=triple)
+    t = TileAnalysis(*AbcTriple(1, 2, 4).system())
     assert four_fold_failure(t) is None
     assert walk_points_failure(t) is None
     assert sorted(calls) == sorted(t.level(3).vertices)
