@@ -111,32 +111,38 @@ def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
     return BoundaryGraph(tuple(pts), tuple(sorted(edges)), matrix, digits)
 
 
-def prune_sinks(succ) -> set:
+def prune_sinks(succ) -> list[int]:
     """Vertices of the largest subgraph in which every vertex keeps a successor.
 
-    succ maps every vertex to its distinct successors, all of them keys of
-    succ.  A vertex survives exactly when an infinite walk starts at it.
+    succ[i] lists the successors of vertex i, each an index below len(succ).
+    A vertex survives exactly when an infinite walk starts at it; the
+    survivors come back as indices, in increasing order.
     """
-    preds: dict = {v: [] for v in succ}
-    for v, out in succ.items():
+    n = len(succ)
+    preds: list[list[int]] = [[] for _ in range(n)]
+    for v, out in enumerate(succ):
         for w in out:
             preds[w].append(v)
-    left = {v: len(out) for v, out in succ.items()}
-    queue = [v for v, n in left.items() if not n]
-    dead = set(queue)
+    left = list(map(len, succ))
+    queue = [v for v in range(n) if not left[v]]
+    dead = bytearray(n)
+    for v in queue:
+        dead[v] = 1
     while queue:
         for p in preds[queue.pop()]:
-            if p not in dead:
+            if not dead[p]:
                 left[p] -= 1
                 if not left[p]:
-                    dead.add(p)
+                    dead[p] = 1
                     queue.append(p)
-    return succ.keys() - dead
+    return [v for v in range(n) if not dead[v]]
 
 
 def reduce(graph: BoundaryGraph) -> BoundaryGraph:
     """Largest subgraph in which every vertex keeps an outgoing edge."""
-    alive = prune_sinks({v: {e.dst for e in out} for v, out in graph._out.items()})
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    alive = {graph.vertices[i] for i in prune_sinks(
+        [{index[e.dst] for e in graph._out[v]} for v in graph.vertices])}
     if len(alive) == len(graph.vertices):
         return graph
     kept = tuple(e for e in graph.edges if e.src in alive and e.dst in alive)
@@ -195,33 +201,42 @@ def _packing(matrix: IntMatrix, r: int, diffs):
     return pack, image, [pack(d) for d in diffs], unpack
 
 
-def _packed_successors(points, matrix: IntMatrix, diffs):
-    """successor_map on packed vectors: (index, succ) where index maps the
-    pack of each point back to it and succ maps packs to successor packs."""
+def _alive_packs(images: dict, packed_diffs) -> list[int]:
+    """The packs a among the keys of images, which maps a to the pack of
+    M a, from which an infinite walk of a -> M a + delta within the keys
+    starts, delta running over the packed differences."""
+    packs = list(images)
+    index = {x: i for i, x in enumerate(packs)}
+    get = index.get
+    succ = [[j for d in packed_diffs if (j := get(m + d)) is not None]
+            for m in images.values()]
+    return [packs[i] for i in prune_sinks(succ)]
+
+
+def _packed_images(points, matrix: IntMatrix, diffs):
+    """(index, images, packed diffs): index maps the pack of each point
+    back to it, and images maps it to the pack of M times the point."""
     pts = set(points)
     if not pts:
-        return {}, {}
+        return {}, {}, []
     pack, image, packed_diffs, _ = _packing(matrix, _max_abs(pts), diffs)
     index = {pack(p): p for p in pts}
-    keys = index.keys()
-    succ = {}
-    for packed, p in index.items():
-        m = image(p)
-        succ[packed] = keys & [m + d for d in packed_diffs]
-    return index, succ
+    return index, {x: image(p) for x, p in index.items()}, packed_diffs
 
 
 def successor_map(points, matrix: IntMatrix, diffs) -> dict[Vec, set[Vec]]:
     """a -> {M a + delta : delta in diffs} within points; with diffs = D - D
     these are the edges of build_graph(points) without their labels."""
-    index, succ = _packed_successors(points, matrix, diffs)
-    return {index[a]: {index[b] for b in out} for a, out in succ.items()}
+    index, images, packed_diffs = _packed_images(points, matrix, diffs)
+    keys = index.keys()
+    return {index[a]: {index[b] for b in keys & [m + d for d in packed_diffs]}
+            for a, m in images.items()}
 
 
 def _walk_alive(points, matrix: IntMatrix, diffs) -> set[Vec]:
     """The points from which an infinite walk of successor_map starts."""
-    index, succ = _packed_successors(points, matrix, diffs)
-    return {index[a] for a in prune_sinks(succ)}
+    index, images, packed_diffs = _packed_images(points, matrix, diffs)
+    return {index[a] for a in _alive_packs(images, packed_diffs)}
 
 
 def minkowski_sum(left, right) -> set[Vec]:
@@ -329,9 +344,7 @@ def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
         sums = {pa + pb: ma + mb
                 for pa, ma in [(pack(a), image(a)) for a in current]
                 for pb, mb in right}
-        keys = sums.keys()
-        nxt = {unpack(x) for x in prune_sinks(
-            {x: keys & [m + d for d in packed_diffs] for x, m in sums.items()})}
+        nxt = set(map(unpack, _alive_packs(sums, packed_diffs)))
         if nxt == current:
             break
         current = nxt

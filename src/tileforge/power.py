@@ -19,6 +19,7 @@ from operator import mul
 
 from .graphs import (
     BoundaryGraph,
+    _alive_packs,
     _max_abs,
     _packing,
     digit_differences,
@@ -107,6 +108,22 @@ def _candidates(alive: set[int]) -> set[int]:
     return out
 
 
+def _survivors(out, cand) -> set[int]:
+    """The candidate masks from which an infinite walk starts, each step
+    going to a k-bit image (see _images) that is itself a candidate.
+
+    The candidates are numbered 0..n-1 through one lookup, the walk runs on
+    those numbers, and only the survivors become masks again.
+    """
+    cand = list(cand)
+    index = {m: i for i, m in enumerate(cand)}
+    get = index.get
+    succ = [tuple([j for s in _images(out, m) if (j := get(s)) is not None])
+            for m in cand]
+    del index, get  # the lookup is not needed while the walk is pruned
+    return {cand[i] for i in prune_sinks(succ)}
+
+
 @dataclass(frozen=True)
 class PowerGraph:
     """Immutable level graph; edges are (src, left digit, dst).
@@ -184,9 +201,7 @@ def _pairs(base: BoundaryGraph, alive: set[int]) -> set[int]:
     packed = [(pack(v), image(v), bit[v]) for v in members]
     diffs = {pb - pa: ib - ia for pa, ia, _ in packed
              for pb, ib, _ in packed if pa != pb}
-    keys = diffs.keys()
-    live = prune_sinks({c: keys & [m + d for d in packed_diffs]
-                        for c, m in diffs.items()})
+    live = _alive_packs(diffs, packed_diffs)
     at = {p: b for p, _, b in packed}
     return {b | at[p + c] for p, _, b in packed for c in live if p + c in at}
 
@@ -195,8 +210,9 @@ def power_graph(base: BoundaryGraph, level: int,
                 start: PowerGraph | None = None) -> PowerGraph:
     """Level graph on size-`level` subsets of the base graph's vertex set.
 
-    The fixpoint runs on int bitmasks over the sorted base vertices and
-    keeps no labels; the returned graph labels its edges when they are read.
+    The fixpoint runs on int bitmasks over the sorted base vertices, each
+    level's candidates numbered 0..n-1 (see _survivors), and keeps no
+    labels; the returned graph labels its edges when they are read.
     start, a lower level graph of the same base, resumes the fixpoint from
     its vertices instead of from level 1.  Level 2 takes its candidates from
     _pairs, which needs every base edge to satisfy dst = M src + d' - d, as
@@ -215,18 +231,17 @@ def power_graph(base: BoundaryGraph, level: int,
     origin = bit.get((0,) * base.matrix.size, 0)
     for k in range(first, level + 1):
         if alive is None:
-            cand = set(bit.values())
+            alive = _survivors(out, bit.values())
         elif k == 2:
             if origin in alive and len(alive) > 1:
                 raise ValueError("vertex set must not contain the origin")
-            cand = _pairs(base, alive)
+            alive = _survivors(out, _pairs(base, alive))
         else:
-            cand = _candidates(alive)
-        alive = prune_sinks({m: cand.intersection(_images(out, m))
-                             for m in cand})
+            alive = _survivors(out, _candidates(alive))
 
-    vertices = tuple(tuple(verts[i] for i in ix)
-                     for ix in sorted(map(_bit_indices, alive)))
+    # verts is sorted, so sorting the vertex sets sorts their bit indices.
+    vertices = tuple(sorted(tuple(verts[i] for i in _bit_indices(m))
+                            for m in alive))
     return PowerGraph(level, vertices, base.matrix, base.digits, base)
 
 

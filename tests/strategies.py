@@ -1,7 +1,13 @@
-"""Hypothesis strategies shared by several test modules."""
+"""Hypothesis strategies, oracles and a memory probe shared by several
+test modules."""
+
+import os
+import subprocess
+import sys
 
 from hypothesis import assume, strategies as st
 
+import tileforge
 from tileforge.lattice import IntMatrix, companion_form, is_expanding
 
 
@@ -24,3 +30,36 @@ def expanding_systems(draw):
     digits = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
                            min_size=1, max_size=4, unique=True))
     return matrix, tuple(digits), draw(st.integers(1, 3))
+
+
+def walk_alive_oracle(succ: dict) -> set:
+    """The keys of succ, each mapped to the set of its successors, from
+    which an infinite walk starts: keep the keys with a successor among the
+    kept ones until nothing changes."""
+    alive = set(succ)
+    while True:
+        kept = {v for v in alive if succ[v] & alive}
+        if kept == alive:
+            return alive
+        alive = kept
+
+
+# On Linux, exec starts a process's ru_maxrss at the peak RSS of the process
+# it replaces, so an interpreter started by pytest reads pytest's peak
+# whenever that is larger.  A bare interpreter in between, which only spawns
+# and waits, passes on its own small peak instead.
+SPAWNER = ("import os, sys; "
+           "pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ); "
+           "sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))")
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter that imports this tileforge and
+    inherits no larger ru_maxrss than a bare interpreter; its stdout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWNER, sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

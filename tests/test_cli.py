@@ -10,6 +10,8 @@ import tileforge
 from tileforge import analysis, cli, power
 from tileforge.family import SweepRecord
 
+from strategies import run_fresh
+
 
 def forbid_fixpoints(monkeypatch, forbidden):
     """Make every fixpoint an analysis context can run raise when called."""
@@ -51,6 +53,19 @@ def test_analyze_builds_no_labelled_level_edges(tmp_path, monkeypatch):
     report = json.loads(out.read_text())
     assert report["neighbors"]["count"] == 182
     assert report["levels"] == {"g2": 6873, "g3": None, "g4": None}
+
+
+def test_analyze_memory_rise_stays_under_budget():
+    # The level-2 graph of (11,11,12) has 7,275 candidates and is the peak
+    # of analyze.  Numbered candidates with index-tuple successors raise
+    # ru_maxrss by about 3.4 MB over the imported CLI; a set of successors
+    # per candidate and keyed pruning tables took 6 MB.
+    code = ("import os, resource; import tileforge.cli as cli; "
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "assert cli.main(['analyze', '--abc', '11,11,12', "
+            "'--json', os.devnull]) == 0; "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)")
+    assert int(run_fresh(code).split()[-1]) <= 4.5 * 1024
 
 
 def test_analyze_rejects_invalid_parameters(capsys):

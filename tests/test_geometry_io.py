@@ -1,7 +1,5 @@
 import hashlib
 import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
@@ -9,7 +7,6 @@ from itertools import chain
 import pytest
 from hypothesis import given
 
-import tileforge
 from tileforge import cli, geometry_io
 from tileforge.analysis import analysis_for
 from tileforge.family import sweep
@@ -28,7 +25,7 @@ from tileforge.geometry_io import (
 )
 from tileforge.lattice import Vec, companion_form
 
-from strategies import expanding_systems
+from strategies import expanding_systems, run_fresh
 
 
 def system_124():
@@ -392,16 +389,11 @@ def test_merge_rescales_to_common_denominator():
 
 
 def _peak_rss_kb(depth, fmt="csv"):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
     code = ("import resource, sys; from tileforge.cli import main; "
             f"assert main(['render', '--abc', '1,2,4', '--depth', '{depth}', "
             f"'--{fmt}', {os.devnull!r}]) == 0; "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src),
-                          timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout.split()[-1])
+    return int(run_fresh(code).split()[-1])
 
 
 def test_render_memory_stays_flat_with_depth():

@@ -32,7 +32,7 @@ from tileforge.lattice import (
     vec_sub,
 )
 
-from strategies import expanding_systems
+from strategies import expanding_systems, walk_alive_oracle
 
 
 def setup_tile(a, b, c):
@@ -254,8 +254,39 @@ CLOUD_124 = sorted(minkowski_sum(*[contact_set(*setup_tile(1, 2, 4)).points] * 2
 @given(st.sets(st.sampled_from(CLOUD_124)))
 def test_prune_sinks_keeps_the_vertices_of_reduce(subset):
     m, digits = setup_tile(1, 2, 4)
-    alive = prune_sinks(successor_map(subset, m, digit_differences(digits)))
+    succ = successor_map(subset, m, digit_differences(digits))
+    verts = list(succ)
+    index = {v: i for i, v in enumerate(verts)}
+    alive = {verts[i] for i in prune_sinks([[index[w] for w in succ[v]]
+                                            for v in verts])}
     assert alive == set(reduce(build_graph(subset, m, digits)).vertices)
+
+
+@st.composite
+def digraphs(draw):
+    """Successor lists on 0..n-1, n <= 40: random successor sets, which
+    give empty lists and self-loops, then a chain that ends in a sink, fed
+    by a cycle whose vertices keep their other successors."""
+    n = draw(st.integers(0, 40))
+    if not n:
+        return []
+    succ = [draw(st.sets(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    split = draw(st.integers(1, n))
+    chain, rest = order[:split], order[split:]
+    succ[chain[0]] = set()
+    for a, b in zip(chain[1:], chain):
+        succ[a] = {b}
+    cycle = rest[:draw(st.integers(0, len(rest)))]
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        succ[a] |= {b, chain[-1]}
+    return [tuple(draw(st.permutations(sorted(out)))) for out in succ]
+
+
+@given(digraphs())
+def test_prune_sinks_matches_the_naive_fixpoint(succ):
+    want = walk_alive_oracle({v: set(out) for v, out in enumerate(succ)})
+    assert prune_sinks(succ) == sorted(want)
 
 
 def test_fixpoints_build_no_labeled_graph(monkeypatch):
@@ -312,7 +343,7 @@ def oracle_contact_set(matrix, digits, basis=None) -> ContactSet:
         rounds += 1
     else:
         raise RuntimeError("contact iteration exceeded 64 rounds")
-    alive = prune_sinks(oracle_successor_map(pts, matrix, diffs))
+    alive = walk_alive_oracle(oracle_successor_map(pts, matrix, diffs))
     return ContactSet(tuple(sorted(alive)), rounds)
 
 

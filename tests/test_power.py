@@ -13,7 +13,6 @@ from tileforge.graphs import (
     BoundaryGraph,
     build_graph,
     digit_differences,
-    prune_sinks,
 )
 from tileforge.lattice import (
     IntMatrix,
@@ -35,7 +34,7 @@ from tileforge.power import (
     word_admissible_from,
 )
 
-from strategies import expanding_systems
+from strategies import expanding_systems, walk_alive_oracle
 
 
 def vecs(*points):
@@ -376,7 +375,7 @@ def oracle_power_graph(base: BoundaryGraph, level: int) -> OraclePowerGraph:
                         if dst in succ_sets:
                             edges.add((src, d, dst))
                             succ_sets[src].add(dst)
-        alive = prune_sinks(succ_sets)
+        alive = walk_alive_oracle(succ_sets)
         prev = sorted(alive)
         last_edges = sorted(e for e in edges if e[0] in alive and e[2] in alive)
 
@@ -447,8 +446,9 @@ def test_level_graphs_of_expanding_systems_match_oracle(base):
 
 def test_level2_candidates_are_pairs_whose_difference_walks(monkeypatch):
     # Of the C(182, 2) = 16,471 pairs only 7,275 differ by a translation
-    # that can walk forever, and 6,873 of those survive.  The calls are
-    # level 1, the difference relation, then level 2.
+    # that can walk forever, and 6,873 of those survive.  The level graph's
+    # calls are level 1, then level 2; the difference relation is pruned
+    # in between.
     sizes = []
     real = power.prune_sinks
 
@@ -648,7 +648,7 @@ def oracle_restart_power_graph(base: BoundaryGraph, level: int) -> PowerGraph:
             if k == 2 and origin in alive and len(alive) > 1:
                 raise ValueError("vertex set must not contain the origin")
             cand = oracle_candidates(alive)
-        alive = prune_sinks({
+        alive = walk_alive_oracle({
             m: cand.intersection(itertools.chain.from_iterable(
                 sums for _, sums in oracle_images(succ, live, m)))
             for m in cand})
