@@ -166,8 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="bound on A, B, and C, at least 2 "
                                 "(default 12)")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
-                           help="parallel worker processes, at least 1 "
-                                "(default 1)")
+                           help="processes to run on, this one among "
+                                "them, at least 1 (default 1)")
     sweep_cmd.add_argument("--csv", help="write sweep records here")
     sweep_cmd.set_defaults(func=run_sweep)
 

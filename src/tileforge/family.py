@@ -336,6 +336,10 @@ def _sweep_worker(abc: tuple[int, int, int]) -> SweepRecord:
                            False, f"{type(exc).__name__}: {exc}")
 
 
+def _sweep_chunk(chunk) -> tuple[SweepRecord, ...]:
+    return tuple(_sweep_worker(abc) for abc in chunk)
+
+
 def family_triples(a_max: int, b_max: int, c_max: int):
     """All (A, B, C) with 1 <= A <= B < C inside the box, in order."""
     return tuple((a, b, c)
@@ -348,20 +352,29 @@ def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
           parallelism: int = 1) -> tuple[SweepRecord, ...]:
     """Audit every family member in the box; order is deterministic.
 
-    parallelism bounds the worker processes; no more are started than there
-    are triples, and one runs the sweep in this process.
+    parallelism bounds the processes, this one among them: a pool of
+    min(parallelism, triples) - 1 workers, so never more processes than
+    triples.  With one process the sweep runs here and starts no pool.
+    Otherwise the triples go to the pool in chunks, and this process takes
+    back, from the tail, every chunk that no worker has started yet.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     triples = family_triples(a_max, b_max, c_max)
-    workers = min(parallelism, len(triples))
-    if workers <= 1:
-        return tuple(_sweep_worker(abc) for abc in triples)
+    workers = min(parallelism, len(triples)) - 1
+    if workers < 1:
+        return _sweep_chunk(triples)
     # Imported here, so that runs that start no pool do not pay for it.
     from concurrent.futures import ProcessPoolExecutor
 
+    chunks = [triples[i:i + 4] for i in range(0, len(triples), 4)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(_sweep_worker, triples, chunksize=4))
+        futures = [pool.submit(_sweep_chunk, chunk) for chunk in chunks]
+        # The costliest members come last, so this process starts on them.
+        taken = {i: _sweep_chunk(chunks[i])
+                 for i in reversed(range(len(chunks))) if futures[i].cancel()}
+        return tuple(r for i, f in enumerate(futures)
+                     for r in (taken[i] if i in taken else f.result()))
 
 
 def disagreements(records) -> tuple[SweepRecord, ...]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -245,6 +246,28 @@ def test_sweep_csv_independent_of_jobs(tmp_path):
     assert cli.main(["sweep", "--max", "5", "--csv", str(one)]) == 0
     assert cli.main(["sweep", "--max", "5", "--jobs", "2",
                      "--csv", str(two)]) == 0
+    assert one.read_bytes() == two.read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="counts the forks of the fork start method")
+def test_sweep_jobs_counts_the_calling_process(tmp_path):
+    # --jobs 2 is this process and one forked worker.
+    one, two = tmp_path / "one.csv", tmp_path / "two.csv"
+    out = run_fresh("\n".join([
+        "import os",
+        "from tileforge import cli",
+        f"assert cli.main(['sweep', '--max', '4', '--csv', {str(one)!r}]) == 0",
+        "forks = []",
+        "fork = os.fork",
+        "def counting_fork():",
+        "    forks.append(1)",
+        "    return fork()",
+        "os.fork = counting_fork",
+        "assert cli.main(['sweep', '--max', '4', '--jobs', '2',",
+        f"                 '--csv', {str(two)!r}]) == 0",
+        "print('forks', len(forks))"]))
+    assert out.splitlines()[-1] == "forks 1"
     assert one.read_bytes() == two.read_bytes()
 
 

@@ -123,13 +123,16 @@ def test_sweep_skips_levels_outside_the_family():
 
 def test_sweep_is_deterministic_across_parallelism():
     serial = sweep(4, 4, 5, parallelism=1)
-    parallel = sweep(4, 4, 5, parallelism=2)
-    assert serial == parallel
+    assert sweep(4, 4, 5, parallelism=2) == serial
+    # Two workers beside this process: chunks run here and in the pool
+    # interleave in the box order.
+    assert sweep(4, 4, 5, parallelism=3) == serial
 
 
 class RecordingPool:
     """A stand-in for ProcessPoolExecutor that starts no process: it records
-    the worker count it is asked for and maps in this process."""
+    the worker count it is asked for and runs each submitted call at once,
+    so every future it returns has already run."""
 
     asked: list = []
 
@@ -142,8 +145,40 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize=1):
-        return map(fn, items)
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+class IdlePool(RecordingPool):
+    """Its futures never start, so the caller takes every one back."""
+
+    def submit(self, fn, *args):
+        return concurrent.futures.Future()
+
+
+class StartedFuture(concurrent.futures.Future):
+    """A future that is already running: cancel() fails, and result() runs
+    the call then."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self.set_running_or_notify_cancel()
+        self._call = (fn, args)
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args = self._call
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+class BusyPool(RecordingPool):
+    """Every future has started before the caller looks at it."""
+
+    def submit(self, fn, *args):
+        return StartedFuture(fn, args)
 
 
 def test_sweep_starts_no_more_workers_than_triples(monkeypatch):
@@ -151,11 +186,39 @@ def test_sweep_starts_no_more_workers_than_triples(monkeypatch):
     monkeypatch.setattr(RecordingPool, "asked", [])
     assert len(family_triples(2, 2, 3)) == 4
     records = sweep(2, 2, 3, parallelism=10_000)
-    assert RecordingPool.asked == [4]
+    # The calling process is the fourth.
+    assert RecordingPool.asked == [3]
     assert records == sweep(2, 2, 3, parallelism=1)
     # One triple needs no pool at all.
     assert sweep(1, 1, 2, parallelism=10_000) == sweep(1, 1, 2)
-    assert RecordingPool.asked == [4]
+    assert RecordingPool.asked == [3]
+
+
+@pytest.mark.parametrize("pool", [IdlePool, BusyPool])
+def test_sweep_records_do_not_depend_on_who_runs_them(pool, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(RecordingPool, "asked", [])
+    assert sweep(4, 4, 5, parallelism=2) == sweep(4, 4, 5, parallelism=1)
+    assert RecordingPool.asked == [1]
+
+
+def test_caller_records_a_failing_triple_as_a_worker_does(monkeypatch):
+    evaluate = family._evaluate
+
+    def failing(triple):
+        if (triple.A, triple.B, triple.C) == (4, 4, 5):
+            raise ZeroDivisionError("no inverse")
+        return evaluate(triple)
+
+    monkeypatch.setattr(family, "_evaluate", failing)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", IdlePool)
+    expected = SweepRecord(4, 4, 5, -1, False, False, -1, -1, -1, False, 0,
+                           False, "ZeroDivisionError: no inverse")
+    assert _sweep_worker((4, 4, 5)) == expected
+    records = sweep(4, 4, 5, parallelism=2)
+    assert records[-1] == expected
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BusyPool)
+    assert sweep(4, 4, 5, parallelism=2) == records
 
 
 @pytest.mark.parametrize("parallelism", [0, -1])
