@@ -9,6 +9,7 @@ the expensive structures are computed once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -25,6 +26,7 @@ from .lattice import (
     Vec,
     char_poly,
     companion_form,
+    digit_lattice,
     is_complete_residue_system,
     is_expanding,
     vec_add,
@@ -101,8 +103,10 @@ def predicts_14(triple) -> bool:
 
 def check_system(matrix: IntMatrix, digits, basis=None) -> None:
     """Reject a system outside the theory: M must be expanding, D a complete
-    residue system modulo M with one coordinate per row of M, and a basis
-    must hold as many linearly independent vectors as M has rows."""
+    residue system modulo M with one coordinate per row of M whose lattice
+    Z[M, D] is all of Z^n, and a basis must hold as many linearly
+    independent vectors as M has rows.  The translates of a tile whose
+    digits generate a proper sublattice do not tile by Z^n."""
     size = matrix.size
     if not digits:
         raise ValueError("digit set is empty")
@@ -113,6 +117,13 @@ def check_system(matrix: IntMatrix, digits, basis=None) -> None:
     if not is_complete_residue_system(matrix, digits):
         raise ValueError("digits are not a complete residue system modulo "
                          "the matrix")
+    # A complete residue system spans a full-rank lattice, so the Hermite
+    # form has one row per coordinate and its index is the diagonal's
+    # product.
+    hermite = digit_lattice(matrix, digits)
+    index = math.prod(r[i] for i, r in enumerate(hermite))
+    if index != 1:
+        raise ValueError(f"digits generate a sublattice of index {index}")
     if basis is not None:
         check_basis(basis, size)
 

@@ -17,7 +17,6 @@ from .geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
     boundary_point_count,
-    check_cap,
     export,
     merge_clouds,
 )
@@ -128,7 +127,7 @@ def run_render(args) -> int:
     depth = args.depth if args.depth is not None else (6 if args.boundary else 8)
     t = _load_context(args)
     if args.boundary:
-        check_cap(boundary_point_count(t, depth))
+        boundary_point_count(t, depth)  # raises over the point cap
         pieces = [approximate_boundary_piece(t, a, depth)
                   for a in t.neighbors.points]
         cloud = merge_clouds(pieces)

@@ -17,7 +17,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import accumulate, chain, repeat
 
 from .analysis import analysis_for
 from .family import SweepRecord, sweep_csv
@@ -28,11 +28,16 @@ DEFAULT_POINT_CAP = 10 ** 7
 CAP_ENV_VAR = "TILEFORGE_CAP_POINTS"
 
 
-def check_cap(count: int) -> None:
-    """Raise ValueError when count points exceed the cap.
+def check_cap(totals, depth: int) -> int:
+    """The point count of a depth-level cloud, given the counts of levels
+    1, 2, ..., depth in order, which never decrease; raises ValueError at
+    the first level whose count passes the cap, before the next is made.
 
-    The cap is the TILEFORGE_CAP_POINTS environment variable, a nonnegative
-    integer, or 10^7 when it is unset or empty.
+    So a refusal costs no more levels than the cap allows, and its message
+    names the exact count only when that level is the last; otherwise the
+    count it names is a lower bound.  The cap is the TILEFORGE_CAP_POINTS
+    environment variable, a nonnegative integer, or 10^7 when it is unset
+    or empty.
     """
     env = os.environ.get(CAP_ENV_VAR)
     cap = DEFAULT_POINT_CAP
@@ -41,17 +46,24 @@ def check_cap(count: int) -> None:
             raise ValueError(f"{CAP_ENV_VAR} must be a nonnegative integer, "
                              f"got {env!r}")
         cap = int(env)
-    if count > cap:
-        raise ValueError(f"{count} points exceed the cap of {cap}")
+    count = 0
+    for level, count in enumerate(totals, 1):
+        if count > cap:
+            bound = "" if level == depth else "at least "
+            raise ValueError(f"{bound}{count} points exceed the cap of {cap}")
+    return count
 
 
 class PointRows:
     """The exact points of a cloud, generated on demand from integer rows.
 
-    blocks is a function returning an iterator of (offset, columns) pairs:
-    an integer vector and one integer list per coordinate.  Row i of a block
-    is the point (offset + (c[i] for c in columns)) / denominator, and the
-    denominator is positive.  Iterating yields exact Fraction rows.
+    blocks is a function returning an iterator of (offset, columns, index)
+    triples: an integer vector, one integer list per coordinate, and None
+    or a list of row numbers.  Row i of a block is the point
+    (offset + (c[i] for c in columns)) / denominator, and the denominator
+    is positive.  The block's points are its rows in order when index is
+    None, else row index[j] is its j-th point, so a point that many walks
+    reach is one row.  Iterating yields exact Fraction rows, one per point.
     """
 
     def __init__(self, blocks, count: int, denominator: int):
@@ -69,25 +81,27 @@ class PointRows:
         if rows:
             nums = [[x.numerator * (den // x.denominator) for x in p]
                     for p in rows]
-            blocks = (((0,) * len(rows[0]), tuple(map(list, zip(*nums)))),)
+            blocks = (((0,) * len(rows[0]), tuple(map(list, zip(*nums))),
+                       None),)
         return cls(lambda: iter(blocks), len(rows), den)
 
     def __len__(self) -> int:
         return self._count
 
     def float_blocks(self):
-        """Each block's coordinate columns as floats, one exact int/int
-        division (correctly rounded) per coordinate."""
+        """Each block's rows as float columns, one exact int/int division
+        (correctly rounded) per coordinate, with the block's index."""
         den = self.denominator
-        for offset, columns in self.blocks():
+        for offset, columns, index in self.blocks():
             yield [[(o + x) / den for x in col]
-                   for o, col in zip(offset, columns)]
+                   for o, col in zip(offset, columns)], index
 
     def __iter__(self):
         den = self.denominator
-        for offset, columns in self.blocks():
-            for row in zip(*columns):
-                yield tuple(Fraction(o + x, den) for o, x in zip(offset, row))
+        for offset, columns, index in self.blocks():
+            rows = [tuple(Fraction(o + x, den) for o, x in zip(offset, row))
+                    for row in zip(*columns)]
+            yield from rows if index is None else map(rows.__getitem__, index)
 
 
 class TagRuns:
@@ -146,11 +160,11 @@ def merge_clouds(clouds) -> PointCloud:
     def blocks():
         for c in clouds:
             f = den // c.points.denominator
-            for offset, columns in c.points.blocks():
+            for offset, columns, index in c.points.blocks():
                 if f != 1:
                     offset = tuple(f * x for x in offset)
                     columns = tuple([f * x for x in col] for col in columns)
-                yield offset, columns
+                yield offset, columns, index
 
     points = PointRows(blocks, sum(len(c.points) for c in clouds), den)
     tags = (TagRuns(run for c in clouds for run in c.tags.runs)
@@ -201,15 +215,19 @@ def _level_columns(matrix: IntMatrix, digits, depth: int):
     return columns, abs(det) ** depth
 
 
-def _walk_blocks(step, start, columns, dim: int):
+def _walk_blocks(step, start, columns, dim: int, tails: dict):
     """Blocks of the column sums along every length-n walk from start.
 
     step(v) lists the (digit, successor) pairs leaving v in walk order, and
     columns[j][d] is digit d's column at level j; walks come in depth-first
     order.  A walk is a head of n // 2 levels and a tail of the rest.  Each
     block is one head sum with the tail sums of the head's end vertex, which
-    are computed once per vertex, so memory grows with the square root of
-    the point count.
+    are computed once per vertex and kept in tails, so memory grows with the
+    square root of the point count.  Blocks from other starts over the same
+    steps and columns may share one tails dict.  Walks from one vertex that
+    read one digit word end on one sum, so a tail keeps its distinct sums in
+    first-seen order, with an index from walks to sums, or None when no sum
+    repeats.
     """
     split = len(columns) // 2
     zero = (0,) * dim
@@ -221,14 +239,20 @@ def _walk_blocks(step, start, columns, dim: int):
                     for r, u in rows for d, w in step(u)]
         return rows
 
+    def tail(v):
+        rows = [r for r, _ in sums(v, columns[split:])]
+        number = {r: i for i, r in enumerate(dict.fromkeys(rows))}
+        index = (None if len(number) == len(rows)
+                 else list(map(number.__getitem__, rows)))
+        return tuple(map(list, zip(*number))), index
+
     def blocks():
-        tails = {}
         for head, v in sums(start, columns[:split]):
             if v not in tails:
-                rows = [r for r, _ in sums(v, columns[split:])]
-                tails[v] = tuple(map(list, zip(*rows)))
-            if tails[v]:
-                yield head, tails[v]
+                tails[v] = tail(v)
+            distinct, index = tails[v]
+            if distinct:
+                yield head, distinct, index
     return blocks
 
 
@@ -239,39 +263,60 @@ def approximate_tile(matrix: IntMatrix, digits, depth: int) -> PointCloud:
     if not is_expanding(matrix):
         raise ValueError("matrix is not expanding")
     digits = tuple(tuple(d) for d in digits)
-    count = len(digits) ** depth
-    check_cap(count)
+    count = check_cap(accumulate(repeat(len(digits), depth), operator.mul),
+                      depth)
     columns, den = _level_columns(matrix, digits, depth)
     step = {None: [(d, None) for d in digits]}.__getitem__
-    blocks = _walk_blocks(step, None, columns, matrix.size)
+    blocks = _walk_blocks(step, None, columns, matrix.size, {})
     return PointCloud(PointRows(blocks, count, den), depth,
                       f"tile depth {depth}", attractor_radius(matrix, digits))
 
 
 @lru_cache(maxsize=1)
-def _boundary_setup(t, depth: int):
-    """What every face of one boundary render shares: each vertex's
-    (digit, successor) steps in sorted edge order, the number of depth-n
-    walks from each vertex, the depth-n columns and their denominator, and
-    the attractor radius.  One render's faces share one entry, which keeps
-    that context alive until another context or depth is rendered."""
+def _boundary_walks(t):
+    """Each boundary-graph vertex's (digit, successor) steps in sorted edge
+    order, and a list whose entry k counts the length-k walks from each
+    vertex, which _walk_counts grows on demand.  The entry is kept until
+    another context is rendered."""
     g = t.boundary_graph
     step = {v: [(e.d, e.dst) for e in sorted(g.out_edges(v))]
             for v in g.vertices}
-    counts = dict.fromkeys(step, 1)
-    for _ in range(depth):
-        counts = {v: sum(counts[w] for _, w in out) for v, out in step.items()}
+    return step, [dict.fromkeys(step, 1)]
+
+
+def _walk_counts(t, depth: int):
+    """The length-k walk counts from each vertex, for k = 1, ..., depth in
+    turn; each level is counted once per context.  Every neighbor has a
+    successor among the neighbors, so no count decreases with k."""
+    step, levels = _boundary_walks(t)
+    for k in range(1, depth + 1):
+        if k == len(levels):
+            counts = levels[-1]
+            levels.append({v: sum(counts[w] for _, w in out)
+                           for v, out in step.items()})
+        yield levels[k]
+
+
+@lru_cache(maxsize=1)
+def _boundary_setup(t, depth: int):
+    """What every face of one boundary render shares, built once its
+    point count is known to be within the cap: the depth-n columns, their
+    denominator, the attractor radius, and a memo of each vertex's walk
+    tail that the faces fill as they are written."""
     columns, den = _level_columns(t.matrix, t.digits, depth)
-    return step, counts, columns, den, attractor_radius(t.matrix, t.digits)
+    return columns, den, attractor_radius(t.matrix, t.digits), {}
 
 
 def boundary_point_count(ctx, depth: int) -> int:
     """Points of a whole boundary render: the length-depth boundary-graph
-    walks from every neighbor."""
+    walks from every neighbor.  Raises ValueError when they exceed the
+    point cap, counted level by level, so a deep request stops at the
+    first level over the cap."""
     t = analysis_for(ctx)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    return sum(_boundary_setup(t, depth)[1].values())
+    return check_cap((sum(c.values()) for c in _walk_counts(t, depth)),
+                     depth)
 
 
 def approximate_boundary_piece(ctx, alpha, depth: int) -> PointCloud:
@@ -282,11 +327,11 @@ def approximate_boundary_piece(ctx, alpha, depth: int) -> PointCloud:
     alpha = tuple(int(x) for x in alpha)
     if alpha not in t.boundary_graph.vertices:
         raise ValueError(f"{alpha} is not a neighbor")
-    step, counts, columns, den, radius = _boundary_setup(t, depth)
-    count = counts[alpha]
-    check_cap(count)
+    count = check_cap((c[alpha] for c in _walk_counts(t, depth)), depth)
+    columns, den, radius, tails = _boundary_setup(t, depth)
     face = t.neighbors.points.index(alpha)
-    blocks = _walk_blocks(step.__getitem__, alpha, columns, t.matrix.size)
+    step = _boundary_walks(t)[0].__getitem__
+    blocks = _walk_blocks(step, alpha, columns, t.matrix.size, tails)
     return PointCloud(PointRows(blocks, count, den), depth,
                       f"boundary piece {alpha}", radius,
                       TagRuns(((face, count),)))
@@ -320,16 +365,47 @@ def to_dot(g: BoundaryGraph) -> str:
 # writers
 
 
+def _texts(floats, index, fmt: str) -> list[str]:
+    """fmt of each point of a float block: each distinct row is formatted
+    once, and its text repeated by the index."""
+    texts = list(map(fmt.__mod__, zip(*floats)))
+    return texts if index is None else list(map(texts.__getitem__, index))
+
+
+def _run_slices(runs):
+    """A function that takes the next n items of the (value, count) runs
+    and returns them as (value, start, stop) slices, counted from the first
+    item it takes."""
+    runs = iter(runs)
+    value, left = None, 0
+
+    def take(n):
+        nonlocal value, left
+        slices, start = [], 0
+        while start < n:
+            while not left:
+                value, left = next(runs)
+            stop = start + min(left, n - start)
+            slices.append((value, start, stop))
+            left -= stop - start
+            start = stop
+        return slices
+    return take
+
+
 def _row_chunks(cloud: PointCloud, sep: str):
-    """The cloud's rows as text, one chunk per block, in `%.9g` format."""
-    tags = None if cloud.tags is None else iter(cloud.tags)
-    for floats in cloud.points.float_blocks():
-        fmt = sep.join(["%.9g"] * len(floats))
-        rows = zip(*floats)
-        if tags is not None:
-            fmt += sep + "%s"
-            rows = zip(*floats, islice(tags, len(floats[0])))
-        yield "".join(map((fmt + "\n").__mod__, rows))
+    """The cloud's rows as text, one chunk per block, in `%.9g` format.
+    Each row ends with a newline, after the tag's text if the cloud is
+    tagged; that ending is joined on once per run of one tag in a block."""
+    if cloud.tags is None:
+        ends = (("\n", len(cloud.points)),)
+    else:
+        ends = ((sep + str(tag) + "\n", n) for tag, n in cloud.tags.runs)
+    take = _run_slices(ends)
+    for floats, index in cloud.points.float_blocks():
+        texts = _texts(floats, index, sep.join(["%.9g"] * len(floats)))
+        yield "".join([end.join(texts[start:stop]) + end
+                       for end, start, stop in take(len(texts))])
 
 
 def _ply_chunks(cloud: PointCloud):
@@ -376,9 +452,9 @@ def _json_chunks(cloud: PointCloud):
 
     def point_blocks():
         # %r of a float is float.__repr__, which json.dumps writes.
-        for floats in cloud.points.float_blocks():
-            fmt = "[\n" + ",\n".join(["      %r"] * len(floats)) + "\n    ]"
-            yield list(map(fmt.__mod__, zip(*floats)))
+        for floats, index in cloud.points.float_blocks():
+            yield _texts(floats, index, "[\n" + ",\n".join(
+                ["      %r"] * len(floats)) + "\n    ]")
 
     yield from _json_items(point_blocks())
     yield ',\n  "source": ' + json.dumps(cloud.source)

@@ -249,6 +249,68 @@ def is_complete_residue_system(matrix: IntMatrix, digits) -> bool:
     return len(residues) == modulus
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a x + b y = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def digit_lattice(matrix: IntMatrix, digits) -> tuple[Vec, ...]:
+    """Hermite normal form of the lattice that the vectors M^k (d - d0),
+    k < n, generate, with d0 the first digit: its nonzero rows in echelon
+    order, each pivot positive and each entry above a pivot reduced to
+    0 <= x < pivot.
+
+    This is the lattice Z[M, D] spanned by every M^k (d - d'): a higher
+    power of M is an integer combination of lower ones (Cayley-Hamilton),
+    and d - d' = (d - d0) - (d' - d0).  The generators are taken digit by
+    digit, k = 0, ..., n - 1 for each; once the rows are the identity no
+    generator can change them, so the rest are never made.  For a companion
+    matrix with digits i e1 that is after e1, M e1 and M^2 e1.
+    """
+    n = matrix.size
+    rest = iter(digits)
+    d0 = next(rest)
+    pivots: list = [None] * n  # the row whose first nonzero entry is at i
+
+    def insert(v):
+        for i in range(n):
+            if v[i] == 0:
+                continue
+            r = pivots[i]
+            if r is None:
+                pivots[i] = v if v[i] > 0 else vec_neg(v)
+                return
+            # A unimodular step on (r, v): r becomes the row of pivot
+            # gcd(r[i], v[i]), and v loses column i.
+            g, a, b = _xgcd(r[i], v[i])
+            p, q = r[i] // g, v[i] // g
+            pivots[i] = tuple(a * x + b * y for x, y in zip(r, v))
+            v = tuple(q * x - p * y for x, y in zip(r, v))
+
+    for d in rest:
+        v = vec_sub(d, d0)
+        for k in range(n):
+            if k:
+                v = matrix.mul_vec(v)
+            insert(v)
+        if all(r is not None and r[i] == 1 for i, r in enumerate(pivots)):
+            break
+    rows = [list(r) for r in pivots if r is not None]
+    for j, row in enumerate(rows):
+        i = next(c for c, x in enumerate(row) if x)
+        for above in rows[:j]:
+            f = above[i] // row[i]
+            if f:
+                above[:] = [x - f * y for x, y in zip(above, row)]
+    return tuple(map(tuple, rows))
+
+
 @dataclass(frozen=True)
 class RadixExpansion:
     """Outcome of a radix expansion attempt.

@@ -363,6 +363,37 @@ def test_render_boundary_cap_counts_merged_cloud(monkeypatch, capsys):
     assert f"{sum(sizes)} points exceed the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["render", "--abc", "1,1,4", "--boundary", "--depth", "8000"],
+    ["render", "--abc", "1,1,4", "--depth", str(10 ** 8)],
+])
+def test_deep_render_is_refused_within_the_cap(argv, monkeypatch):
+    # The count passes the cap of 10^7 within a few levels, and the render
+    # stops there: counting every level and building every column, or
+    # |D|^depth, took seconds and about 100 MB.
+    monkeypatch.delenv("TILEFORGE_CAP_POINTS", raising=False)
+    out = run_fresh("\n".join([
+        "import contextlib, io, resource, time",
+        "from tileforge.cli import main",
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "err = io.StringIO()",
+        "start = time.perf_counter()",
+        "with contextlib.redirect_stderr(err):",
+        f"    code = main({argv!r})",
+        "print(code, time.perf_counter() - start,",
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)",
+        "print(err.getvalue(), end='')",
+    ]))
+    head, message = out.split("\n", 1)
+    code, seconds, rise = head.split()
+    assert code == "2"
+    assert float(seconds) < 1.0
+    assert int(rise) <= 2 * 1024
+    assert message.startswith("error: at least ")
+    assert message.endswith(" points exceed the cap of 10000000\n")
+    assert len(message) < 80
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["analyze", "--abc", "1,2,4"], "--json"),
     (["analyze", "--abc", "1,2,4"], "--dot"),
@@ -388,6 +419,11 @@ def _write_system(tmp_path, matrix, digits):
 IDENTITY = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 TWICE = [[2, 0, 0], [0, 2, 0], [0, 0, 2]]
 FAMILY_124 = [[0, 0, -4], [1, 0, -2], [0, 1, -1]]
+# Z^3 / diag(2,3,5) Z^3 is cyclic of order 30, so the digits i(1,1,1) are a
+# complete residue system; but they generate a sublattice of index 6, whose
+# tile's Z^3-translates do not tile.
+DIAG_235 = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
+DIGITS_111 = [[i, i, i] for i in range(30)]
 
 
 @pytest.mark.parametrize("command,matrix,digits,extra,message", [
@@ -402,6 +438,10 @@ FAMILY_124 = [[0, 0, -4], [1, 0, -2], [0, 1, -1]]
     ("render", IDENTITY, [[0, 0, 0]], ["--depth", "2"], "not expanding"),
     ("analyze", FAMILY_124, [1, 2], [], "digits file must be a JSON list"),
     ("render", 5, [[0, 0, 0]], [], "matrix file must be a JSON list"),
+    ("analyze", DIAG_235, DIGITS_111, [],
+     "error: digits generate a sublattice of index 6\n"),
+    ("render", DIAG_235, DIGITS_111, ["--boundary"],
+     "error: digits generate a sublattice of index 6\n"),
 ])
 def test_system_outside_the_theory_is_rejected_first(
         command, matrix, digits, extra, message, tmp_path, monkeypatch,

@@ -2,7 +2,6 @@ import hashlib
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -46,6 +45,14 @@ def oracle_count_walks(graph: BoundaryGraph, start: Vec, depth: int) -> int:
     return sum(counts.values())
 
 
+def float_rows(points):
+    """Every point of a cloud's rows as floats, in order: each block's
+    distinct rows, repeated by its index."""
+    for floats, index in points.float_blocks():
+        rows = list(zip(*floats))
+        yield from rows if index is None else map(rows.__getitem__, index)
+
+
 def test_tile_depth_one_points_are_inverse_digit_images():
     M, digits = system_124()
     cloud = approximate_tile(M, digits, 1)
@@ -65,7 +72,7 @@ def test_tile_points_stay_inside_reported_radius():
     M, digits = system_124()
     cloud = approximate_tile(M, digits, 4)
     assert cloud.bound > 0
-    for row in chain.from_iterable(zip(*b) for b in cloud.points.float_blocks()):
+    for row in float_rows(cloud.points):
         assert max(abs(x) for x in row) <= cloud.bound + 1e-9
 
 
@@ -139,6 +146,7 @@ def test_boundary_render_sets_up_once_for_all_faces(monkeypatch, tmp_path):
     for name in ("attractor_radius", "_level_columns"):
         counted(geometry_io, name)
     counted(BoundaryGraph, "out_edges")
+    geometry_io._boundary_walks.cache_clear()
     geometry_io._boundary_setup.cache_clear()
     out = tmp_path / "b.ply"
     assert cli.main(["render", "--abc", "1,2,4", "--boundary", "--depth", "3",
@@ -345,9 +353,8 @@ def test_integer_rows_equal_fraction_sums(system):
     expected = fraction_tile(matrix, digits, depth)
     assert cloud.points.denominator == abs(matrix.det) ** depth
     assert list(cloud.points) == expected
-    assert list(chain.from_iterable(
-        zip(*b) for b in cloud.points.float_blocks())) == [
-            tuple(map(float, p)) for p in expected]
+    assert list(float_rows(cloud.points)) == [
+        tuple(map(float, p)) for p in expected]
 
 
 @pytest.mark.parametrize("abc", [(1, 1, 4), (1, 2, 4), (2, 3, 5)])
@@ -427,8 +434,7 @@ def test_streamed_cloud_json_equals_json_text_of_payload():
             "source": cloud.source,
             "depth": cloud.depth,
             "bound": cloud.bound,
-            "points": [list(p) for p in chain.from_iterable(
-                zip(*b) for b in cloud.points.float_blocks())],
+            "points": [list(p) for p in float_rows(cloud.points)],
         }
         if cloud.tags is not None:
             payload["tags"] = list(cloud.tags)

@@ -1,3 +1,6 @@
+import math
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,11 +12,14 @@ from tileforge.lattice import (
     char_poly,
     collinear_digit_set,
     companion_form,
+    digit_lattice,
     is_complete_residue_system,
     is_expanding,
     radix_expand,
     vec_sub,
 )
+
+from strategies import expanding_systems
 
 
 def cubic_companion(a, b, c):
@@ -250,3 +256,64 @@ def test_char_poly_builds_no_matrix(monkeypatch):
 
     monkeypatch.setattr(IntMatrix, "__post_init__", forbidden)
     assert char_poly(matrix) == [1, 3, 4, 10]
+
+
+def oracle_generators(matrix, digits):
+    """Every M^k (d - d0) with k < n, d0 the first digit."""
+    gens = []
+    for d in digits:
+        v = vec_sub(d, digits[0])
+        for _ in range(matrix.size):
+            gens.append(v)
+            v = matrix.mul_vec(v)
+    return gens
+
+
+def det3(a, b, c):
+    return (a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+@given(expanding_systems())
+def test_digit_lattice_is_the_hermite_form_of_its_generators(system):
+    matrix, digits, _ = system
+    rows = digit_lattice(matrix, digits)
+    pivots = [next(j for j, x in enumerate(r) if x) for r in rows]
+    assert pivots == sorted(set(pivots))
+    for k, (row, p) in enumerate(zip(rows, pivots)):
+        assert row[p] > 0
+        assert all(0 <= above[p] < row[p] for above in rows[:k])
+    gens = oracle_generators(matrix, digits)
+    for v in gens:
+        for c in range(matrix.size):
+            if c in pivots:
+                row = rows[pivots.index(c)]
+                assert v[c] % row[c] == 0
+                v = vec_sub(v, tuple(v[c] // row[c] * x for x in row))
+            assert v[c] == 0
+    # The index of a full-rank lattice is the gcd of its generators'
+    # maximal minors.
+    index = math.gcd(*(det3(*m) for m in combinations(gens, 3)))
+    if index:
+        assert math.prod(r[i] for i, r in enumerate(rows)) == index
+    else:
+        assert len(rows) < 3
+
+
+def test_collinear_digits_of_a_diagonal_matrix_span_index_6():
+    # D - D spans v, Mv, M^2 v with v = (1,1,1): det [v | Mv | M^2 v] = 6.
+    matrix = IntMatrix(((2, 0, 0), (0, 3, 0), (0, 0, 5)))
+    digits = tuple((i, i, i) for i in range(30))
+    assert is_complete_residue_system(matrix, digits)
+    assert digit_lattice(matrix, digits) == ((1, 0, 4), (0, 1, 3), (0, 0, 6))
+
+
+def test_family_lattice_is_whole_after_three_generators():
+    # e1, M e1 and M^2 e1 are e1, e2 and e3 for a companion matrix, so no
+    # later digit is read: None would raise if it were.
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for abc in family_triples(12, 12, 12):
+        matrix, digits = cubic_companion(*abc)
+        assert digit_lattice(matrix, digits[:2] + (None,)) == identity
+        assert digit_lattice(matrix, digits[::-1]) == identity
