@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .analysis import (
@@ -111,6 +112,8 @@ def run_sweep(args) -> int:
         raise ValueError("--max must be at least 2")
     if args.jobs < 1:
         raise ValueError("--jobs must be at least 1")
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        raise ValueError("--jobs above 1 needs os.fork")
     records = sweep(args.max, args.max, args.max, parallelism=args.jobs)
     bad = disagreements(records)
     failed = tuple(r for r in records if not r.audit_pass)
@@ -166,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default 12)")
     sweep_cmd.add_argument("--jobs", type=int, default=1,
                            help="processes to run on, this one among "
-                                "them, at least 1 (default 1)")
+                                "them, at least 1 and at most the usable "
+                                "cores (default 1)")
     sweep_cmd.add_argument("--csv", help="write sweep records here")
     sweep_cmd.set_defaults(func=run_sweep)
 

@@ -9,9 +9,19 @@ in the report of a single context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import os
+import signal
+import sys
+from dataclasses import astuple, dataclass
 
-from .analysis import AbcTriple, analysis_for, as_triple, predicts_14
+from .analysis import (
+    AbcTriple,
+    TileAnalysis,
+    analysis_for,
+    as_triple,
+    predicts_14,
+)
 from .graphs import LabeledEdge, minkowski_sum
 from .lattice import Vec, vec_neg
 from .power import negated, vertex_set
@@ -281,9 +291,11 @@ def _evaluate(triple: AbcTriple) -> SweepRecord:
     Levels 3 and 4 are only enumerated when the tile actually has 14
     neighbors: outside that family the power graphs are unbounded in the
     parameters (they reach 6 digits of vertices inside the C <= 12 box) and
-    nothing constrains them.  Skipped fields carry the -1 sentinel.
+    nothing constrains them.  Skipped fields carry the -1 sentinel.  The
+    context is built here and dropped on return: no sweep reads a triple
+    twice, so the shared contexts of analysis_for are left as they were.
     """
-    t = analysis_for(triple)
+    t = TileAnalysis(*triple.system())
     s_count = len(t.neighbors.points)
     predicted = predicts_14(triple)
     agrees = (s_count == 14) == predicted
@@ -348,33 +360,127 @@ def family_triples(a_max: int, b_max: int, c_max: int):
                  for c in range(b + 1, c_max + 1))
 
 
+CHUNK_SIZE = 4
+
+
+class _Deal:
+    """The numbers count - 1, ..., 0, each taken once, by whichever forked
+    process asks first.  One pipe holds the next number only: a taker reads
+    it, which blocks every other taker, and writes back the one after it, or
+    -1 once all are taken.  So the pipe never fills, however many numbers
+    there are."""
+
+    def __init__(self, count: int):
+        self._read, self._write = os.pipe()
+        self._put(count - 1)
+
+    def _put(self, number: int):
+        os.write(self._write, number.to_bytes(8, "little", signed=True))
+
+    def take(self) -> int | None:
+        """The next number, or None once all are taken."""
+        number = int.from_bytes(os.read(self._read, 8), "little", signed=True)
+        self._put(max(number - 1, -1))
+        return None if number < 0 else number
+
+    def close(self):
+        os.close(self._read)
+        os.close(self._write)
+
+
+def _take_chunks(deal: _Deal, chunks) -> dict[int, tuple[SweepRecord, ...]]:
+    """Run chunks by number, one at a time, until the deal runs out."""
+    return {k: _sweep_chunk(chunks[k]) for k in iter(deal.take, None)}
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_worker(deal: _Deal, chunks) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked process that runs chunks from
+    the deal, sends [[chunk number, records], ...] as JSON text, and exits
+    with status 0 only once all of it is sent."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        done = _take_chunks(deal, chunks)
+        with open(write, "w", encoding="utf-8") as out:
+            json.dump([[k, [astuple(r) for r in records]]
+                       for k, records in done.items()], out)
+        status = 0
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
+def _worker_records(pid: int, status: int, data: bytes):
+    """{chunk number: records} from what a reaped worker sent; RuntimeError
+    naming it if it exited non-zero or its data is incomplete."""
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"sweep worker {pid} exited with code {code}")
+    try:
+        return {k: tuple(SweepRecord(*row) for row in rows)
+                for k, rows in json.loads(data)}
+    except (ValueError, TypeError) as exc:
+        raise RuntimeError(
+            f"sweep worker {pid} sent incomplete records: {exc}") from None
+
+
 def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
           parallelism: int = 1) -> tuple[SweepRecord, ...]:
     """Audit every family member in the box; order is deterministic.
 
-    parallelism bounds the processes, this one among them: a pool of
-    min(parallelism, triples) - 1 workers, so never more processes than
-    triples.  With one process the sweep runs here and starts no pool.
-    Otherwise the triples go to the pool in chunks, and this process takes
-    back, from the tail, every chunk that no worker has started yet.
+    parallelism bounds the processes, this one among them, and so do the
+    usable cores and the number of chunks of CHUNK_SIZE triples.  With one
+    process the sweep runs here.  Otherwise the others are forked workers,
+    and every process, this one too, takes the next chunk number only when
+    it is free; the numbers are dealt from the tail of the box, where the
+    costliest members sit.  A worker that fails raises RuntimeError, and no
+    worker outlives the call, whether it returns or raises.  As with any
+    fork, call it with parallelism above 1 only from a process that runs
+    no other threads.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
+    if parallelism > 1 and not hasattr(os, "fork"):
+        raise ValueError("parallelism above 1 needs os.fork")
     triples = family_triples(a_max, b_max, c_max)
-    workers = min(parallelism, len(triples)) - 1
-    if workers < 1:
+    chunks = [triples[i:i + CHUNK_SIZE]
+              for i in range(0, len(triples), CHUNK_SIZE)]
+    processes = min(parallelism, len(chunks), _usable_cores())
+    if processes < 2:
         return _sweep_chunk(triples)
-    # Imported here, so that runs that start no pool do not pay for it.
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = [triples[i:i + 4] for i in range(0, len(triples), 4)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_chunk, chunk) for chunk in chunks]
-        # The costliest members come last, so this process starts on them.
-        taken = {i: _sweep_chunk(chunks[i])
-                 for i in reversed(range(len(chunks))) if futures[i].cancel()}
-        return tuple(r for i, f in enumerate(futures)
-                     for r in (taken[i] if i in taken else f.result()))
+    deal = _Deal(len(chunks))
+    pipes: dict[int, int] = {}  # pid -> read end, for each unreaped worker
+    try:
+        for _ in range(processes - 1):
+            pid, read = _fork_worker(deal, chunks)
+            pipes[pid] = read
+        done = _take_chunks(deal, chunks)
+        for pid in list(pipes):
+            with open(pipes[pid], "rb", closefd=False) as pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            os.close(pipes.pop(pid))
+            done.update(_worker_records(pid, status, data))
+    finally:
+        for pid, read in pipes.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+        deal.close()
+    return tuple(r for k in range(len(chunks)) for r in done[k])
 
 
 def disagreements(records) -> tuple[SweepRecord, ...]:

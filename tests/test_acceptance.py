@@ -45,7 +45,7 @@ def test_criterion_01_neighbor_count_iff(swept):
     disagree = [r for r in records if not r.agrees]
     ok = len(records) == 286 and not disagree and elapsed < 300
     _line(1, ok, f"286 triples, 14-neighbor iff holds exactly, "
-                 f"{elapsed:.1f}s on 8 processes (limit 300s)")
+                 f"{elapsed:.1f}s on up to 8 processes (limit 300s)")
 
 
 def test_criterion_02_contact_closed_forms():

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -105,14 +104,17 @@ def test_cli_module_runs_without_runpy_warning():
 
 
 def test_runs_without_a_pool_do_not_import_one(tmp_path):
-    # sweep imports concurrent.futures only when it starts worker processes.
+    # sweep --jobs forks its workers itself, so no run imports a pool module.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
     code = "\n".join([
-        "import sys",
+        "import os, sys",
         "from tileforge import cli",
         "json_out, csv_out = sys.argv[1:]",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
         "assert cli.main(['analyze', '--abc', '1,2,4', '--json', json_out]) == 0",
         "assert cli.main(['sweep', '--max', '3', '--jobs', '1',",
+        "                 '--csv', csv_out]) == 0",
+        "assert cli.main(['sweep', '--max', '4', '--jobs', '2',",
         "                 '--csv', csv_out]) == 0",
         "print(sorted(m for m in sys.modules",
         "             if m.startswith(('concurrent', 'multiprocessing'))))"])
@@ -249,14 +251,14 @@ def test_sweep_csv_independent_of_jobs(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="counts the forks of the fork start method")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="counts os.fork calls")
 def test_sweep_jobs_counts_the_calling_process(tmp_path):
-    # --jobs 2 is this process and one forked worker.
+    # --jobs 2 is this process and one forked worker, on two usable cores.
     one, two = tmp_path / "one.csv", tmp_path / "two.csv"
     out = run_fresh("\n".join([
         "import os",
         "from tileforge import cli",
+        "os.sched_getaffinity = lambda pid: {0, 1}",
         f"assert cli.main(['sweep', '--max', '4', '--csv', {str(one)!r}]) == 0",
         "forks = []",
         "fork = os.fork",
@@ -269,6 +271,33 @@ def test_sweep_jobs_counts_the_calling_process(tmp_path):
         "print('forks', len(forks))"]))
     assert out.splitlines()[-1] == "forks 1"
     assert one.read_bytes() == two.read_bytes()
+
+
+def test_sweep_jobs_above_one_needs_fork(monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("sweep ran without os.fork")
+
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "sweep", forbidden)
+    assert cli.main(["sweep", "--max", "2", "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "error: --jobs above 1 needs os.fork\n"
+
+
+def test_sweep_memory_rise_stays_under_budget():
+    # Each triple's context is built and dropped in _evaluate, so a serial
+    # sweep keeps no level graphs and leaves the shared contexts alone.  It
+    # raised ru_maxrss by about 2.4 MB while it filled the shared cache.
+    code = ("import os, resource; import tileforge.cli as cli; "
+            "from tileforge.analysis import _analysis_cached; "
+            "size = _analysis_cached.cache_info().currsize; "
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+            "assert cli.main(['sweep', '--max', '12', '--jobs', '1', "
+            "'--csv', os.devnull]) == 0; "
+            "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base; "
+            "print(_analysis_cached.cache_info().currsize - size, rise)")
+    cached, rise = map(int, run_fresh(code).split()[-2:])
+    assert cached == 0
+    assert rise <= 1.5 * 1024
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,4 +1,7 @@
-import concurrent.futures
+import contextlib
+import os
+import signal
+import time
 
 import pytest
 
@@ -129,96 +132,238 @@ def test_sweep_is_deterministic_across_parallelism():
     assert sweep(4, 4, 5, parallelism=3) == serial
 
 
-class RecordingPool:
-    """A stand-in for ProcessPoolExecutor that starts no process: it records
-    the worker count it is asked for and runs each submitted call at once,
-    so every future it returns has already run."""
+def count_forks(monkeypatch, cores):
+    """Make os.fork count its calls, and the usable cores read as cores;
+    the list of calls."""
+    forks, fork = [], os.fork
 
-    asked: list = []
+    def counting():
+        forks.append(1)
+        return fork()
 
-    def __init__(self, max_workers):
-        RecordingPool.asked.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, *args):
-        future = concurrent.futures.Future()
-        future.set_result(fn(*args))
-        return future
-
-
-class IdlePool(RecordingPool):
-    """Its futures never start, so the caller takes every one back."""
-
-    def submit(self, fn, *args):
-        return concurrent.futures.Future()
-
-
-class StartedFuture(concurrent.futures.Future):
-    """A future that is already running: cancel() fails, and result() runs
-    the call then."""
-
-    def __init__(self, fn, args):
-        super().__init__()
-        self.set_running_or_notify_cancel()
-        self._call = (fn, args)
-
-    def result(self, timeout=None):
-        if not self.done():
-            fn, args = self._call
-            self.set_result(fn(*args))
-        return super().result(timeout)
-
-
-class BusyPool(RecordingPool):
-    """Every future has started before the caller looks at it."""
-
-    def submit(self, fn, *args):
-        return StartedFuture(fn, args)
+    monkeypatch.setattr(os, "fork", counting)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
+    return forks
 
 
 def test_sweep_starts_no_more_workers_than_triples(monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(RecordingPool, "asked", [])
+    forks = count_forks(monkeypatch, cores=64)
     assert len(family_triples(2, 2, 3)) == 4
-    records = sweep(2, 2, 3, parallelism=10_000)
-    # The calling process is the fourth.
-    assert RecordingPool.asked == [3]
-    assert records == sweep(2, 2, 3, parallelism=1)
-    # One triple needs no pool at all.
+    # Four triples are one chunk: no process beside this one.
+    assert sweep(2, 2, 3, parallelism=10_000) == sweep(2, 2, 3)
     assert sweep(1, 1, 2, parallelism=10_000) == sweep(1, 1, 2)
-    assert RecordingPool.asked == [3]
+    assert forks == []
+    # Twenty triples are five chunks: this process and four workers.
+    assert sweep(4, 4, 5, parallelism=10_000) == sweep(4, 4, 5)
+    assert len(forks) == 4
 
 
-@pytest.mark.parametrize("pool", [IdlePool, BusyPool])
-def test_sweep_records_do_not_depend_on_who_runs_them(pool, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(RecordingPool, "asked", [])
-    assert sweep(4, 4, 5, parallelism=2) == sweep(4, 4, 5, parallelism=1)
-    assert RecordingPool.asked == [1]
+def test_sweep_starts_no_more_processes_than_usable_cores(monkeypatch):
+    forks = count_forks(monkeypatch, cores=2)
+    assert sweep(2, 2, 3, parallelism=100_000) == sweep(2, 2, 3)
+    assert len(forks) <= 1
+    assert sweep(4, 4, 5, parallelism=100_000) == sweep(4, 4, 5)
+    assert len(forks) == 1
 
 
-def test_caller_records_a_failing_triple_as_a_worker_does(monkeypatch):
-    evaluate = family._evaluate
+def test_sweep_counts_cpus_without_an_affinity_mask(monkeypatch):
+    forks = count_forks(monkeypatch, cores=64)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert sweep(4, 4, 5, parallelism=100_000) == sweep(4, 4, 5)
+    assert len(forks) == 2
 
+
+def test_sweep_without_fork_refuses_more_than_one_process(monkeypatch):
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="above 1 needs os.fork"):
+        sweep(1, 1, 2, parallelism=2)
+    assert sweep(1, 1, 2, parallelism=1) == sweep(1, 1, 2)
+
+
+def log_chunks(monkeypatch, log, held, others):
+    """Wrap family._sweep_chunk so that every chunk appends the pid of the
+    process that runs it and its first triple to log.  A process on a held
+    side, "caller" or "worker", holds its first chunk until the other side
+    has logged `others` chunks.  Every process must have the usable cores
+    read as 2 or more (count_forks)."""
+    caller, run = os.getpid(), family._sweep_chunk
+
+    def side(pid):
+        return "caller" if pid == caller else "worker"
+
+    def logged(chunk):
+        me = os.getpid()
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{me} {chunk[0]}\n")
+        lines = log.read_text().splitlines()
+        if side(me) in held and sum(l.split()[0] == str(me)
+                                    for l in lines) == 1:
+            deadline = time.monotonic() + 60
+            while sum(side(int(l.split()[0])) != side(me)
+                      for l in log.read_text().splitlines()) < others:
+                assert time.monotonic() < deadline, "the other side stalled"
+                time.sleep(0.005)
+        return run(chunk)
+
+    monkeypatch.setattr(family, "_sweep_chunk", logged)
+
+
+def chunk_runs(log):
+    """side -> number of chunks run, and the first triples in log order."""
+    caller = str(os.getpid())
+    lines = [l.split(" ", 1) for l in log.read_text().splitlines()]
+    runs = {"caller": 0, "worker": 0}
+    for pid, _ in lines:
+        runs["caller" if pid == caller else "worker"] += 1
+    return runs, [first for _, first in lines]
+
+
+@pytest.mark.parametrize("slow", ["caller", "worker"])
+def test_sweep_records_do_not_depend_on_who_runs_them(slow, tmp_path,
+                                                      monkeypatch):
+    # The slow side holds its first chunk until the other side has run the
+    # four others, so it runs at most one of the five.
+    serial = sweep(4, 4, 5, parallelism=1)
+    count_forks(monkeypatch, cores=2)
+    log = tmp_path / "chunks.log"
+    log_chunks(monkeypatch, log, held={slow}, others=4)
+    assert sweep(4, 4, 5, parallelism=2) == serial
+    runs, firsts = chunk_runs(log)
+    assert runs[slow] <= 1 and sum(runs.values()) == 5
+    assert sorted(firsts) == sorted(str(t) for t in family_triples(4, 4, 5)[::4])
+
+
+def test_caller_records_a_failing_triple_as_a_worker_does(tmp_path,
+                                                          monkeypatch):
     def failing(triple):
-        if (triple.A, triple.B, triple.C) == (4, 4, 5):
-            raise ZeroDivisionError("no inverse")
-        return evaluate(triple)
+        raise ZeroDivisionError("no inverse")
 
     monkeypatch.setattr(family, "_evaluate", failing)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", IdlePool)
     expected = SweepRecord(4, 4, 5, -1, False, False, -1, -1, -1, False, 0,
                            False, "ZeroDivisionError: no inverse")
     assert _sweep_worker((4, 4, 5)) == expected
-    records = sweep(4, 4, 5, parallelism=2)
-    assert records[-1] == expected
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", BusyPool)
-    assert sweep(4, 4, 5, parallelism=2) == records
+    serial = sweep(4, 4, 5, parallelism=1)
+    assert serial[-1] == expected
+    # Each side holds its first chunk until the other has run one, so both
+    # record failures, and the worker's come back through its pipe.
+    count_forks(monkeypatch, cores=2)
+    log = tmp_path / "chunks.log"
+    log_chunks(monkeypatch, log, held={"caller", "worker"}, others=1)
+    assert sweep(4, 4, 5, parallelism=2) == serial
+    runs, _ = chunk_runs(log)
+    assert runs["caller"] >= 1 and runs["worker"] >= 1
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_dies_fails_the_sweep(monkeypatch):
+    caller, run = os.getpid(), family._sweep_chunk
+
+    def dying(chunk):
+        if os.getpid() != caller:
+            os._exit(3)
+        return run(chunk)
+
+    count_forks(monkeypatch, cores=2)
+    monkeypatch.setattr(family, "_sweep_chunk", dying)
+    with pytest.raises(RuntimeError, match=r"sweep worker \d+ exited with "
+                                           r"code 3"):
+        sweep(4, 4, 5, parallelism=2)
+    assert_no_child_left()
+
+
+def test_a_caller_that_raises_leaves_no_worker(monkeypatch):
+    caller, run = os.getpid(), family._sweep_chunk
+
+    def raising(chunk):
+        if os.getpid() == caller:
+            raise KeyError("caller chunk")
+        return run(chunk)
+
+    count_forks(monkeypatch, cores=2)
+    monkeypatch.setattr(family, "_sweep_chunk", raising)
+    with pytest.raises(KeyError, match="caller chunk"):
+        sweep(4, 4, 5, parallelism=2)
+    assert_no_child_left()
+
+
+def test_worker_records_name_a_worker_whose_data_is_incomplete():
+    with pytest.raises(RuntimeError, match="worker 41 sent incomplete"):
+        family._worker_records(41, 0, b'[[0, [[1, 1, 2, 20')
+    with pytest.raises(RuntimeError, match="worker 41 exited with code 1"):
+        family._worker_records(41, 1 << 8, b"[]")
+
+
+@contextlib.contextmanager
+def deal_stalls_after(seconds):
+    """Raise TimeoutError in this process if the block runs longer."""
+    def stalled(signum, frame):
+        raise TimeoutError("the deal stalled")
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_deal_gives_every_number_once_from_the_tail():
+    # More numbers than one 64 KiB pipe holds as 8-byte records.
+    count = 20_000
+    with deal_stalls_after(60):
+        deal = family._Deal(count)
+        try:
+            taken = list(iter(deal.take, None))
+            assert deal.take() is None
+        finally:
+            deal.close()
+    assert taken == list(range(count - 1, -1, -1))
+
+
+def test_deal_gives_each_number_to_one_of_more_processes_than_cores():
+    # Five takers on one deal; a number taken twice or lost breaks the
+    # union.  A forked taker inherits the alarm's handler but not the alarm,
+    # so it stops with this process, which kills it.
+    count, takers = 5_000, []
+    with deal_stalls_after(60):
+        deal = family._Deal(count)
+        try:
+            for _ in range(4):
+                read, write = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    status = 1
+                    try:
+                        with open(write, "w", encoding="ascii") as out:
+                            out.write(" ".join(map(str,
+                                                   iter(deal.take, None))))
+                        status = 0
+                    finally:
+                        os._exit(status)
+                os.close(write)
+                takers.append((pid, read))
+            mine, theirs = list(iter(deal.take, None)), []
+            while takers:
+                pid, read = takers[-1]
+                with open(read, encoding="ascii") as pipe:
+                    theirs += map(int, pipe.read().split())
+                status = os.waitpid(pid, 0)[1]
+                takers.pop()
+                assert status == 0
+        finally:
+            for pid, read in takers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            deal.close()
+    assert sorted(mine + theirs) == list(range(count))
+    assert mine == sorted(mine, reverse=True)
 
 
 @pytest.mark.parametrize("parallelism", [0, -1])
