@@ -115,15 +115,15 @@ def run_sweep(args) -> int:
     if args.jobs > 1 and not hasattr(os, "fork"):
         raise ValueError("--jobs above 1 needs os.fork")
     records = sweep(args.max, args.max, args.max, parallelism=args.jobs)
-    bad = disagreements(records)
-    failed = tuple(r for r in records if not r.audit_pass)
+    flagged = [r for r in records if not (r.agrees and r.audit_pass)]
     if args.csv:
         export(records, "csv", args.csv)
-    print(f"{len(records)} triples checked, {len(bad)} disagreements")
-    for r in (bad + failed)[:10]:
+    print(f"{len(records)} triples checked, "
+          f"{len(disagreements(records))} disagreements")
+    for r in flagged[:10]:
         print(f"  ({r.A},{r.B},{r.C}): neighbors={r.neighbor_count} "
               f"predicted={r.predicted_14} {r.message}")
-    return 0 if not bad and not failed else 1
+    return 1 if flagged else 0
 
 
 def run_render(args) -> int:

@@ -13,6 +13,7 @@ import json
 import os
 import signal
 import sys
+import tempfile
 from dataclasses import astuple, dataclass
 
 from .analysis import (
@@ -222,6 +223,17 @@ def audit_failures(ctx, k_max: int = 1) -> dict[str, str | None]:
     }
 
 
+def census_failures(c, g4_empty: bool) -> list[str]:
+    """Where the census of a 14-neighbor tile, and whether its level 4 is
+    empty, deviate from the boundary of a 2-sphere; empty if nowhere."""
+    return [msg for ok, msg in (
+        ((c.edges, c.points) == (36, 24), "level sizes are not 36 and 24"),
+        (g4_empty, "level 4 is not empty"),
+        (c.euler == 2, f"alternating census is {c.euler}, not 2"),
+        (c.degree_sequence == (4,) * 6 + (6,) * 8,
+         "arc membership degrees deviate")) if not ok]
+
+
 def audit_report(ctx, k_max: int = 1) -> dict:
     """JSON-ready report of one context.  A family member adds its triple and
     neighbor_count and, with 14 neighbors, the census and the audits (loops
@@ -253,10 +265,13 @@ def audit_report(ctx, k_max: int = 1) -> dict:
             "faces": c.faces, "edges": c.edges, "points": c.points,
             "euler": c.euler, "degree_sequence": list(c.degree_sequence),
         }
+        if deviations := census_failures(c, not report["levels"]["g4"]):
+            report["census"]["failures"] = deviations
         failures = audit_failures(t, k_max)
         report["audits"] = {k: "ok" if v is None else v
                             for k, v in failures.items()}
-        report["audit_pass"] = all(v is None for v in failures.values())
+        report["audit_pass"] = not deviations and all(
+            v is None for v in failures.values())
     return report
 
 
@@ -320,14 +335,7 @@ def _evaluate(triple: AbcTriple) -> SweepRecord:
             failures.append("arc-graph edges deviate from the table")
         if predicted and set(g3.edges) != expected_edges(triple, "g3"):
             failures.append("point-graph edges deviate from the table")
-        if (g2_count, g3_count) != (36, 24):
-            failures.append("level sizes are not 36 and 24")
-        if not g4_empty:
-            failures.append("level 4 is not empty")
-        if euler != 2:
-            failures.append(f"alternating census is {euler}, not 2")
-        if c.degree_sequence != (4,) * 6 + (6,) * 8:
-            failures.append("arc membership degrees deviate")
+        failures += census_failures(c, g4_empty)
         failures += [f"{name}: {msg}"
                      for name, msg in audit_failures(t).items()
                      if msg is not None]
@@ -363,78 +371,48 @@ def family_triples(a_max: int, b_max: int, c_max: int):
 CHUNK_SIZE = 4
 
 
-class _Deal:
-    """The numbers count - 1, ..., 0, each taken once, by whichever forked
-    process asks first.  One pipe holds the next number only: a taker reads
-    it, which blocks every other taker, and writes back the one after it, or
-    -1 once all are taken.  So the pipe never fills, however many numbers
-    there are."""
-
-    def __init__(self, count: int):
-        self._read, self._write = os.pipe()
-        self._put(count - 1)
-
-    def _put(self, number: int):
-        os.write(self._write, number.to_bytes(8, "little", signed=True))
-
-    def take(self) -> int | None:
-        """The next number, or None once all are taken."""
-        number = int.from_bytes(os.read(self._read, 8), "little", signed=True)
-        self._put(max(number - 1, -1))
-        return None if number < 0 else number
-
-    def close(self):
-        os.close(self._read)
-        os.close(self._write)
-
-
-def _take_chunks(deal: _Deal, chunks) -> dict[int, tuple[SweepRecord, ...]]:
-    """Run chunks by number, one at a time, until the deal runs out."""
-    return {k: _sweep_chunk(chunks[k]) for k in iter(deal.take, None)}
-
-
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _fork_worker(deal: _Deal, chunks) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked process that runs chunks from
-    the deal, sends [[chunk number, records], ...] as JSON text, and exits
-    with status 0 only once all of it is sent."""
-    read, write = os.pipe()
+def _deal(count: int):
+    """An unlinked file of the numbers count - 1, ..., 0 as 8-byte records,
+    its offset at the first.  Forked processes share the offset, and the
+    kernel locks it for each read, so each number goes to one of them."""
+    deal = tempfile.TemporaryFile()
+    deal.write(b"".join(k.to_bytes(8, "little")
+                        for k in range(count - 1, -1, -1)))
+    deal.seek(0)
+    return deal
+
+
+def _run_dealt(deal: int, out: int, chunks):
+    """Run chunks by the numbers read from deal until it runs out, and write
+    a JSON line [number, rows] for each to out; the kernel locks out's
+    shared offset for each write too, so the lines stay whole."""
+    while record := os.read(deal, 8):
+        k = int.from_bytes(record, "little")
+        rows = [astuple(r) for r in _sweep_chunk(chunks[k])]
+        os.write(out, (json.dumps([k, rows]) + "\n").encode())
+
+
+def _fork_worker(deal: int, out: int, chunks) -> int:
+    """pid of a forked process that runs dealt chunks and exits with status
+    0 only once all of their lines are written."""
     pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, read
+        return pid
     status = 1
     try:
-        os.close(read)
-        done = _take_chunks(deal, chunks)
-        with open(write, "w", encoding="utf-8") as out:
-            json.dump([[k, [astuple(r) for r in records]]
-                       for k, records in done.items()], out)
+        _run_dealt(deal, out, chunks)
         status = 0
     except Exception:
         sys.excepthook(*sys.exc_info())
         sys.stderr.flush()
     finally:
         os._exit(status)
-
-
-def _worker_records(pid: int, status: int, data: bytes):
-    """{chunk number: records} from what a reaped worker sent; RuntimeError
-    naming it if it exited non-zero or its data is incomplete."""
-    code = os.waitstatus_to_exitcode(status)
-    if code != 0:
-        raise RuntimeError(f"sweep worker {pid} exited with code {code}")
-    try:
-        return {k: tuple(SweepRecord(*row) for row in rows)
-                for k, rows in json.loads(data)}
-    except (ValueError, TypeError) as exc:
-        raise RuntimeError(
-            f"sweep worker {pid} sent incomplete records: {exc}") from None
 
 
 def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
@@ -444,12 +422,12 @@ def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
     parallelism bounds the processes, this one among them, and so do the
     usable cores and the number of chunks of CHUNK_SIZE triples.  With one
     process the sweep runs here.  Otherwise the others are forked workers,
-    and every process, this one too, takes the next chunk number only when
-    it is free; the numbers are dealt from the tail of the box, where the
-    costliest members sit.  A worker that fails raises RuntimeError, and no
-    worker outlives the call, whether it returns or raises.  As with any
-    fork, call it with parallelism above 1 only from a process that runs
-    no other threads.
+    and every process, this one too, reads the next chunk number from the
+    deal, from the tail of the box where the costliest members sit, only
+    when it is free; no process waits on another.  A worker that fails
+    raises RuntimeError, and no worker outlives the call, whether it
+    returns or raises.  As with any fork, call it with parallelism above 1
+    only from a process that runs no other threads.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
@@ -461,26 +439,31 @@ def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
     processes = min(parallelism, len(chunks), _usable_cores())
     if processes < 2:
         return _sweep_chunk(triples)
-    deal = _Deal(len(chunks))
-    pipes: dict[int, int] = {}  # pid -> read end, for each unreaped worker
+    workers: list[int] = []  # unreaped pids
+    with _deal(len(chunks)) as deal, tempfile.TemporaryFile() as out:
+        try:
+            for _ in range(processes - 1):
+                workers.append(_fork_worker(deal.fileno(), out.fileno(),
+                                            chunks))
+            _run_dealt(deal.fileno(), out.fileno(), chunks)
+            while workers:
+                status = os.waitpid(workers[-1], 0)[1]
+                pid = workers.pop()
+                if code := os.waitstatus_to_exitcode(status):
+                    raise RuntimeError(
+                        f"sweep worker {pid} exited with code {code}")
+            data = os.pread(out.fileno(), os.fstat(out.fileno()).st_size, 0)
+        finally:
+            for pid in workers:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     try:
-        for _ in range(processes - 1):
-            pid, read = _fork_worker(deal, chunks)
-            pipes[pid] = read
-        done = _take_chunks(deal, chunks)
-        for pid in list(pipes):
-            with open(pipes[pid], "rb", closefd=False) as pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            os.close(pipes.pop(pid))
-            done.update(_worker_records(pid, status, data))
-    finally:
-        for pid, read in pipes.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(read)
-        deal.close()
-    return tuple(r for k in range(len(chunks)) for r in done[k])
+        done = dict(map(json.loads, data.splitlines()))
+        return tuple(SweepRecord(*row) for k in range(len(chunks))
+                     for row in done[k])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise RuntimeError(
+            f"sweep workers wrote incomplete records: {exc!r}") from None
 
 
 def disagreements(records) -> tuple[SweepRecord, ...]:

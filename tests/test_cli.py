@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import tileforge
-from tileforge import analysis, cli, power
+from tileforge import analysis, cli, family, power
 from tileforge.family import SweepRecord
 
 from strategies import run_fresh
@@ -601,3 +602,33 @@ def test_round_cap_exits_2_and_names_the_stage(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: contact stage: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_analyze_and_sweep_fail_a_census_alike(tmp_path, monkeypatch,
+                                               capsys):
+    census = family.census
+    monkeypatch.setattr(family, "census",
+                        lambda ctx: dataclasses.replace(census(ctx), euler=0))
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze", "--abc", "1,2,4", "--json", str(out)]) == 0
+    assert "audit: FAIL" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["audit_pass"] is False
+    assert set(report["audits"].values()) == {"ok"}
+    message = "alternating census is 0, not 2"
+    assert report["census"]["failures"] == [message]
+    row = family.sweep(1, 2, 4)[-1]
+    assert (row.A, row.B, row.C) == (1, 2, 4)
+    assert (row.euler, row.audit_pass, row.message) == (0, False, message)
+
+
+def test_sweep_lists_each_failing_triple_once(monkeypatch, capsys):
+    def failing(triple):
+        raise ZeroDivisionError("no inverse")
+
+    monkeypatch.setattr(family, "_evaluate", failing)
+    assert cli.main(["sweep", "--max", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "4 triples checked, 4 disagreements"
+    assert [l.split(":")[0] for l in lines[1:]] == [
+        "  (1,1,2)", "  (1,1,3)", "  (1,2,3)", "  (2,2,3)"]

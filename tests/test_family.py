@@ -1,6 +1,8 @@
 import contextlib
+import json
 import os
 import signal
+import tempfile
 import time
 
 import pytest
@@ -292,18 +294,11 @@ def test_a_caller_that_raises_leaves_no_worker(monkeypatch):
     assert_no_child_left()
 
 
-def test_worker_records_name_a_worker_whose_data_is_incomplete():
-    with pytest.raises(RuntimeError, match="worker 41 sent incomplete"):
-        family._worker_records(41, 0, b'[[0, [[1, 1, 2, 20')
-    with pytest.raises(RuntimeError, match="worker 41 exited with code 1"):
-        family._worker_records(41, 1 << 8, b"[]")
-
-
 @contextlib.contextmanager
-def deal_stalls_after(seconds):
+def stalls_after(seconds):
     """Raise TimeoutError in this process if the block runs longer."""
     def stalled(signum, frame):
-        raise TimeoutError("the deal stalled")
+        raise TimeoutError("the sweep stalled")
 
     previous = signal.signal(signal.SIGALRM, stalled)
     signal.alarm(seconds)
@@ -314,56 +309,124 @@ def deal_stalls_after(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_deal_gives_every_number_once_from_the_tail():
+def in_a_worker(monkeypatch, action):
+    """Make a forked worker call action before each chunk it runs, while
+    this process holds each of its chunks until a worker has exited (and
+    leaves it unreaped), so the worker takes a chunk before this process
+    has taken them all.  The usable cores read as 2."""
+    caller, run = os.getpid(), family._sweep_chunk
+
+    def chunk(c):
+        if os.getpid() != caller:
+            action()
+        else:
+            os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return run(c)
+
+    count_forks(monkeypatch, cores=2)
+    monkeypatch.setattr(family, "_sweep_chunk", chunk)
+
+
+def test_worker_records_name_a_worker_whose_data_is_incomplete(monkeypatch):
+    write = os.write
+    cases = [
+        # Each line loses its end, so the lines run together.
+        (lambda: monkeypatch.setattr(
+            os, "write", lambda fd, data: write(fd, data[:-2])),
+         r"incomplete records: JSONDecodeError"),
+        # The worker takes a chunk number and exits 0 before writing.
+        (lambda: os._exit(0), r"incomplete records: KeyError\(3\)"),
+        (lambda: os._exit(1), r"sweep worker \d+ exited with code 1$"),
+    ]
+    for action, message in cases:
+        with monkeypatch.context() as m, stalls_after(60):
+            in_a_worker(m, action)
+            with pytest.raises(RuntimeError, match=message):
+                sweep(4, 4, 5, parallelism=2)
+        assert_no_child_left()
+
+
+def test_a_worker_that_dies_writing_its_records_fails_the_sweep(monkeypatch):
+    # With a pipe that each taker writes the next number back to, a worker
+    # that dies on that write leaves this process blocked on the pipe.
+    def exit_on_write(fd, data):
+        os._exit(9)
+
+    in_a_worker(monkeypatch,
+                lambda: monkeypatch.setattr(os, "write", exit_on_write))
+    with stalls_after(20):
+        with pytest.raises(RuntimeError, match=r"sweep worker \d+ exited "
+                                               r"with code 9$"):
+            sweep(4, 4, 5, parallelism=2)
+    assert_no_child_left()
+
+
+def test_a_worker_killed_inside_a_chunk_fails_the_sweep(monkeypatch):
+    in_a_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with stalls_after(20):
+        with pytest.raises(RuntimeError, match=r"sweep worker \d+ exited "
+                                               r"with code -9$"):
+            sweep(4, 4, 5, parallelism=2)
+    assert_no_child_left()
+
+
+def test_deal_gives_every_number_once_from_the_tail(monkeypatch):
     # More numbers than one 64 KiB pipe holds as 8-byte records.
     count = 20_000
-    with deal_stalls_after(60):
-        deal = family._Deal(count)
-        try:
-            taken = list(iter(deal.take, None))
-            assert deal.take() is None
-        finally:
-            deal.close()
-    assert taken == list(range(count - 1, -1, -1))
+    monkeypatch.setattr(family, "_sweep_chunk", lambda chunk: ())
+    with stalls_after(60), family._deal(count) as deal, \
+            tempfile.TemporaryFile() as out:
+        family._run_dealt(deal.fileno(), out.fileno(), range(count))
+        assert os.read(deal.fileno(), 8) == b""
+        lines = os.pread(out.fileno(), os.fstat(out.fileno()).st_size, 0)
+    assert lines.splitlines() == [json.dumps([k, []]).encode()
+                                  for k in range(count - 1, -1, -1)]
 
 
-def test_deal_gives_each_number_to_one_of_more_processes_than_cores():
-    # Five takers on one deal; a number taken twice or lost breaks the
-    # union.  A forked taker inherits the alarm's handler but not the alarm,
-    # so it stops with this process, which kills it.
+def tagged(chunk):
+    """One record whose A is the pid of the process that ran the chunk."""
+    return (SweepRecord(os.getpid(), 0, 0, 0, False, False, 0, 0, 0, False,
+                        0, False),)
+
+
+def test_deal_gives_each_number_to_one_of_more_processes_than_cores(
+        monkeypatch):
+    # Five takers share one deal file and one out file, as the sweep's
+    # processes do: a number taken twice or lost, or two lines that overlap,
+    # breaks the union.  A forked taker inherits the alarm's handler but not
+    # the alarm, so it stops with this process, which kills it.
     count, takers = 5_000, []
-    with deal_stalls_after(60):
-        deal = family._Deal(count)
+    monkeypatch.setattr(family, "_sweep_chunk", tagged)
+    with stalls_after(60), family._deal(count) as deal, \
+            tempfile.TemporaryFile() as out:
+        fds = deal.fileno(), out.fileno()
         try:
             for _ in range(4):
-                read, write = os.pipe()
                 pid = os.fork()
                 if pid == 0:
                     status = 1
                     try:
-                        with open(write, "w", encoding="ascii") as out:
-                            out.write(" ".join(map(str,
-                                                   iter(deal.take, None))))
+                        family._run_dealt(*fds, range(count))
                         status = 0
                     finally:
                         os._exit(status)
-                os.close(write)
-                takers.append((pid, read))
-            mine, theirs = list(iter(deal.take, None)), []
+                takers.append(pid)
+            family._run_dealt(*fds, range(count))
             while takers:
-                pid, read = takers[-1]
-                with open(read, encoding="ascii") as pipe:
-                    theirs += map(int, pipe.read().split())
-                status = os.waitpid(pid, 0)[1]
+                status = os.waitpid(takers[-1], 0)[1]
                 takers.pop()
                 assert status == 0
         finally:
-            for pid, read in takers:
+            for pid in takers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-            deal.close()
-    assert sorted(mine + theirs) == list(range(count))
-    assert mine == sorted(mine, reverse=True)
+        lines = os.pread(fds[1], os.fstat(fds[1]).st_size, 0).splitlines()
+    taken: dict[int, list[int]] = {}
+    for k, [row] in map(json.loads, lines):
+        taken.setdefault(row[0], []).append(k)
+    assert sorted(sum(taken.values(), [])) == list(range(count))
+    assert all(ks == sorted(ks, reverse=True) for ks in taken.values())
+    assert os.getpid() in taken
 
 
 @pytest.mark.parametrize("parallelism", [0, -1])
