@@ -21,7 +21,6 @@ from .geometry_io import (
     export,
     merge_clouds,
 )
-from .graphs import RoundLimitError
 from .lattice import IntMatrix
 from .topology import MAX_LOOP_DEPTH
 
@@ -193,7 +192,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RoundLimitError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -352,12 +352,8 @@ def _sweep_worker(abc: tuple[int, int, int]) -> SweepRecord:
     try:
         return _evaluate(AbcTriple(a, b, c))
     except Exception as exc:
-        return SweepRecord(a, b, c, -1, False, False, -1, -1, -1, False, 0,
+        return SweepRecord(a, b, c, -1, False, False, -1, -1, -1, False, -1,
                            False, f"{type(exc).__name__}: {exc}")
-
-
-def _sweep_chunk(chunk) -> tuple[SweepRecord, ...]:
-    return tuple(_sweep_worker(abc) for abc in chunk)
 
 
 def family_triples(a_max: int, b_max: int, c_max: int):
@@ -368,9 +364,6 @@ def family_triples(a_max: int, b_max: int, c_max: int):
                  for c in range(b + 1, c_max + 1))
 
 
-CHUNK_SIZE = 4
-
-
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -378,35 +371,34 @@ def _usable_cores() -> int:
 
 
 def _deal(count: int):
-    """An unlinked file of the numbers count - 1, ..., 0 as 8-byte records,
+    """An unlinked file of the numbers 0, ..., count - 1 as 8-byte records,
     its offset at the first.  Forked processes share the offset, and the
     kernel locks it for each read, so each number goes to one of them."""
     deal = tempfile.TemporaryFile()
-    deal.write(b"".join(k.to_bytes(8, "little")
-                        for k in range(count - 1, -1, -1)))
+    deal.write(b"".join(k.to_bytes(8, "little") for k in range(count)))
     deal.seek(0)
     return deal
 
 
-def _run_dealt(deal: int, out: int, chunks):
-    """Run chunks by the numbers read from deal until it runs out, and write
-    a JSON line [number, rows] for each to out; the kernel locks out's
-    shared offset for each write too, so the lines stay whole."""
-    while record := os.read(deal, 8):
-        k = int.from_bytes(record, "little")
-        rows = [astuple(r) for r in _sweep_chunk(chunks[k])]
-        os.write(out, (json.dumps([k, rows]) + "\n").encode())
+def _run_dealt(deal: int, out: int, triples):
+    """Sweep triples by the numbers read from deal until it runs out, and
+    write a JSON line [number, record] for each to out; the kernel locks
+    out's shared offset for each write too, so the lines stay whole."""
+    while number := os.read(deal, 8):
+        k = int.from_bytes(number, "little")
+        row = astuple(_sweep_worker(triples[k]))
+        os.write(out, (json.dumps([k, row]) + "\n").encode())
 
 
-def _fork_worker(deal: int, out: int, chunks) -> int:
-    """pid of a forked process that runs dealt chunks and exits with status
-    0 only once all of their lines are written."""
+def _fork_worker(deal: int, out: int, triples) -> int:
+    """pid of a forked process that sweeps dealt triples and exits with
+    status 0 only once all of their lines are written."""
     pid = os.fork()
     if pid:
         return pid
     status = 1
     try:
-        _run_dealt(deal, out, chunks)
+        _run_dealt(deal, out, triples)
         status = 0
     except Exception:
         sys.excepthook(*sys.exc_info())
@@ -420,47 +412,40 @@ def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
     """Audit every family member in the box; order is deterministic.
 
     parallelism bounds the processes, this one among them, and so do the
-    usable cores and the number of chunks of CHUNK_SIZE triples.  With one
-    process the sweep runs here.  Otherwise the others are forked workers,
-    and every process, this one too, reads the next chunk number from the
-    deal, from the tail of the box where the costliest members sit, only
-    when it is free; no process waits on another.  A worker that fails
-    raises RuntimeError, and no worker outlives the call, whether it
-    returns or raises.  As with any fork, call it with parallelism above 1
-    only from a process that runs no other threads.
+    usable cores and the number of triples; the others are forked workers.
+    Every process, this one too, reads the next triple number from the deal,
+    in box order, only when it is free; no process waits on another.  A
+    worker that fails raises RuntimeError, and no worker outlives the call,
+    whether it returns or raises.  As with any fork, call it with
+    parallelism above 1 only from a process that runs no other threads.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be at least 1")
     if parallelism > 1 and not hasattr(os, "fork"):
         raise ValueError("parallelism above 1 needs os.fork")
     triples = family_triples(a_max, b_max, c_max)
-    chunks = [triples[i:i + CHUNK_SIZE]
-              for i in range(0, len(triples), CHUNK_SIZE)]
-    processes = min(parallelism, len(chunks), _usable_cores())
-    if processes < 2:
-        return _sweep_chunk(triples)
+    processes = min(parallelism, len(triples), _usable_cores())
     workers: list[int] = []  # unreaped pids
-    with _deal(len(chunks)) as deal, tempfile.TemporaryFile() as out:
+    with _deal(len(triples)) as deal, tempfile.TemporaryFile() as out:
+        fds = deal.fileno(), out.fileno()
         try:
             for _ in range(processes - 1):
-                workers.append(_fork_worker(deal.fileno(), out.fileno(),
-                                            chunks))
-            _run_dealt(deal.fileno(), out.fileno(), chunks)
+                workers.append(_fork_worker(*fds, triples))
+            _run_dealt(*fds, triples)
             while workers:
                 status = os.waitpid(workers[-1], 0)[1]
                 pid = workers.pop()
                 if code := os.waitstatus_to_exitcode(status):
                     raise RuntimeError(
                         f"sweep worker {pid} exited with code {code}")
-            data = os.pread(out.fileno(), os.fstat(out.fileno()).st_size, 0)
+            data = os.pread(fds[1], os.fstat(fds[1]).st_size, 0)
         finally:
             for pid in workers:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     try:
         done = dict(map(json.loads, data.splitlines()))
-        return tuple(SweepRecord(*row) for k in range(len(chunks))
-                     for row in done[k])
+        return tuple(SweepRecord(*done[k]) for k in range(len(triples)))
     except (ValueError, TypeError, KeyError) as exc:
         raise RuntimeError(
             f"sweep workers wrote incomplete records: {exc!r}") from None

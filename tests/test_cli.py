@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -282,6 +283,26 @@ def test_sweep_jobs_above_one_needs_fork(monkeypatch, capsys):
     monkeypatch.setattr(cli, "sweep", forbidden)
     assert cli.main(["sweep", "--max", "2", "--jobs", "2"]) == 2
     assert capsys.readouterr().err == "error: --jobs above 1 needs os.fork\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="forks a worker")
+def test_a_dead_sweep_worker_is_one_error_line(monkeypatch, capsys):
+    # The worker exits 3 on its first triple; this process holds each of its
+    # own until the worker has exited, so the worker always takes one.
+    caller, run = os.getpid(), family._sweep_worker
+
+    def dying(abc):
+        if os.getpid() != caller:
+            os._exit(3)
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
+        return run(abc)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(family, "_sweep_worker", dying)
+    assert cli.main(["sweep", "--max", "5", "--jobs", "2"]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: sweep worker \d+ exited with code 3\n", err)
 
 
 def test_sweep_memory_rise_stays_under_budget():

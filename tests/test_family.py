@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -129,8 +130,6 @@ def test_sweep_skips_levels_outside_the_family():
 def test_sweep_is_deterministic_across_parallelism():
     serial = sweep(4, 4, 5, parallelism=1)
     assert sweep(4, 4, 5, parallelism=2) == serial
-    # Two workers beside this process: chunks run here and in the pool
-    # interleave in the box order.
     assert sweep(4, 4, 5, parallelism=3) == serial
 
 
@@ -151,22 +150,35 @@ def count_forks(monkeypatch, cores):
 
 def test_sweep_starts_no_more_workers_than_triples(monkeypatch):
     forks = count_forks(monkeypatch, cores=64)
-    assert len(family_triples(2, 2, 3)) == 4
-    # Four triples are one chunk: no process beside this one.
-    assert sweep(2, 2, 3, parallelism=10_000) == sweep(2, 2, 3)
+    # One triple: no process beside this one.
     assert sweep(1, 1, 2, parallelism=10_000) == sweep(1, 1, 2)
     assert forks == []
-    # Twenty triples are five chunks: this process and four workers.
-    assert sweep(4, 4, 5, parallelism=10_000) == sweep(4, 4, 5)
-    assert len(forks) == 4
+    # Four triples: this process and three workers.
+    assert len(family_triples(2, 2, 3)) == 4
+    assert sweep(2, 2, 3, parallelism=10_000) == sweep(2, 2, 3)
+    assert len(forks) == 3
 
 
 def test_sweep_starts_no_more_processes_than_usable_cores(monkeypatch):
     forks = count_forks(monkeypatch, cores=2)
     assert sweep(2, 2, 3, parallelism=100_000) == sweep(2, 2, 3)
-    assert len(forks) <= 1
-    assert sweep(4, 4, 5, parallelism=100_000) == sweep(4, 4, 5)
     assert len(forks) == 1
+    assert sweep(4, 4, 5, parallelism=100_000) == sweep(4, 4, 5)
+    assert len(forks) == 2
+
+
+def test_a_serial_sweep_runs_the_dealt_path_here(monkeypatch):
+    forks = count_forks(monkeypatch, cores=64)
+    calls, run = [], family._run_dealt
+
+    def counted(*args):
+        calls.append(os.getpid())
+        return run(*args)
+
+    monkeypatch.setattr(family, "_run_dealt", counted)
+    assert sweep(2, 2, 3) == tuple(map(_sweep_worker, family_triples(2, 2, 3)))
+    assert calls == [os.getpid()]
+    assert forks == []
 
 
 def test_sweep_counts_cpus_without_an_affinity_mask(monkeypatch):
@@ -184,21 +196,21 @@ def test_sweep_without_fork_refuses_more_than_one_process(monkeypatch):
     assert sweep(1, 1, 2, parallelism=1) == sweep(1, 1, 2)
 
 
-def log_chunks(monkeypatch, log, held, others):
-    """Wrap family._sweep_chunk so that every chunk appends the pid of the
-    process that runs it and its first triple to log.  A process on a held
-    side, "caller" or "worker", holds its first chunk until the other side
-    has logged `others` chunks.  Every process must have the usable cores
-    read as 2 or more (count_forks)."""
-    caller, run = os.getpid(), family._sweep_chunk
+def log_triples(monkeypatch, log, held, others):
+    """Wrap family._sweep_worker so that every triple appends the pid of the
+    process that runs it and the triple to log.  A process on a held side,
+    "caller" or "worker", holds its first triple until the other side has
+    logged `others` triples.  Every process must have the usable cores read
+    as 2 or more (count_forks)."""
+    caller, run = os.getpid(), family._sweep_worker
 
     def side(pid):
         return "caller" if pid == caller else "worker"
 
-    def logged(chunk):
+    def logged(abc):
         me = os.getpid()
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{me} {chunk[0]}\n")
+            fh.write(f"{me} {abc}\n")
         lines = log.read_text().splitlines()
         if side(me) in held and sum(l.split()[0] == str(me)
                                     for l in lines) == 1:
@@ -207,13 +219,13 @@ def log_chunks(monkeypatch, log, held, others):
                       for l in log.read_text().splitlines()) < others:
                 assert time.monotonic() < deadline, "the other side stalled"
                 time.sleep(0.005)
-        return run(chunk)
+        return run(abc)
 
-    monkeypatch.setattr(family, "_sweep_chunk", logged)
+    monkeypatch.setattr(family, "_sweep_worker", logged)
 
 
-def chunk_runs(log):
-    """side -> number of chunks run, and the first triples in log order."""
+def triple_runs(log):
+    """side -> number of triples run, and the triples in log order."""
     caller = str(os.getpid())
     lines = [l.split(" ", 1) for l in log.read_text().splitlines()]
     runs = {"caller": 0, "worker": 0}
@@ -225,16 +237,16 @@ def chunk_runs(log):
 @pytest.mark.parametrize("slow", ["caller", "worker"])
 def test_sweep_records_do_not_depend_on_who_runs_them(slow, tmp_path,
                                                       monkeypatch):
-    # The slow side holds its first chunk until the other side has run the
-    # four others, so it runs at most one of the five.
+    # The slow side holds its first triple until the other side has run the
+    # 19 others, so it runs at most one of the 20.
     serial = sweep(4, 4, 5, parallelism=1)
     count_forks(monkeypatch, cores=2)
-    log = tmp_path / "chunks.log"
-    log_chunks(monkeypatch, log, held={slow}, others=4)
+    log = tmp_path / "triples.log"
+    log_triples(monkeypatch, log, held={slow}, others=19)
     assert sweep(4, 4, 5, parallelism=2) == serial
-    runs, firsts = chunk_runs(log)
-    assert runs[slow] <= 1 and sum(runs.values()) == 5
-    assert sorted(firsts) == sorted(str(t) for t in family_triples(4, 4, 5)[::4])
+    runs, triples = triple_runs(log)
+    assert runs[slow] <= 1 and sum(runs.values()) == 20
+    assert sorted(triples) == sorted(str(t) for t in family_triples(4, 4, 5))
 
 
 def test_caller_records_a_failing_triple_as_a_worker_does(tmp_path,
@@ -243,18 +255,18 @@ def test_caller_records_a_failing_triple_as_a_worker_does(tmp_path,
         raise ZeroDivisionError("no inverse")
 
     monkeypatch.setattr(family, "_evaluate", failing)
-    expected = SweepRecord(4, 4, 5, -1, False, False, -1, -1, -1, False, 0,
+    expected = SweepRecord(4, 4, 5, -1, False, False, -1, -1, -1, False, -1,
                            False, "ZeroDivisionError: no inverse")
     assert _sweep_worker((4, 4, 5)) == expected
     serial = sweep(4, 4, 5, parallelism=1)
     assert serial[-1] == expected
-    # Each side holds its first chunk until the other has run one, so both
-    # record failures, and the worker's come back through its pipe.
+    # Each side holds its first triple until the other has run one, so both
+    # record failures, and the worker's come back through the out file.
     count_forks(monkeypatch, cores=2)
-    log = tmp_path / "chunks.log"
-    log_chunks(monkeypatch, log, held={"caller", "worker"}, others=1)
+    log = tmp_path / "triples.log"
+    log_triples(monkeypatch, log, held={"caller", "worker"}, others=1)
     assert sweep(4, 4, 5, parallelism=2) == serial
-    runs, _ = chunk_runs(log)
+    runs, _ = triple_runs(log)
     assert runs["caller"] >= 1 and runs["worker"] >= 1
 
 
@@ -264,15 +276,15 @@ def assert_no_child_left():
 
 
 def test_a_worker_that_dies_fails_the_sweep(monkeypatch):
-    caller, run = os.getpid(), family._sweep_chunk
+    caller, run = os.getpid(), family._sweep_worker
 
-    def dying(chunk):
+    def dying(abc):
         if os.getpid() != caller:
             os._exit(3)
-        return run(chunk)
+        return run(abc)
 
     count_forks(monkeypatch, cores=2)
-    monkeypatch.setattr(family, "_sweep_chunk", dying)
+    monkeypatch.setattr(family, "_sweep_worker", dying)
     with pytest.raises(RuntimeError, match=r"sweep worker \d+ exited with "
                                            r"code 3"):
         sweep(4, 4, 5, parallelism=2)
@@ -280,16 +292,16 @@ def test_a_worker_that_dies_fails_the_sweep(monkeypatch):
 
 
 def test_a_caller_that_raises_leaves_no_worker(monkeypatch):
-    caller, run = os.getpid(), family._sweep_chunk
+    caller, run = os.getpid(), family._sweep_worker
 
-    def raising(chunk):
+    def raising(abc):
         if os.getpid() == caller:
-            raise KeyError("caller chunk")
-        return run(chunk)
+            raise KeyError("caller triple")
+        return run(abc)
 
     count_forks(monkeypatch, cores=2)
-    monkeypatch.setattr(family, "_sweep_chunk", raising)
-    with pytest.raises(KeyError, match="caller chunk"):
+    monkeypatch.setattr(family, "_sweep_worker", raising)
+    with pytest.raises(KeyError, match="caller triple"):
         sweep(4, 4, 5, parallelism=2)
     assert_no_child_left()
 
@@ -310,21 +322,21 @@ def stalls_after(seconds):
 
 
 def in_a_worker(monkeypatch, action):
-    """Make a forked worker call action before each chunk it runs, while
-    this process holds each of its chunks until a worker has exited (and
-    leaves it unreaped), so the worker takes a chunk before this process
+    """Make a forked worker call action before each triple it runs, while
+    this process holds each of its triples until a worker has exited (and
+    leaves it unreaped), so the worker takes a triple before this process
     has taken them all.  The usable cores read as 2."""
-    caller, run = os.getpid(), family._sweep_chunk
+    caller, run = os.getpid(), family._sweep_worker
 
-    def chunk(c):
+    def triple(abc):
         if os.getpid() != caller:
             action()
         else:
             os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOWAIT)
-        return run(c)
+        return run(abc)
 
     count_forks(monkeypatch, cores=2)
-    monkeypatch.setattr(family, "_sweep_chunk", chunk)
+    monkeypatch.setattr(family, "_sweep_worker", triple)
 
 
 def test_worker_records_name_a_worker_whose_data_is_incomplete(monkeypatch):
@@ -334,8 +346,9 @@ def test_worker_records_name_a_worker_whose_data_is_incomplete(monkeypatch):
         (lambda: monkeypatch.setattr(
             os, "write", lambda fd, data: write(fd, data[:-2])),
          r"incomplete records: JSONDecodeError"),
-        # The worker takes a chunk number and exits 0 before writing.
-        (lambda: os._exit(0), r"incomplete records: KeyError\(3\)"),
+        # The worker takes a triple number and exits 0 before writing; this
+        # process or the worker took the first, the other the second.
+        (lambda: os._exit(0), r"incomplete records: KeyError\([01]\)"),
         (lambda: os._exit(1), r"sweep worker \d+ exited with code 1$"),
     ]
     for action, message in cases:
@@ -361,7 +374,7 @@ def test_a_worker_that_dies_writing_its_records_fails_the_sweep(monkeypatch):
     assert_no_child_left()
 
 
-def test_a_worker_killed_inside_a_chunk_fails_the_sweep(monkeypatch):
+def test_a_worker_killed_inside_a_triple_fails_the_sweep(monkeypatch):
     in_a_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     with stalls_after(20):
         with pytest.raises(RuntimeError, match=r"sweep worker \d+ exited "
@@ -370,23 +383,28 @@ def test_a_worker_killed_inside_a_chunk_fails_the_sweep(monkeypatch):
     assert_no_child_left()
 
 
-def test_deal_gives_every_number_once_from_the_tail(monkeypatch):
+def numbered(k):
+    """A record whose A is k."""
+    return SweepRecord(k, 0, 0, 0, False, False, 0, 0, 0, False, 0, False)
+
+
+def test_deal_gives_every_number_once_in_box_order(monkeypatch):
     # More numbers than one 64 KiB pipe holds as 8-byte records.
     count = 20_000
-    monkeypatch.setattr(family, "_sweep_chunk", lambda chunk: ())
+    monkeypatch.setattr(family, "_sweep_worker", numbered)
     with stalls_after(60), family._deal(count) as deal, \
             tempfile.TemporaryFile() as out:
         family._run_dealt(deal.fileno(), out.fileno(), range(count))
         assert os.read(deal.fileno(), 8) == b""
         lines = os.pread(out.fileno(), os.fstat(out.fileno()).st_size, 0)
-    assert lines.splitlines() == [json.dumps([k, []]).encode()
-                                  for k in range(count - 1, -1, -1)]
+    assert lines.splitlines() == [
+        json.dumps([k, dataclasses.astuple(numbered(k))]).encode()
+        for k in range(count)]
 
 
-def tagged(chunk):
-    """One record whose A is the pid of the process that ran the chunk."""
-    return (SweepRecord(os.getpid(), 0, 0, 0, False, False, 0, 0, 0, False,
-                        0, False),)
+def tagged(abc):
+    """A record whose A is the pid of the process that ran the triple."""
+    return numbered(os.getpid())
 
 
 def test_deal_gives_each_number_to_one_of_more_processes_than_cores(
@@ -396,7 +414,7 @@ def test_deal_gives_each_number_to_one_of_more_processes_than_cores(
     # breaks the union.  A forked taker inherits the alarm's handler but not
     # the alarm, so it stops with this process, which kills it.
     count, takers = 5_000, []
-    monkeypatch.setattr(family, "_sweep_chunk", tagged)
+    monkeypatch.setattr(family, "_sweep_worker", tagged)
     with stalls_after(60), family._deal(count) as deal, \
             tempfile.TemporaryFile() as out:
         fds = deal.fileno(), out.fileno()
@@ -422,10 +440,10 @@ def test_deal_gives_each_number_to_one_of_more_processes_than_cores(
                 os.waitpid(pid, 0)
         lines = os.pread(fds[1], os.fstat(fds[1]).st_size, 0).splitlines()
     taken: dict[int, list[int]] = {}
-    for k, [row] in map(json.loads, lines):
+    for k, row in map(json.loads, lines):
         taken.setdefault(row[0], []).append(k)
     assert sorted(sum(taken.values(), [])) == list(range(count))
-    assert all(ks == sorted(ks, reverse=True) for ks in taken.values())
+    assert all(ks == sorted(ks) for ks in taken.values())
     assert os.getpid() in taken
 
 
