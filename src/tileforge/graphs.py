@@ -10,6 +10,7 @@ the set stabilizes.  Labeled graphs only certify the final sets.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import add, mul
@@ -66,24 +67,26 @@ class BoundaryGraph:
 
     @cached_property
     def bit_tables(self) -> tuple:
-        """(verts, bit, out) for fixpoints on int bitmasks.
+        """(verts, index, out) for the level fixpoints.
 
-        verts are the sorted vertices and bit[v] the one-bit mask of v.
-        out[i] lists (successor bit, digit mask) once for each distinct
-        successor of verts[i]; bit j of the digit mask is set when digits[j]
-        is the left digit of some edge from verts[i] to that successor.
+        verts are the sorted vertices and index[v] the position of v in
+        verts.  out[i] lists (successor index, digit mask) once for each
+        distinct successor of verts[i]; bit j of the digit mask is set when
+        digits[j] is the left digit of some edge from verts[i] to that
+        successor.
         """
         verts = tuple(sorted(self.vertices))
-        bit = {v: 1 << i for i, v in enumerate(verts)}
+        index = {v: i for i, v in enumerate(verts)}
         table = self.digit_successors
         out = []
         for v in verts:
             masks: dict[int, int] = {}
             for j, d in enumerate(self.digits):
                 for dst, _ in table.get((v, d), ()):
-                    masks[bit[dst]] = masks.get(bit[dst], 0) | 1 << j
+                    i = index[dst]
+                    masks[i] = masks.get(i, 0) | 1 << j
             out.append(tuple(masks.items()))
-        return verts, bit, out
+        return verts, index, out
 
 
 def _digit_diff_pairs(digits):
@@ -111,38 +114,69 @@ def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
     return BoundaryGraph(tuple(pts), tuple(sorted(edges)), matrix, digits)
 
 
-def prune_sinks(succ) -> list[int]:
+def successor_arrays(lists) -> tuple[array, array]:
+    """(offsets, targets) of the successor lists of vertices 0..n-1, the
+    flat form prune_sinks takes; lists may be any iterable of lists."""
+    offsets, targets = array("i", [0]), array("i")
+    for out in lists:
+        targets.fromlist(out)
+        offsets.append(len(targets))
+    return offsets, targets
+
+
+def prune_sinks(offsets, targets) -> list[int]:
     """Vertices of the largest subgraph in which every vertex keeps a successor.
 
-    succ[i] lists the successors of vertex i, each an index below len(succ).
-    A vertex survives exactly when an infinite walk starts at it; the
-    survivors come back as indices, in increasing order.
+    The successors of vertex i are targets[offsets[i]:offsets[i + 1]], each
+    an index below n = len(offsets) - 1; offsets and targets are flat int
+    sequences, array('i') or list.  A vertex survives exactly when an
+    infinite walk starts at it; the survivors come back as indices, in
+    increasing order.
+
+    A depth-first walk from each unseen vertex steps to the first successor
+    not known to be dead.  Reaching a vertex on the walk's own path, or one
+    known to be alive, makes the whole path alive; a vertex whose
+    successors are all dead is dead, and the walk backs up.  So each edge is
+    read at most once, and no predecessor table is built.
     """
-    n = len(succ)
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for v, out in enumerate(succ):
-        for w in out:
-            preds[w].append(v)
-    left = list(map(len, succ))
-    queue = [v for v in range(n) if not left[v]]
-    dead = bytearray(n)
-    for v in queue:
-        dead[v] = 1
-    while queue:
-        for p in preds[queue.pop()]:
-            if not dead[p]:
-                left[p] -= 1
-                if not left[p]:
-                    dead[p] = 1
-                    queue.append(p)
-    return [v for v in range(n) if not dead[v]]
+    n = len(offsets) - 1
+    state = bytearray(n)  # 0 unseen, 1 on the path, 2 alive, 3 dead
+    at = offsets[:]  # the next edge each vertex on the path reads
+    path = []  # the walk's vertices before v
+    for root in range(n):
+        if state[root]:
+            continue
+        v = root
+        state[v] = 1
+        while True:
+            e, end = at[v], offsets[v + 1]
+            while e < end and state[targets[e]] == 3:
+                e += 1
+            if e == end:
+                state[v] = 3
+                if not path:
+                    break
+                v = path.pop()
+                continue
+            x = targets[e]
+            if state[x]:
+                state[v] = 2
+                for u in path:
+                    state[u] = 2
+                path.clear()
+                break
+            at[v] = e + 1
+            state[x] = 1
+            path.append(v)
+            v = x
+    return [v for v in range(n) if state[v] != 3]
 
 
 def reduce(graph: BoundaryGraph) -> BoundaryGraph:
     """Largest subgraph in which every vertex keeps an outgoing edge."""
     index = {v: i for i, v in enumerate(graph.vertices)}
-    alive = {graph.vertices[i] for i in prune_sinks(
-        [{index[e.dst] for e in graph._out[v]} for v in graph.vertices])}
+    alive = {graph.vertices[i] for i in prune_sinks(*successor_arrays(
+        [index[e.dst] for e in graph._out[v]] for v in graph.vertices))}
     if len(alive) == len(graph.vertices):
         return graph
     kept = tuple(e for e in graph.edges if e.src in alive and e.dst in alive)
@@ -208,9 +242,13 @@ def _alive_packs(images: dict, packed_diffs) -> list[int]:
     packs = list(images)
     index = {x: i for i, x in enumerate(packs)}
     get = index.get
-    succ = [[j for d in packed_diffs if (j := get(m + d)) is not None]
-            for m in images.values()]
-    return [packs[i] for i in prune_sinks(succ)]
+    # Flat lists rather than arrays: the relation is rebuilt every round of
+    # a fixpoint and dropped, and lists are faster to fill and to read.
+    offsets, targets = [0], []
+    for m in images.values():
+        targets += [j for d in packed_diffs if (j := get(m + d)) is not None]
+        offsets.append(len(targets))
+    return [packs[i] for i in prune_sinks(offsets, targets)]
 
 
 def _packed_images(points, matrix: IntMatrix, diffs):

@@ -24,6 +24,7 @@ from .graphs import (
     _packing,
     digit_differences,
     prune_sinks,
+    successor_arrays,
 )
 from .lattice import (
     IntMatrix,
@@ -62,66 +63,101 @@ def _bit_indices(mask: int) -> list[int]:
     return out
 
 
-def _images(out, mask: int) -> dict[int, int]:
-    """Image mask -> digit mask of the members of mask, one successor each.
+def _pack(members, w: int) -> int:
+    """The key of a vertex set from its member indices in increasing order:
+    each member takes w bits, the smallest the highest, so keys of sets of
+    one size sort as the sets do."""
+    key = 0
+    for i in members:
+        key = key << w | i
+    return key
+
+
+def _members(key: int, k: int, w: int) -> list[int]:
+    """The k member indices of a key, in increasing order."""
+    mask = (1 << w) - 1
+    return [key >> s & mask for s in range(w * (k - 1), -1, -w)]
+
+
+def _images(out, members, w: int) -> dict[int, int]:
+    """Image key -> digit mask of the set with these member indices, one
+    successor each.
 
     The product runs over the members' out-lists (see bit_tables) and ANDs
     their digit masks as it goes: a partial choice that no one digit serves
-    is dropped, and choices with the same image OR their digit masks.  The
-    image ORs one successor bit per member, so a repeated successor leaves
-    fewer than k bits: an image is a k-set, and the members' images a
-    bijection, exactly when it has k bits.
+    is dropped, and choices with the same image OR their digit masks.  A
+    partial image is the key of the successors chosen so far, and each new
+    successor is inserted in order; one already chosen ends the choice, so
+    every image is a k-set and the members' images a bijection.
     """
-    first, *rest = _bit_indices(mask)
+    mask = (1 << w) - 1
+    first, *rest = members
     images = dict(out[first])
-    for i in rest:
+    for t, i in enumerate(rest, 1):
+        full = w * t  # the shift past all t members of a partial image
         row = out[i]
         step: dict[int, int] = {}
         for s, common in images.items():
             for b, m in row:
                 m &= common
                 if m:
-                    s_b = s | b
-                    step[s_b] = step.get(s_b, 0) | m
+                    # The low fields hold the larger members: move those
+                    # above b below it.  The field then left equals b only
+                    # if b repeats a member, or if no member is left and
+                    # b is 0.
+                    high, low, shift = s, 0, 0
+                    while (f := high & mask) > b:
+                        low |= f << shift
+                        high >>= w
+                        shift += w
+                    if f != b or shift == full:
+                        key = (high << w | b) << shift | low
+                        step[key] = step.get(key, 0) | m
         images = step
     return images
 
 
-def _candidates(alive: set[int]) -> set[int]:
-    """(k+1)-sets all of whose k-subsets are in alive.
+def _candidates(alive, k: int, w: int) -> list[int]:
+    """Keys of the k-sets all of whose (k-1)-subsets are in alive, a set of
+    (k-1)-set keys, in increasing order.
 
-    Two alive k-sets that differ only in their top bit join to one
-    candidate, so each candidate is made once, from its two k-subsets that
-    keep its lower k-1 members; its other k-1 subsets are looked up.
+    Two alive sets that differ only in their largest member join to one
+    candidate, so each candidate is made once, from its two subsets that
+    keep its k-2 smallest members; its other k-2 subsets are looked up.
     """
+    mask = (1 << w) - 1
     groups: dict[int, list[int]] = {}
     for v in alive:
-        top = 1 << (v.bit_length() - 1)
-        groups.setdefault(v ^ top, []).append(top)
-    out = set()
+        groups.setdefault(v >> w, []).append(v & mask)
+    # Dropping field f of a prefix of k-2 fields, counted from the lowest.
+    cuts = [(w * (f + 1), w * f, (1 << w * f) - 1) for f in range(k - 2)]
+    out = []
     for prefix, tops in groups.items():
-        rest = [1 << i for i in _bit_indices(prefix)]
-        for a, b in itertools.combinations(tops, 2):
-            cand = prefix | a | b
-            if all(cand ^ x in alive for x in rest):
-                out.add(cand)
+        rest = [prefix >> up << down | prefix & low for up, down, low in cuts]
+        for a, b in itertools.combinations(sorted(tops), 2):
+            if all(((r << w | a) << w | b) in alive for r in rest):
+                out.append((prefix << w | a) << w | b)
+    out.sort()
     return out
 
 
-def _survivors(out, cand) -> set[int]:
-    """The candidate masks from which an infinite walk starts, each step
-    going to a k-bit image (see _images) that is itself a candidate.
+def _survivors(out, cand, k: int, w: int) -> list[int]:
+    """The keys in cand, the candidates in increasing key order, from which
+    an infinite walk starts, each step going to an image (see _images) that
+    is itself a candidate; they come back in the same order.
 
-    The candidates are numbered 0..n-1 through one lookup, the walk runs on
-    those numbers, and only the survivors become masks again.
+    The candidates are numbered in key order through one lookup, their
+    successors are stored as flat arrays of numbers (see prune_sinks), and
+    only the survivors become keys again.
     """
-    cand = list(cand)
-    index = {m: i for i, m in enumerate(cand)}
-    get = index.get
-    succ = [tuple([j for s in _images(out, m) if (j := get(s)) is not None])
-            for m in cand]
-    del index, get  # the lookup is not needed while the walk is pruned
-    return {cand[i] for i in prune_sinks(succ)}
+    number = {key: j for j, key in enumerate(cand)}
+    get = number.get
+    succ = successor_arrays(
+        [j for j in map(get, _images(out, _members(key, k, w), w))
+         if j is not None]
+        for key in cand)
+    del number, get  # the lookup is not needed while the walk is pruned
+    return [cand[i] for i in prune_sinks(*succ)]
 
 
 @dataclass(frozen=True)
@@ -163,12 +199,14 @@ class PowerGraph:
 def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     """Every (src, d, dst) between the given vertex sets, sorted by vertex
     set and digit value."""
-    _, bit, out = base.bit_tables
-    alive = {sum(bit[x] for x in v): v for v in vertices}
+    verts, index, out = base.bit_tables
+    w = len(verts).bit_length()
+    members = {v: [index[x] for x in v] for v in vertices}
+    alive = {_pack(ix, w): v for v, ix in members.items()}
     digits = base.digits
     edges = []
-    for mask, src in alive.items():
-        for image, digit_mask in _images(out, mask).items():
+    for src, ix in members.items():
+        for image, digit_mask in _images(out, ix, w).items():
             dst = alive.get(image)
             if dst is not None:
                 edges.extend((src, digits[j], dst)
@@ -177,9 +215,10 @@ def _label_edges(base: BoundaryGraph, vertices) -> tuple:
     return tuple(edges)
 
 
-def _pairs(base: BoundaryGraph, alive: set[int]) -> set[int]:
-    """Level-2 candidates: the pairs {a, a + c} of alive level-1 vertices
-    whose difference c can walk forever.
+def _pairs(base: BoundaryGraph, alive, w: int) -> list[int]:
+    """Level-2 candidates: the keys, in increasing order, of the pairs
+    {a, a + c} of alive level-1 vertices, given by index, whose difference
+    c can walk forever.
 
     An edge {a, b} -> {a', b'} of the level-2 graph reads one left digit d
     on both members, so with every base edge dst = M src + d' - d the
@@ -188,60 +227,69 @@ def _pairs(base: BoundaryGraph, alive: set[int]) -> set[int]:
     infinite walk of nonzero differences in V - V, and sink-pruning that
     relation first leaves every level-2 vertex among the candidates.
     Packing is linear, so pack(b) - pack(a) and image(b) - image(a) are the
-    pack and image of b - a; both orientations of each pair are made.  As
-    a + c may exceed the packing's bound, p + c may name another member;
-    such an extra pair only adds a candidate, which the fixpoint prunes.
+    pack and image of b - a.  Both orientations of each difference are in
+    the relation, and it commutes with negation, so c can walk forever
+    exactly when -c can: each pair is made once, from its lower member.  As
+    a + c may exceed the packing's bound, p + c may name another member x;
+    then x - c names a, so such an extra pair is made once too, and it only
+    adds a candidate, which the fixpoint prunes.
     """
-    verts, bit = base.bit_tables[:2]
-    members = [v for v in verts if bit[v] in alive]
+    verts = base.bit_tables[0]
+    members = [verts[i] for i in alive]
     if not members:
-        return set()
+        return []
     pack, image, packed_diffs, _ = _packing(
         base.matrix, 2 * _max_abs(members), digit_differences(base.digits))
-    packed = [(pack(v), image(v), bit[v]) for v in members]
-    diffs = {pb - pa: ib - ia for pa, ia, _ in packed
-             for pb, ib, _ in packed if pa != pb}
+    packed = [(pack(v), image(v)) for v in members]
+    diffs = {pb - pa: ib - ia for pa, ia in packed
+             for pb, ib in packed if pa != pb}
     live = _alive_packs(diffs, packed_diffs)
-    at = {p: b for p, _, b in packed}
-    return {b | at[p + c] for p, _, b in packed for c in live if p + c in at}
+    at = {p: i for (p, _), i in zip(packed, alive)}
+    get = at.get
+    pairs = [i << w | j for p, i in at.items() for c in live
+             if (j := get(p + c)) is not None and i < j]
+    pairs.sort()
+    return pairs
 
 
 def power_graph(base: BoundaryGraph, level: int,
                 start: PowerGraph | None = None) -> PowerGraph:
     """Level graph on size-`level` subsets of the base graph's vertex set.
 
-    The fixpoint runs on int bitmasks over the sorted base vertices, each
-    level's candidates numbered 0..n-1 (see _survivors), and keeps no
-    labels; the returned graph labels its edges when they are read.
-    start, a lower level graph of the same base, resumes the fixpoint from
-    its vertices instead of from level 1.  Level 2 takes its candidates from
-    _pairs, which needs every base edge to satisfy dst = M src + d' - d, as
-    build_graph's do.
+    The fixpoint keys each vertex set by its member indices in the sorted
+    base vertices, packed into one int (see _pack), numbers each level's
+    candidates 0..n-1 (see _survivors), and keeps no labels; the returned
+    graph labels its edges when they are read.  start, a lower level graph
+    of the same base, resumes the fixpoint from its vertices instead of
+    from level 1.  Level 2 takes its candidates from _pairs, which needs
+    every base edge to satisfy dst = M src + d' - d, as build_graph's do.
     """
     if level < 1:
         raise ValueError("level must be at least 1")
-    verts, bit, out = base.bit_tables
+    verts, index, out = base.bit_tables
+    w = len(verts).bit_length()
     if start is None:
         first, alive = 1, None
     elif start._base is not base or not 1 <= start.level < level:
         raise ValueError("start must be a lower level graph of the same base")
     else:
         first = start.level + 1
-        alive = {sum(bit[x] for x in v) for v in start.vertices}
-    origin = bit.get((0,) * base.matrix.size, 0)
+        alive = [_pack([index[x] for x in v], w) for v in start.vertices]
+    origin = index.get((0,) * base.matrix.size)
     for k in range(first, level + 1):
         if alive is None:
-            alive = _survivors(out, bit.values())
+            cand = range(len(verts))
         elif k == 2:
             if origin in alive and len(alive) > 1:
                 raise ValueError("vertex set must not contain the origin")
-            alive = _survivors(out, _pairs(base, alive))
+            cand = _pairs(base, alive, w)
         else:
-            alive = _survivors(out, _candidates(alive))
+            cand = _candidates(set(alive), k, w)
+        alive = _survivors(out, cand, k, w)
 
-    # verts is sorted, so sorting the vertex sets sorts their bit indices.
-    vertices = tuple(sorted(tuple(verts[i] for i in _bit_indices(m))
-                            for m in alive))
+    # Keys sort as their vertex sets do, since verts is sorted.
+    vertices = tuple(tuple(verts[i] for i in _members(key, level, w))
+                     for key in alive)
     return PowerGraph(level, vertices, base.matrix, base.digits, base)
 
 

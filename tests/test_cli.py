@@ -59,15 +59,16 @@ def test_analyze_builds_no_labelled_level_edges(tmp_path, monkeypatch):
 
 def test_analyze_memory_rise_stays_under_budget():
     # The level-2 graph of (11,11,12) has 7,275 candidates and is the peak
-    # of analyze.  Numbered candidates with index-tuple successors raise
-    # ru_maxrss by about 3.4 MB over the imported CLI; a set of successors
-    # per candidate and keyed pruning tables took 6 MB.
+    # of analyze.  Candidates keyed by their packed member indices, with
+    # their successors in flat arrays, raise ru_maxrss by about 1.7 MB over
+    # the imported CLI; a bitmask per candidate and a tuple of successor
+    # indices each took 3.4 MB, and keyed pruning tables before that 6 MB.
     code = ("import os, resource; import tileforge.cli as cli; "
             "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
             "assert cli.main(['analyze', '--abc', '11,11,12', "
             "'--json', os.devnull]) == 0; "
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)")
-    assert int(run_fresh(code).split()[-1]) <= 4.5 * 1024
+    assert int(run_fresh(code).split()[-1]) <= 2.5 * 1024
 
 
 def test_analyze_rejects_invalid_parameters(capsys):

@@ -20,6 +20,7 @@ from tileforge.graphs import (
     minkowski_sum,
     neighbor_set,
     prune_sinks,
+    successor_arrays,
     reduce,
     successor_map,
 )
@@ -257,8 +258,8 @@ def test_prune_sinks_keeps_the_vertices_of_reduce(subset):
     succ = successor_map(subset, m, digit_differences(digits))
     verts = list(succ)
     index = {v: i for i, v in enumerate(verts)}
-    alive = {verts[i] for i in prune_sinks([[index[w] for w in succ[v]]
-                                            for v in verts])}
+    alive = {verts[i] for i in prune_sinks(*successor_arrays(
+        [index[w] for w in succ[v]] for v in verts))}
     assert alive == set(reduce(build_graph(subset, m, digits)).vertices)
 
 
@@ -286,7 +287,9 @@ def digraphs(draw):
 @given(digraphs())
 def test_prune_sinks_matches_the_naive_fixpoint(succ):
     want = walk_alive_oracle({v: set(out) for v, out in enumerate(succ)})
-    assert prune_sinks(succ) == sorted(want)
+    offsets, targets = successor_arrays(map(list, succ))
+    assert list(offsets) == [0, *itertools.accumulate(map(len, succ))]
+    assert prune_sinks(offsets, targets) == sorted(want)
 
 
 def test_fixpoints_build_no_labeled_graph(monkeypatch):

@@ -34,7 +34,7 @@ from tileforge.power import (
     word_admissible_from,
 )
 
-from strategies import expanding_systems, walk_alive_oracle
+from strategies import expanding_systems, run_fresh, walk_alive_oracle
 
 
 def vecs(*points):
@@ -452,9 +452,9 @@ def test_level2_candidates_are_pairs_whose_difference_walks(monkeypatch):
     sizes = []
     real = power.prune_sinks
 
-    def recording(succ):
-        sizes.append(len(succ))
-        return real(succ)
+    def recording(offsets, targets):
+        sizes.append(len(offsets) - 1)
+        return real(offsets, targets)
 
     monkeypatch.setattr(power, "prune_sinks", recording)
     g = power_graph(analysis_for((10, 10, 11)).boundary_graph, 2)
@@ -462,14 +462,43 @@ def test_level2_candidates_are_pairs_whose_difference_walks(monkeypatch):
     assert len(g.vertices) == 6873
 
 
-def k_images(base: BoundaryGraph, mask: int) -> tuple:
-    """The k-bit images of mask, with their digit masks, from _images and
-    from the per-digit oracle, and how often the oracle meets each
-    (image, digit)."""
-    k = mask.bit_count()
-    images = power._images(base.bit_tables[2], mask)
-    got = {image: digit_mask for image, digit_mask in images.items()
-           if image.bit_count() == k}
+def test_level2_memory_rise_on_574_neighbours_stays_under_budget():
+    # The companion system of x^3 + 3x^2 - 6x + 5 has 574 neighbours and
+    # 52,512 level-2 vertices.  Level 2 on packed member keys and flat
+    # successor arrays raises ru_maxrss by about 9 MB over the built base
+    # graph; a bitmask per candidate and a tuple of successors each took
+    # 24.7 MB.
+    code = "\n".join([
+        "import resource",
+        "from tileforge.analysis import TileAnalysis",
+        "from tileforge.lattice import companion_form",
+        "from tileforge.power import power_graph",
+        "base = TileAnalysis(*companion_form([1, 3, -6, 5])).boundary_graph",
+        "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss",
+        "g = power_graph(base, 2)",
+        "rise = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - rss",
+        "print(len(base.vertices), len(g.vertices), rise)"])
+    n, v2, rise = map(int, run_fresh(code).split()[-3:])
+    assert (n, v2) == (574, 52512)
+    assert rise <= 15 * 1024
+
+
+def k_images(base: BoundaryGraph, members: set[int]) -> tuple:
+    """The images of the k-set with these member indices, as masks with
+    their digit masks, from _images and from the per-digit oracle, and how
+    often the oracle meets each (image, digit).
+
+    Every key _images returns must pack k distinct members, w bits each,
+    the smallest in the highest bits."""
+    k, mask = len(members), sum(1 << i for i in members)
+    verts, _, out = base.bit_tables
+    w = len(verts).bit_length()
+    got = {}
+    for key, digit_mask in power._images(out, sorted(members), w).items():
+        fields = [key >> (w * f) & (1 << w) - 1 for f in reversed(range(k))]
+        assert key >> (w * k) == 0
+        assert fields == sorted(set(fields)), (key, fields)
+        got[sum(1 << i for i in fields)] = digit_mask
     _, succ, live = oracle_bit_tables(base)
     want, met = {}, collections.Counter()
     for j, sums in oracle_images(succ, live, mask):
@@ -482,24 +511,26 @@ def k_images(base: BoundaryGraph, mask: int) -> tuple:
 
 @given(systems_on_a_box(), st.data())
 def test_images_match_the_per_digit_oracle(base, data):
-    # out lists each distinct successor once, with the left digits of the
-    # edges to it as a mask; _images reads the k-bit images of a k-set, and
-    # the digits that carry it there, as the per-digit products did.
-    verts, bit, out = base.bit_tables
+    # out lists each distinct successor index once, with the left digits of
+    # the edges to it as a mask; _images reads the bijective images of a
+    # k-set, and the digits that carry it there, as the per-digit products
+    # did.
+    verts, index, out = base.bit_tables
+    assert [index[v] for v in verts] == list(range(len(verts)))
     table = base.digit_successors
     want_out = []
     for v in verts:
         row = {}
         for j, d in enumerate(base.digits):
             for dst, _ in table.get((v, d), ()):
-                row[bit[dst]] = row.get(bit[dst], 0) | 1 << j
+                row[index[dst]] = row.get(index[dst], 0) | 1 << j
         want_out.append(row)
     assert [dict(row) for row in out] == want_out
     assert all(len(row) == len(dict(row)) for row in out)
     for _ in range(4):
         members = data.draw(st.sets(st.integers(0, len(verts) - 1),
                                     min_size=1, max_size=4))
-        got, want, _ = k_images(base, sum(1 << i for i in members))
+        got, want, _ = k_images(base, members)
         assert got == want
 
 
@@ -508,8 +539,8 @@ def test_images_or_the_digits_of_two_bijections_onto_one_image():
     # successors read the same left digit; that digit is set once.
     matrix, _ = companion_form([1, 3, 0, 4])
     base = build_graph(BOX, matrix, ((-1, 2, 1), (-1, 0, 1), (-1, -2, 1)))
-    _, bit, _ = base.bit_tables
-    got, want, met = k_images(base, bit[(-2, -2, 0)] | bit[(0, -2, 0)])
+    _, index, _ = base.bit_tables
+    got, want, met = k_images(base, {index[(-2, -2, 0)], index[(0, -2, 0)]})
     assert max(met.values()) == 2
     assert got == want
 
@@ -533,9 +564,9 @@ def test_level2_meets_each_pair_of_successors_once(monkeypatch):
     # once and ANDs its two digit masks once; level 1 ANDs nothing.
     t = analysis_for((11, 11, 12))
     base = build_graph(t.neighbors.points, t.matrix, t.digits)
-    verts, bit, out = base.bit_tables
+    verts, index, out = base.bit_tables
     # Preset the cached property with counting masks.
-    base.__dict__["bit_tables"] = (verts, bit, [
+    base.__dict__["bit_tables"] = (verts, index, [
         tuple((b, CountingMask(m)) for b, m in row) for row in out])
     monkeypatch.setattr(CountingMask, "ands", 0)
     g = power_graph(base, 2)
@@ -557,6 +588,15 @@ def test_level2_rejects_a_base_graph_that_holds_the_origin():
     base = build_graph(t.contact.points, t.matrix, t.digits)
     assert (0, 0, 0) in base.vertices
     assert len(power_graph(base, 1).vertices) > 1
+    with pytest.raises(ValueError, match="origin"):
+        power_graph(base, 2)
+    # Here the origin is the first sorted vertex, so its member index, and
+    # its level-1 key, is 0; it is refused all the same.
+    matrix, _ = companion_form([1, 3, 0, 4])
+    base = build_graph([p for p in BOX if p > (0, 0, 0)] + [(0, 0, 0)],
+                       matrix, ((-1, 2, 1), (-1, 0, 1), (-1, -2, 1)))
+    g1 = power_graph(base, 1)
+    assert g1.vertices[0] == ((0, 0, 0),) and len(g1.vertices) > 1
     with pytest.raises(ValueError, match="origin"):
         power_graph(base, 2)
 
