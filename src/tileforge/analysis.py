@@ -147,13 +147,15 @@ class TileAnalysis:
 
     def __init__(self, matrix: IntMatrix, digits, basis=None):
         check_system(matrix, digits, basis)
-        self.matrix, self.digits, self.basis = matrix, digits, basis
+        # Tuples of ints, the hashable form the stages and audits key by.
+        self.matrix = matrix
+        self.digits = tuple(tuple(map(int, d)) for d in digits)
+        self.basis = None if basis is None else tuple(
+            tuple(map(int, b)) for b in basis)
         self._levels: dict[int, PowerGraph] = {}
         self._walks: dict[VertexSet, DigitWord] = {}
-        # The memos of topology.hata_graph: the canonical piece of each
-        # vertex at shift 0, and each link decided so far, None included,
-        # keyed by (vertex, offset, vertex).
-        self.pieces: dict = {}
+        # The memo of topology.hata_graph: each link decided so far, None
+        # included, keyed by (vertex, offset, vertex).
         self.links: dict = {}
 
     @cached_property

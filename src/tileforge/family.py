@@ -296,6 +296,8 @@ class SweepRecord:
     message: str = ""
 
 
+# One column per SweepRecord field but the last, message, in field order:
+# sweep_csv writes each record as astuple(record)[:-1].
 CSV_HEADER = ("A", "B", "C", "neighbor_count", "predicted_14", "agrees",
               "contact_size", "g2", "g3", "g4_empty", "euler", "audit_pass")
 
@@ -459,9 +461,6 @@ def sweep_csv(records) -> str:
     """Render sweep records as CSV text with LF line endings."""
     lines = [",".join(CSV_HEADER)]
     for r in records:
-        row = (r.A, r.B, r.C, r.neighbor_count, r.predicted_14, r.agrees,
-               r.contact_size, r.g2_count, r.g3_count, r.g4_empty, r.euler,
-               r.audit_pass)
         lines.append(",".join(str(x).lower() if isinstance(x, bool)
-                              else str(x) for x in row))
+                              else str(x) for x in astuple(r)[:-1]))
     return "\n".join(lines) + "\n"

@@ -11,9 +11,10 @@ the set stabilizes.  Labeled graphs only certify the final sets.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .lattice import IntMatrix, Vec, char_poly, vec_add, vec_neg, vec_sub
@@ -43,16 +44,18 @@ class BoundaryGraph:
     edges: tuple[LabeledEdge, ...]
     matrix: IntMatrix
     digits: tuple[Vec, ...]
-    _out: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         vset = set(self.vertices)
+        if any(e.src not in vset or e.dst not in vset for e in self.edges):
+            raise ValueError("edge endpoints must be vertices")
+
+    @cached_property
+    def _out(self) -> dict:
         out: dict[Vec, list[LabeledEdge]] = {v: [] for v in self.vertices}
         for e in self.edges:
-            if e.src not in vset or e.dst not in vset:
-                raise ValueError("edge endpoints must be vertices")
             out[e.src].append(e)
-        object.__setattr__(self, "_out", out)
+        return out
 
     def out_edges(self, v: Vec) -> tuple[LabeledEdge, ...]:
         return tuple(self._out.get(v, ()))
@@ -89,12 +92,21 @@ class BoundaryGraph:
         return verts, index, out
 
 
-def _digit_diff_pairs(digits):
+@lru_cache(maxsize=16)
+def digit_differences(digits) -> MappingProxyType:
+    """D - D as a read-only table: each difference d' - d, in sorted order,
+    maps to its digit pairs (d, d'); digits is a tuple of tuples.
+
+    Cached per digit set, so the contact, neighbor and level-2 stages and
+    graph building of one system build it once.  Iterating the table gives
+    the differences alone.
+    """
     pairs: dict[Vec, list[tuple[Vec, Vec]]] = {}
     for d in digits:
         for dp in digits:
             pairs.setdefault(vec_sub(dp, d), []).append((d, dp))
-    return pairs
+    return MappingProxyType({delta: tuple(pairs[delta])
+                             for delta in sorted(pairs)})
 
 
 def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
@@ -102,11 +114,11 @@ def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
     pts = sorted({tuple(int(x) for x in v) for v in gamma})
     digits = tuple(tuple(int(x) for x in d) for d in digits)
     pset = set(pts)
-    diff_pairs = _digit_diff_pairs(digits)
+    diff_pairs = digit_differences(digits).items()
     edges: list[LabeledEdge] = []
     for a in pts:
         ma = matrix.mul_vec(a)
-        for diff, pairs in diff_pairs.items():
+        for diff, pairs in diff_pairs:
             b = vec_add(ma, diff)
             if b in pset:
                 for d, dp in pairs:
@@ -182,16 +194,6 @@ def reduce(graph: BoundaryGraph) -> BoundaryGraph:
     kept = tuple(e for e in graph.edges if e.src in alive and e.dst in alive)
     return BoundaryGraph(tuple(v for v in graph.vertices if v in alive), kept,
                          graph.matrix, graph.digits)
-
-
-@lru_cache(maxsize=16)
-def digit_differences(digits) -> tuple[Vec, ...]:
-    """The difference set D - D, sorted; digits is a tuple of tuples.
-
-    Cached per digit set, so the contact, neighbor and level-2 stages of one
-    system build it once.
-    """
-    return tuple(sorted({vec_sub(dp, d) for d in digits for dp in digits}))
 
 
 def _max_abs(vectors) -> int:

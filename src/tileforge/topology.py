@@ -68,7 +68,7 @@ def hata_graph(ctx, pieces) -> HataGraph:
     decided for one pair of pieces holds for every translate of the pair.
     """
     t = analysis_for(ctx)
-    canon = sorted({_canonical_piece(t, *p) for p in pieces})
+    canon = sorted({make_piece(*p) for p in pieces})
     by_shift: dict[Vec, list[int]] = {}
     for i, p in enumerate(canon):
         by_shift.setdefault(p.shift, []).append(i)
@@ -97,17 +97,6 @@ def hata_graph(ctx, pieces) -> HataGraph:
 
 
 _UNDECIDED = object()
-
-
-def _canonical_piece(t: TileAnalysis, vertex, shift) -> Piece:
-    """make_piece(vertex, shift), from the context's per-vertex memo of
-    make_piece(vertex, 0): lexicographic order is translation invariant, so
-    a shift moves only the canonical shift."""
-    v = tuple(sorted(map(tuple, vertex)))
-    base = t.pieces.get(v)
-    if base is None:
-        base = t.pieces[v] = make_piece(v, (0,) * t.matrix.size)
-    return Piece(base.vertex, vec_add(base.shift, shift))
 
 
 @dataclass(frozen=True)

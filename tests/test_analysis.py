@@ -10,7 +10,8 @@ from tileforge.analysis import (
     TileAnalysis,
     analysis_for,
 )
-from tileforge.family import family_triples, sweep
+from tileforge.family import audit_report, family_triples, sweep
+from tileforge.geometry_io import approximate_boundary_piece
 from tileforge.lattice import IntMatrix, companion_form
 
 
@@ -33,6 +34,28 @@ def test_explicit_basis_context_keeps_its_triple():
     assert analysis_for(t) is t
     assert t.triple == family.triple
     assert t.neighbors.points == family.neighbors.points
+
+
+def test_list_digits_and_basis_give_the_tuple_context():
+    m, d = companion_form([1, 1, 2, 4])
+    basis = ((1, 0, 0), (1, 1, 0), (2, 1, 1))
+    listed = TileAnalysis(m, [list(v) for v in d], [list(b) for b in basis])
+    tupled = TileAnalysis(m, d, basis)
+    assert listed.triple == tupled.triple == AbcTriple(1, 2, 4)
+    assert audit_report(listed) == audit_report(tupled)
+    for alpha in tupled.neighbors.points:
+        got, want = (approximate_boundary_piece(t, alpha, 2)
+                     for t in (listed, tupled))
+        assert list(got.points) == list(want.points)
+        assert list(got.tags) == list(want.tags)
+    assert (listed.digits, listed.basis) == (d, basis)
+
+
+def test_audit_report_leaves_the_out_edge_index_unbuilt():
+    # Neither the report nor level 2 reads the boundary graph's out-edges.
+    t = TileAnalysis(*AbcTriple(11, 11, 12).system())
+    assert audit_report(t)["neighbors"]["count"] == 182
+    assert "_out" not in vars(t.boundary_graph)
 
 
 def forbid_fixpoints(monkeypatch):

@@ -471,6 +471,16 @@ def test_sweep_csv_header_and_booleans():
     assert text.endswith("\n")
 
 
+def test_csv_header_names_each_record_field_but_message_in_order():
+    # sweep_csv writes astuple(record)[:-1], so the header's order must be
+    # the field order, with message last and left out; g2 and g3 name
+    # g2_count and g3_count.
+    names = [f.name for f in dataclasses.fields(SweepRecord)]
+    assert names[-1] == "message"
+    assert len(CSV_HEADER) == len(names) - 1
+    assert all(name.startswith(col) for col, name in zip(CSV_HEADER, names))
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the arc-graph table that negated each endpoint once per label,
 # kept verbatim apart from its name.

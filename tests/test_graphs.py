@@ -83,6 +83,37 @@ def test_build_graph_empty():
     assert g.vertices == () and g.edges == ()
 
 
+def test_build_graph_reads_the_cached_digit_differences():
+    m, digits = setup_tile(1, 2, 4)
+    digit_differences.cache_clear()
+    build_graph([(0, 0, 0), (1, 0, 0)], m, digits)
+    build_graph([(1, 0, 0), (-1, 0, 0)], m, digits)
+    info = digit_differences.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@given(expanding_systems())
+def test_digit_differences_pair_every_digit_pair_in_sorted_order(system):
+    _, digits, _ = system
+    table = digit_differences(digits)
+    assert list(table) == sorted({vec_sub(dp, d)
+                                  for d in digits for dp in digits})
+    assert sorted(pair for pairs in table.values() for pair in pairs) == \
+        sorted((d, dp) for d in digits for dp in digits)
+    assert all(vec_sub(dp, d) == delta
+               for delta, pairs in table.items() for d, dp in pairs)
+    with pytest.raises(TypeError):
+        table[(0, 0, 0)] = ()
+
+
+def test_out_edge_index_is_built_on_first_read():
+    m, digits = setup_tile(1, 2, 4)
+    g = build_graph([(0, 0, 0), (1, 0, 0)], m, digits)
+    assert "_out" not in vars(g)
+    assert len(g.out_edges((0, 0, 0))) == len(g.edges)
+    assert "_out" in vars(g)
+
+
 def test_reduce_cascades_to_empty():
     m, digits = setup_tile(1, 2, 4)
     # 0 -> P is the only edge once loops are stripped; removing the sink P

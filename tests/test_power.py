@@ -575,12 +575,13 @@ def test_level2_meets_each_pair_of_successors_once(monkeypatch):
 
 
 def test_digit_differences_are_built_once_per_digit_set():
-    # The contact, neighbor and level-2 stages of a context share one D - D.
+    # The contact, neighbor and level-2 stages of a context and the
+    # boundary graph between them share one D - D.
     digit_differences.cache_clear()
     t = TileAnalysis(*AbcTriple(1, 2, 4).system())
     assert len(t.level(2).vertices) == 36
     info = digit_differences.cache_info()
-    assert (info.misses, info.hits) == (1, 2)
+    assert (info.misses, info.hits) == (1, 3)
 
 
 def test_level2_rejects_a_base_graph_that_holds_the_origin():
