@@ -10,7 +10,6 @@ the expensive structures are computed once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .graphs import (
@@ -25,8 +24,10 @@ from .lattice import (
     IntMatrix,
     Vec,
     char_poly,
+    checked_record,
     companion_form,
     digit_lattice,
+    int_vector,
     is_complete_residue_system,
     is_expanding,
     vec_add,
@@ -43,21 +44,16 @@ from .power import (
 )
 
 
-@dataclass(frozen=True)
-class AbcTriple:
+class AbcTriple(checked_record("AbcTriple", "A B C")):
     """Family parameters with 1 <= A <= B < C."""
 
-    A: int
-    B: int
-    C: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        a, b, c = int(self.A), int(self.B), int(self.C)
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "B", b)
-        object.__setattr__(self, "C", c)
+    def __new__(cls, A: int, B: int, C: int):
+        a, b, c = int_vector((A, B, C), "triple")
         if not 1 <= a <= b < c:
             raise ValueError("parameters must satisfy 1 <= A <= B < C")
+        return super().__new__(cls, a, b, c)
 
     @property
     def p(self) -> Vec:
@@ -106,10 +102,12 @@ def check_system(matrix: IntMatrix, digits, basis=None) -> None:
     residue system modulo M with one coordinate per row of M whose lattice
     Z[M, D] is all of Z^n, and a basis must hold as many linearly
     independent vectors as M has rows.  The translates of a tile whose
-    digits generate a proper sublattice do not tile by Z^n."""
+    digits generate a proper sublattice do not tile by Z^n.  Every entry
+    of a digit or a basis vector must be an integer."""
     size = matrix.size
     if not digits:
         raise ValueError("digit set is empty")
+    digits = [int_vector(d, "digit") for d in digits]
     if any(len(d) != size for d in digits):
         raise ValueError(f"every digit needs {size} coordinates")
     if not is_expanding(matrix):
@@ -131,6 +129,7 @@ def check_system(matrix: IntMatrix, digits, basis=None) -> None:
 def check_basis(basis, size: int) -> None:
     """Reject a contact seed basis that is not size linearly independent
     vectors of length size."""
+    basis = [int_vector(v, "basis vector") for v in basis]
     if len(basis) != size or any(len(v) != size for v in basis):
         raise ValueError(f"basis needs {size} vectors of length {size}")
     if IntMatrix(basis).det == 0:

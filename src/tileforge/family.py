@@ -14,7 +14,7 @@ import os
 import signal
 import sys
 import tempfile
-from dataclasses import astuple, dataclass
+from typing import NamedTuple
 
 from .analysis import (
     AbcTriple,
@@ -279,8 +279,7 @@ def audit_report(ctx, k_max: int = 1) -> dict:
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     A: int
     B: int
     C: int
@@ -297,7 +296,7 @@ class SweepRecord:
 
 
 # One column per SweepRecord field but the last, message, in field order:
-# sweep_csv writes each record as astuple(record)[:-1].
+# sweep_csv writes each record as tuple(record)[:-1].
 CSV_HEADER = ("A", "B", "C", "neighbor_count", "predicted_14", "agrees",
               "contact_size", "g2", "g3", "g4_empty", "euler", "audit_pass")
 
@@ -388,7 +387,7 @@ def _run_dealt(deal: int, out: int, triples):
     out's shared offset for each write too, so the lines stay whole."""
     while number := os.read(deal, 8):
         k = int.from_bytes(number, "little")
-        row = astuple(_sweep_worker(triples[k]))
+        row = tuple(_sweep_worker(triples[k]))
         os.write(out, (json.dumps([k, row]) + "\n").encode())
 
 
@@ -462,5 +461,5 @@ def sweep_csv(records) -> str:
     lines = [",".join(CSV_HEADER)]
     for r in records:
         lines.append(",".join(str(x).lower() if isinstance(x, bool)
-                              else str(x) for x in astuple(r)[:-1]))
+                              else str(x) for x in tuple(r)[:-1]))
     return "\n".join(lines) + "\n"

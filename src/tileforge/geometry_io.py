@@ -14,7 +14,6 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -22,7 +21,7 @@ from itertools import accumulate, chain, repeat
 from .analysis import analysis_for
 from .family import SweepRecord, sweep_csv
 from .graphs import BoundaryGraph
-from .lattice import IntMatrix, Vec, is_expanding
+from .lattice import IntMatrix, Vec, checked_record, is_expanding
 
 DEFAULT_POINT_CAP = 10 ** 7
 CAP_ENV_VAR = "TILEFORGE_CAP_POINTS"
@@ -118,8 +117,8 @@ class TagRuns:
         return chain.from_iterable(repeat(tag, n) for tag, n in self.runs)
 
 
-@dataclass(frozen=True)
-class PointCloud:
+class PointCloud(checked_record("PointCloud", "points depth source bound tags",
+                                defaults=(None,))):
     """Exact point cloud with provenance and a radius estimate.
 
     points is a PointRows view; explicit rational rows are put over their
@@ -130,21 +129,18 @@ class PointCloud:
     checks, never used in exact computations.
     """
 
-    points: PointRows
-    depth: int
-    source: str
-    bound: float
-    tags: TagRuns | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.points, PointRows):
-            object.__setattr__(self, "points", PointRows.exact(self.points))
-        if self.tags is not None:
-            if not isinstance(self.tags, TagRuns):
-                object.__setattr__(self, "tags", TagRuns(
-                    (tag, 1) for tag in self.tags))
-            if len(self.tags) != len(self.points):
+    def __new__(cls, points: PointRows, depth: int, source: str, bound: float,
+                tags: TagRuns | None = None):
+        if not isinstance(points, PointRows):
+            points = PointRows.exact(points)
+        if tags is not None:
+            if not isinstance(tags, TagRuns):
+                tags = TagRuns((tag, 1) for tag in tags)
+            if len(tags) != len(points):
                 raise ValueError("one tag per point required")
+        return super().__new__(cls, points, depth, source, bound, tags)
 
 
 def merge_clouds(clouds) -> PointCloud:

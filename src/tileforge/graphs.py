@@ -11,13 +11,20 @@ the set stabilizes.  Labeled graphs only certify the final sets.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import add, mul
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .lattice import IntMatrix, Vec, char_poly, vec_add, vec_neg, vec_sub
+from .lattice import (
+    IntMatrix,
+    Vec,
+    char_poly,
+    checked_record,
+    vec_add,
+    vec_neg,
+    vec_sub,
+)
 
 MAX_ROUNDS = 64
 
@@ -36,19 +43,18 @@ class LabeledEdge(NamedTuple):
         return LabeledEdge(vec_neg(self.src), vec_neg(self.dst), self.d_prime, self.d)
 
 
-@dataclass(frozen=True)
-class BoundaryGraph:
+class BoundaryGraph(checked_record("BoundaryGraph",
+                                   "vertices edges matrix digits")):
     """Immutable labeled digraph over a finite translation set."""
 
-    vertices: tuple[Vec, ...]
-    edges: tuple[LabeledEdge, ...]
-    matrix: IntMatrix
-    digits: tuple[Vec, ...]
+    # No __slots__: the cached tables below live in the instance dict.
 
-    def __post_init__(self):
-        vset = set(self.vertices)
-        if any(e.src not in vset or e.dst not in vset for e in self.edges):
+    def __new__(cls, vertices: tuple[Vec, ...], edges: tuple[LabeledEdge, ...],
+                matrix: IntMatrix, digits: tuple[Vec, ...]):
+        vset = set(vertices)
+        if any(e.src not in vset or e.dst not in vset for e in edges):
             raise ValueError("edge endpoints must be vertices")
+        return super().__new__(cls, vertices, edges, matrix, digits)
 
     @cached_property
     def _out(self) -> dict:
@@ -291,16 +297,15 @@ def default_contact_basis(matrix: IntMatrix) -> tuple[Vec, ...]:
     return ((1, 0, 0), (a, 1, 0), (b, a, 1))
 
 
-@dataclass(frozen=True)
-class ContactSet:
+class ContactSet(checked_record("ContactSet", "points rounds")):
     """Predecessor-closed, walk-reduced translation set around the origin."""
 
-    points: tuple[Vec, ...]
-    rounds: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (0,) * len(self.points[0]) not in self.points:
+    def __new__(cls, points: tuple[Vec, ...], rounds: int):
+        if (0,) * len(points[0]) not in points:
             raise ValueError("contact set must contain the origin")
+        return super().__new__(cls, points, rounds)
 
 
 def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
@@ -351,18 +356,17 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
     return ContactSet(tuple(sorted(alive)), rounds)
 
 
-@dataclass(frozen=True)
-class NeighborSet:
+class NeighborSet(checked_record("NeighborSet", "points rounds")):
     """Stabilized neighbor translations; origin excluded, negation-closed."""
 
-    points: tuple[Vec, ...]
-    rounds: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        have = set(self.points)
-        for p in self.points:
+    def __new__(cls, points: tuple[Vec, ...], rounds: int):
+        have = set(points)
+        for p in points:
             if vec_neg(p) not in have:
                 raise ValueError("neighbor set must be negation-closed")
+        return super().__new__(cls, points, rounds)
 
 
 def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:

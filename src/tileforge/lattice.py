@@ -9,12 +9,44 @@ that feeds the combinatorial layers.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 Vec = tuple[int, ...]
 
 DEFAULT_MAX_LEN = 10 ** 6
+
+
+def int_vector(v, what: str) -> Vec:
+    """The entries of v as ints.  An entry that is not an integer (a float,
+    a Fraction, a string) raises ValueError naming it: int() would truncate
+    it to an answer about another input."""
+    out = []
+    for x in v:
+        try:
+            out.append(operator.index(x))
+        except TypeError:
+            raise ValueError(
+                f"{what} {v!r} has a non-integer entry {x!r}") from None
+    return tuple(out)
+
+
+def _immutable(self, name, *value):
+    raise AttributeError(
+        f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+
+def checked_record(typename: str, field_names: str, defaults=()) -> type:
+    """Base class of an immutable record whose own __new__ checks or
+    normalises its fields: a namedtuple whose _make, and so _replace,
+    builds through that __new__ too, and whose attributes cannot be
+    assigned, the cached ones of a subclass with an instance dict
+    included."""
+    base = namedtuple(typename, field_names, defaults=defaults)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    base.__setattr__ = base.__delattr__ = _immutable
+    return base
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -71,27 +103,46 @@ def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return det, adj
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Square integer matrix with exact determinant and adjugate.
 
     The adjugate satisfies adjugate @ M == det * I; this identity is verified
-    at construction time so any arithmetic defect fails loudly.
+    at construction time so any arithmetic defect fails loudly.  Immutable;
+    det and adjugate are functions of the rows, so a matrix compares,
+    hashes and prints as IntMatrix(rows=...) alone.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    det: int = field(init=False, compare=False, repr=False)
-    adjugate: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
+    __slots__ = ("rows", "det", "adjugate")
+    __setattr__ = __delattr__ = _immutable
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        # The one construction step, looked up on the class, so wrapping
+        # it there counts every matrix built.
+        rows = tuple(int_vector(r, "matrix row") for r in self.rows)
         m = len(rows)
         if m == 0 or any(len(r) != m for r in rows):
             raise ValueError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", rows)
         det, adj = det_adjugate(rows)
-        object.__setattr__(self, "det", det)
-        object.__setattr__(self, "adjugate", adj)
+        for name, value in ("rows", rows), ("det", det), ("adjugate", adj):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r})"
+
+    def __reduce__(self):
+        return IntMatrix, (self.rows,)
 
     @property
     def size(self) -> int:
@@ -149,7 +200,7 @@ def companion_form(coeffs) -> tuple[IntMatrix, tuple[Vec, ...]]:
     coeffs lists the coefficients in descending powers, [1, c1, ..., cm].
     The digit set is {i * e1 : 0 <= i < |cm|}.
     """
-    cs = [int(c) for c in coeffs]
+    cs = int_vector(coeffs, "polynomial")
     if len(cs) < 2 or cs[0] != 1:
         raise ValueError("need a monic polynomial of degree >= 1")
     if cs[-1] == 0:
@@ -220,7 +271,7 @@ def is_expanding(matrix: IntMatrix) -> bool:
 
 def collinear_digit_set(matrix: IntMatrix, v: Vec) -> tuple[Vec, ...]:
     """Digit set {0, v, 2v, ..., (|det|-1) v}."""
-    v = tuple(int(x) for x in v)
+    v = int_vector(v, "direction")
     if len(v) != matrix.size:
         raise ValueError("dimension mismatch")
     if all(x == 0 for x in v):
@@ -311,8 +362,7 @@ def digit_lattice(matrix: IntMatrix, digits) -> tuple[Vec, ...]:
     return tuple(map(tuple, rows))
 
 
-@dataclass(frozen=True)
-class RadixExpansion:
+class RadixExpansion(NamedTuple):
     """Outcome of a radix expansion attempt.
 
     digits holds the consumed digit word (the full expansion on success);

@@ -12,7 +12,6 @@ can itself walk forever, and a level-k set with k > 2 must have every
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
@@ -29,6 +28,7 @@ from .graphs import (
 from .lattice import (
     IntMatrix,
     Vec,
+    checked_record,
     det_adjugate,
     mat_pow,
     vec_add,
@@ -160,19 +160,26 @@ def _survivors(out, cand, k: int, w: int) -> list[int]:
     return [cand[i] for i in prune_sinks(*succ)]
 
 
-@dataclass(frozen=True)
-class PowerGraph:
+class PowerGraph(checked_record("PowerGraph",
+                                "level vertices matrix digits")):
     """Immutable level graph; edges are (src, left digit, dst).
 
-    The edges, sorted, are built on first read.  Which base-graph edges
-    carry src onto dst is not stored.
+    The edges, sorted, are built on first read from _base, the base graph
+    whose vertices the vertex sets are made of.  _base is left out of
+    equality, hashing and repr; it lives in the instance dict, with the
+    cached tables.  Which base-graph edges carry src onto dst is not
+    stored.
     """
 
-    level: int
-    vertices: tuple[VertexSet, ...]
-    matrix: IntMatrix
-    digits: tuple[Vec, ...]
-    _base: BoundaryGraph = field(compare=False, repr=False)
+    def __new__(cls, level: int, vertices: tuple[VertexSet, ...],
+                matrix: IntMatrix, digits: tuple[Vec, ...],
+                _base: BoundaryGraph):
+        self = super().__new__(cls, level, vertices, matrix, digits)
+        self.__dict__["_base"] = _base
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self._base)
 
     @cached_property
     def edges(self) -> tuple[tuple[VertexSet, Vec, VertexSet], ...]:
@@ -311,8 +318,7 @@ def intersection_vertex(beta1: VertexSet, a1: Vec, beta2: VertexSet, a2: Vec,
     return gamma if is_vertex(len(gamma), gamma) else None
 
 
-@dataclass(frozen=True)
-class DigitWord:
+class DigitWord(checked_record("DigitWord", "preperiod period")):
     """Eventually periodic digit word; stored in canonical form.
 
     The period is primitive (not a repetition of a shorter word) and the
@@ -321,12 +327,11 @@ class DigitWord:
     unchanged.
     """
 
-    preperiod: tuple[Vec, ...]
-    period: tuple[Vec, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        pre = tuple(tuple(int(x) for x in d) for d in self.preperiod)
-        per = tuple(tuple(int(x) for x in d) for d in self.period)
+    def __new__(cls, preperiod: tuple[Vec, ...], period: tuple[Vec, ...]):
+        pre = tuple(tuple(int(x) for x in d) for d in preperiod)
+        per = tuple(tuple(int(x) for x in d) for d in period)
         if not per:
             raise ValueError("period must be nonempty")
         for k in range(1, len(per)):
@@ -336,8 +341,7 @@ class DigitWord:
         while pre and pre[-1] == per[-1]:
             per = (per[-1],) + per[:-1]
             pre = pre[:-1]
-        object.__setattr__(self, "preperiod", pre)
-        object.__setattr__(self, "period", per)
+        return super().__new__(cls, pre, per)
 
 
 def unique_walk(graph: PowerGraph, start: VertexSet) -> DigitWord:

@@ -8,7 +8,6 @@ the right size.  All Hata graphs here compare pieces at one common scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .analysis import (
@@ -42,8 +41,7 @@ def make_piece(vertex, shift) -> Piece:
     return Piece(members, base)
 
 
-@dataclass(frozen=True)
-class HataGraph:
+class HataGraph(NamedTuple):
     """Undirected intersection graph of same-scale pieces."""
 
     nodes: tuple[Piece, ...]
@@ -99,8 +97,7 @@ def hata_graph(ctx, pieces) -> HataGraph:
 _UNDECIDED = object()
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(NamedTuple):
     """Shape classification of a Hata graph.
 
     classification is one of path, regular_chain, cycle, circular_chain,
@@ -234,8 +231,7 @@ def boundary_loop_audit(ctx, alpha: Vec, k: int = 1) -> tuple[HataGraph, ChainRe
     return h, classify(h)
 
 
-@dataclass(frozen=True)
-class FourFold:
+class FourFold(NamedTuple):
     """The two level-3 vertices enclosing a level-2 vertex."""
 
     pair: tuple[VertexSet, VertexSet]
@@ -260,8 +256,7 @@ def _four_fold_placement(t: TileAnalysis, vs: VertexSet) -> FourFold:
     return FourFold((supersets[0], supersets[1]), (first[0], first[1]))
 
 
-@dataclass(frozen=True)
-class ComplexCensus:
+class ComplexCensus(NamedTuple):
     """Face/arc/point counts of the boundary complex with adjacency degrees."""
 
     faces: int
@@ -372,8 +367,7 @@ def _loop_point_failure(h: HataGraph) -> str | None:
 # interior-structure audit: loops, ordered face equations, check partition
 
 
-@dataclass(frozen=True)
-class BingReport:
+class BingReport(NamedTuple):
     ok: bool
     loop_checks: tuple
     equation_checks: tuple

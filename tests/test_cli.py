@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -630,7 +629,7 @@ def test_analyze_and_sweep_fail_a_census_alike(tmp_path, monkeypatch,
                                                capsys):
     census = family.census
     monkeypatch.setattr(family, "census",
-                        lambda ctx: dataclasses.replace(census(ctx), euler=0))
+                        lambda ctx: census(ctx)._replace(euler=0))
     out = tmp_path / "report.json"
     assert cli.main(["analyze", "--abc", "1,2,4", "--json", str(out)]) == 0
     assert "audit: FAIL" in capsys.readouterr().out

@@ -1,4 +1,3 @@
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -211,7 +210,7 @@ def test_bing_audit_fails_a_loop_that_is_a_chain_without_witness(monkeypatch):
     def broken(h):
         report = real(h)
         if report.is_circular_chain:
-            return dataclasses.replace(report, classification="regular_chain")
+            return report._replace(classification="regular_chain")
         return report
 
     monkeypatch.setattr(topology, "classify", broken)
