@@ -14,14 +14,13 @@ import json
 import math
 import operator
 import os
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 
 from .analysis import analysis_for
 from .family import SweepRecord, sweep_csv
 from .graphs import BoundaryGraph
-from .lattice import IntMatrix, Vec, checked_record, is_expanding
+from .lattice import IntMatrix, Vec, checked_record, int_vector, is_expanding
 
 DEFAULT_POINT_CAP = 10 ** 7
 CAP_ENV_VAR = "TILEFORGE_CAP_POINTS"
@@ -74,6 +73,8 @@ class PointRows:
     def exact(cls, points) -> "PointRows":
         """View over explicit rational rows, put over their least common
         denominator."""
+        from fractions import Fraction
+
         rows = [tuple(map(Fraction, p)) for p in points]
         den = math.lcm(*(x.denominator for p in rows for x in p))
         blocks = ()
@@ -96,6 +97,8 @@ class PointRows:
                    for o, col in zip(offset, columns)], index
 
     def __iter__(self):
+        from fractions import Fraction
+
         den = self.denominator
         for offset, columns, index in self.blocks():
             rows = [tuple(Fraction(o + x, den) for o, x in zip(offset, row))
@@ -320,7 +323,7 @@ def approximate_boundary_piece(ctx, alpha, depth: int) -> PointCloud:
     t = analysis_for(ctx)
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    alpha = tuple(int(x) for x in alpha)
+    alpha = int_vector(alpha, "neighbor")
     if alpha not in t.boundary_graph.vertices:
         raise ValueError(f"{alpha} is not a neighbor")
     count = check_cap((c[alpha] for c in _walk_counts(t, depth)), depth)

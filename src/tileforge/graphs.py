@@ -21,6 +21,7 @@ from .lattice import (
     Vec,
     char_poly,
     checked_record,
+    int_vector,
     vec_add,
     vec_neg,
     vec_sub,
@@ -117,8 +118,8 @@ def digit_differences(digits) -> MappingProxyType:
 
 def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
     """Graph on gamma with every edge alpha ->(d|d') alpha' = M alpha + d' - d."""
-    pts = sorted({tuple(int(x) for x in v) for v in gamma})
-    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    pts = sorted({int_vector(v, "vertex") for v in gamma})
+    digits = tuple(int_vector(d, "digit") for d in digits)
     pset = set(pts)
     diff_pairs = digit_differences(digits).items()
     edges: list[LabeledEdge] = []
@@ -310,10 +311,10 @@ class ContactSet(checked_record("ContactSet", "points rounds")):
 
 def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
     """Close {0, +-basis} under predecessors, then trim walk-dead points."""
-    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    digits = tuple(int_vector(d, "digit") for d in digits)
     if basis is None:
         basis = default_contact_basis(matrix)
-    basis = tuple(tuple(int(x) for x in b) for b in basis)
+    basis = tuple(int_vector(b, "basis vector") for b in basis)
     zero = (0,) * matrix.size
     pts: set[Vec] = {zero}
     for b in basis:
@@ -372,9 +373,9 @@ class NeighborSet(checked_record("NeighborSet", "points rounds")):
 def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
     """Iterate S <- trim(S + S0) from S0 = contact set until stable."""
     base = tuple(contact.points) if isinstance(contact, ContactSet) else tuple(contact)
-    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    digits = tuple(int_vector(d, "digit") for d in digits)
     zero = (0,) * matrix.size
-    s0 = {tuple(int(x) for x in p) for p in base} | {zero}
+    s0 = {int_vector(p, "contact point") for p in base} | {zero}
     diffs = digit_differences(digits)
     s0_max = _max_abs(s0)
     current = set(s0)

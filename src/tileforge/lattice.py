@@ -2,15 +2,16 @@
 
 Everything here is exact: determinants, adjugates, linear solves, and the
 expansion test run over Python integers (arbitrary precision, so overflow
-cannot occur) or fractions.Fraction.  No floating point enters any computation
-that feeds the combinatorial layers.
+cannot occur); a rational point is integer numerators over one positive
+denominator (ExactPoint).  No floating point enters any computation that
+feeds the combinatorial layers.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from typing import NamedTuple
 
 Vec = tuple[int, ...]
@@ -47,6 +48,34 @@ def checked_record(typename: str, field_names: str, defaults=()) -> type:
     base._make = classmethod(lambda cls, iterable: cls(*iterable))
     base.__setattr__ = base.__delattr__ = _immutable
     return base
+
+
+class ExactPoint(checked_record("ExactPoint", "numerators denominator")):
+    """A rational point as integer numerators over one positive denominator,
+    in lowest terms: gcd(denominator, *numerators) == 1.
+
+    The constructor reduces its input to this form, which is canonical (the
+    denominator is the lcm of the reduced coordinates' denominators), so
+    equal points compare and hash equal.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerators, denominator: int):
+        num = int_vector(numerators, "numerators")
+        (den,) = int_vector((denominator,), "denominator")
+        if den == 0:
+            raise ValueError("denominator must be nonzero")
+        g = math.gcd(den, *num)
+        if den < 0:
+            g = -g
+        return super().__new__(cls, tuple(x // g for x in num), den // g)
+
+    def fractions(self) -> tuple:
+        """The coordinates as Fractions."""
+        from fractions import Fraction
+
+        return tuple(Fraction(x, self.denominator) for x in self.numerators)
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -166,8 +195,11 @@ class IntMatrix:
             return None
         return tuple(x // det for x in t)
 
-    def solve_fraction(self, w) -> tuple[Fraction, ...]:
-        """Exact rational solution of M x = w (w integral or rational)."""
+    def solve_fraction(self, w) -> tuple:
+        """Exact rational solution of M x = w (w integral or rational), as
+        Fractions."""
+        from fractions import Fraction
+
         if self.det == 0:
             raise ValueError("matrix is singular")
         return tuple(
@@ -283,7 +315,7 @@ def collinear_digit_set(matrix: IntMatrix, v: Vec) -> tuple[Vec, ...]:
 
 def is_complete_residue_system(matrix: IntMatrix, digits) -> bool:
     """True iff digits hit every residue class of Z^m / M Z^m exactly once."""
-    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    digits = tuple(int_vector(d, "digit") for d in digits)
     if len(set(digits)) != len(digits):
         raise ValueError("digit set contains duplicates")
     if matrix.det == 0:
@@ -383,10 +415,10 @@ def radix_expand(matrix: IntMatrix, digits, z: Vec,
     and divides; a revisited remainder is reported as a cycle instead of
     looping forever.
     """
-    digits = tuple(tuple(int(x) for x in d) for d in digits)
+    digits = tuple(int_vector(d, "digit") for d in digits)
     if len(set(digits)) != len(digits):
         raise ValueError("digit set contains duplicates")
-    state = tuple(int(x) for x in z)
+    state = int_vector(z, "radix input")
     word: list[Vec] = []
     seen: dict[Vec, int] = {}
     order: list[Vec] = []

@@ -12,7 +12,6 @@ can itself walk forever, and a level-k set with k > 2 must have every
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
@@ -26,10 +25,12 @@ from .graphs import (
     successor_arrays,
 )
 from .lattice import (
+    ExactPoint,
     IntMatrix,
     Vec,
     checked_record,
     det_adjugate,
+    int_vector,
     mat_pow,
     vec_add,
     vec_neg,
@@ -41,7 +42,7 @@ VertexSet = tuple[Vec, ...]
 
 def vertex_set(members) -> VertexSet:
     """Canonical vertex set: sorted, distinct, origin-free, nonempty."""
-    pts = sorted({tuple(int(x) for x in p) for p in members})
+    pts = sorted({int_vector(p, "vertex") for p in members})
     if not pts:
         raise ValueError("vertex set must be nonempty")
     if any(all(x == 0 for x in p) for p in pts):
@@ -330,8 +331,8 @@ class DigitWord(checked_record("DigitWord", "preperiod period")):
     __slots__ = ()
 
     def __new__(cls, preperiod: tuple[Vec, ...], period: tuple[Vec, ...]):
-        pre = tuple(tuple(int(x) for x in d) for d in preperiod)
-        per = tuple(tuple(int(x) for x in d) for d in period)
+        pre = tuple(int_vector(d, "digit") for d in preperiod)
+        per = tuple(int_vector(d, "digit") for d in period)
         if not per:
             raise ValueError("period must be nonempty")
         for k in range(1, len(per)):
@@ -378,13 +379,14 @@ def _period_system(rows, p: int):
     return k, det, adj
 
 
-def walk_point(word: DigitWord, matrix: IntMatrix) -> tuple[Fraction, ...]:
-    """Exact point addressed by the word: x = sum_k M^-k d_k.
+def walk_point(word: DigitWord, matrix: IntMatrix) -> ExactPoint:
+    """Exact point addressed by the word, x = sum_k M^-k d_k, as integer
+    numerators over one positive denominator in lowest terms.
 
     The periodic point solves K x = c with K = M^p - I, so x = adj(K) c /
     det K; each preperiod digit d maps x to M^-1 (x + d) = adj(M)(x + d) /
-    det M.  Numerators stay integral over one common denominator, and only
-    the result is made of Fractions.
+    det M.  Numerators stay integral over one common denominator, which
+    ExactPoint reduces once at the end.
     """
     c = (0,) * matrix.size
     for d in word.period:
@@ -397,7 +399,7 @@ def walk_point(word: DigitWord, matrix: IntMatrix) -> tuple[Fraction, ...]:
         shifted = tuple(x + den * y for x, y in zip(num, d))
         num = tuple(sum(map(mul, r, shifted)) for r in matrix.adjugate)
         den *= matrix.det
-    return tuple(Fraction(x, den) for x in num)
+    return ExactPoint(num, den)
 
 
 def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bool:
@@ -415,7 +417,7 @@ def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bo
                 out.add(dst)
         return frozenset(out)
 
-    states = frozenset([tuple(int(x) for x in start)])
+    states = frozenset([int_vector(start, "start")])
     for d in word.preperiod:
         states = step(states, d)
         if not states:

@@ -16,7 +16,7 @@ from .analysis import (
     analysis_for,
     predicts_14,
 )
-from .lattice import Vec, vec_add, vec_neg, vec_sub
+from .lattice import Vec, int_vector, vec_add, vec_neg, vec_sub
 from .power import PowerGraph, VertexSet, subdivide, vertex_set
 
 
@@ -217,7 +217,7 @@ def boundary_loop_pieces(ctx, alpha: Vec, k: int = 1) -> tuple:
     """Depth-k pieces of the closed piece loop around one neighbor."""
     _check_loop_depth(k)
     t = analysis_for(ctx)
-    alpha = tuple(int(x) for x in alpha)
+    alpha = int_vector(alpha, "neighbor")
     faces = [v for v in t.level(2).vertices if alpha in v]
     if not faces:
         raise ValueError(f"{alpha} appears in no level-2 vertex")

@@ -1,3 +1,4 @@
+import fractions
 import hashlib
 import os
 from collections import Counter
@@ -372,7 +373,7 @@ def test_points_view_is_sized_without_fractions(monkeypatch):
         raise AssertionError("a Fraction was built")
 
     M, digits = system_124()
-    monkeypatch.setattr(geometry_io, "Fraction", forbidden)
+    monkeypatch.setattr(fractions, "Fraction", forbidden)
     cloud = approximate_tile(M, digits, 6)
     assert len(cloud.points) == 4 ** 6
     t = analysis_for((1, 2, 4))

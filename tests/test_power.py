@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -15,11 +16,13 @@ from tileforge.graphs import (
     digit_differences,
 )
 from tileforge.lattice import (
+    ExactPoint,
     IntMatrix,
     Vec,
     companion_form,
     mat_pow,
     vec_add,
+    vec_sub,
 )
 from tileforge.power import (
     DigitWord,
@@ -172,14 +175,28 @@ def test_walk_closes_within_24_steps_everywhere():
 
 def test_walk_point_zero_period():
     t = analysis_for((1, 2, 4))
-    assert walk_point(DigitWord((), ((0, 0, 0),)), t.matrix) == (0, 0, 0)
+    x = walk_point(DigitWord((), ((0, 0, 0),)), t.matrix)
+    assert type(x) is ExactPoint and x == ((0, 0, 0), 1)
+    assert x.fractions() == (0, 0, 0)
 
 
 def test_walk_point_unit_period():
     # hand-checked: M x - x = (1,0,0) at x = (-1/2, -1/4, -1/8)
     t = analysis_for((1, 2, 4))
     x = walk_point(DigitWord((), ((1, 0, 0),)), t.matrix)
-    assert x == (Fraction(-1, 2), Fraction(-1, 4), Fraction(-1, 8))
+    assert x == ((-4, -2, -1), 8)
+    assert x.fractions() == (Fraction(-1, 2), Fraction(-1, 4), Fraction(-1, 8))
+    assert vec_sub(t.matrix.mul_vec(x.numerators), x.numerators) == (8, 0, 0)
+
+
+def test_exact_points_are_reduced_so_equal_points_are_equal():
+    assert ExactPoint((2, 0, -4), 6) == ExactPoint((-1, 0, 2), -3) == (
+        (1, 0, -2), 3)
+    assert hash(ExactPoint((3, 6, 9), 3)) == hash(ExactPoint((1, 2, 3), 1))
+    assert ExactPoint((0, 0, 0), -5) == ((0, 0, 0), 1)
+    assert ExactPoint((1, 0, 0), 2) != ExactPoint((1, 0, 0), 4)
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        ExactPoint((1, 0, 0), 0)
 
 
 def test_24_walk_points_distinct_and_admissible():
@@ -750,8 +767,10 @@ def test_walk_points_match_oracle_on_the_family():
         t = analysis_for(abc)
         for v in t.level(3).vertices:
             word = t.walk(v)
-            assert walk_point(word, t.matrix) == oracle_walk_point(
-                word, t.matrix), (abc, v)
+            x = walk_point(word, t.matrix)
+            assert x.fractions() == oracle_walk_point(word, t.matrix), (abc, v)
+            assert x.denominator > 0, (abc, v)
+            assert math.gcd(x.denominator, *x.numerators) == 1, (abc, v)
             count += 1
     assert count == 111 * 24
 
@@ -767,8 +786,14 @@ def eventually_periodic_words(draw):
 
 @given(eventually_periodic_words())
 def test_walk_point_matches_oracle(case):
+    # In lowest terms over a positive denominator, and equal to the oracle.
     matrix, word = case
-    assert walk_point(word, matrix) == oracle_walk_point(word, matrix)
+    x = walk_point(word, matrix)
+    assert x.denominator > 0
+    assert math.gcd(x.denominator, *x.numerators) == 1
+    want = oracle_walk_point(word, matrix)
+    assert x.fractions() == want
+    assert x.denominator == math.lcm(*(f.denominator for f in want))
 
 
 def test_walk_point_resubstitutes_its_periodic_solution(monkeypatch):

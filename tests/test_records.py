@@ -12,16 +12,35 @@ import pytest
 import tileforge
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for
 from tileforge.family import SweepRecord
-from tileforge.geometry_io import PointCloud, PointRows, TagRuns
-from tileforge.graphs import BoundaryGraph, ContactSet, NeighborSet
+from tileforge.geometry_io import (
+    PointCloud,
+    PointRows,
+    TagRuns,
+    approximate_boundary_piece,
+)
+from tileforge.graphs import (
+    BoundaryGraph,
+    ContactSet,
+    NeighborSet,
+    build_graph,
+    contact_set,
+    neighbor_set,
+)
 from tileforge.lattice import (
+    ExactPoint,
     IntMatrix,
     RadixExpansion,
     collinear_digit_set,
     companion_form,
+    is_complete_residue_system,
     radix_expand,
 )
-from tileforge.power import DigitWord, PowerGraph
+from tileforge.power import (
+    DigitWord,
+    PowerGraph,
+    vertex_set,
+    word_admissible_from,
+)
 from tileforge.topology import (
     BingReport,
     ChainReport,
@@ -29,6 +48,7 @@ from tileforge.topology import (
     FourFold,
     HataGraph,
     Piece,
+    boundary_loop_pieces,
 )
 
 M124, D124 = AbcTriple(1, 2, 4).system()
@@ -48,6 +68,7 @@ CASES = {
     "RadixExpansion": lambda: (
         RadixExpansion, tuple(radix_expand(M124, D124, (5, 1, 0)))),
     "DigitWord": lambda: (DigitWord, (((1, 0, 0),), ((0, 0, 0), (1, 0, 0)))),
+    "ExactPoint": lambda: (ExactPoint, ((-4, -2, -1), 8)),
     "ContactSet": lambda: (ContactSet, tuple(analysis_for((1, 2, 4)).contact)),
     "NeighborSet": lambda: (
         NeighborSet, tuple(analysis_for((1, 2, 4)).neighbors)),
@@ -109,6 +130,10 @@ def test_replace_builds_through_the_checks():
     word = DigitWord((), ((1, 0, 0), (1, 0, 0)))
     assert word.period == ((1, 0, 0),)
     assert word._replace(preperiod=((1, 0, 0),)) == word
+    point = ExactPoint((-4, -2, -1), 8)
+    assert point._replace(denominator=-16) == ((4, 2, 1), 16)
+    with pytest.raises(ValueError, match="denominator must be nonzero"):
+        point._replace(denominator=0)
 
 
 def test_each_matrix_construction_runs_post_init_once(monkeypatch):
@@ -155,15 +180,38 @@ def test_integer_types_with_index_are_taken_as_ints():
      "Fraction(3, 1)"),
     (lambda: TileAnalysis(M124, D124, [(1, 0, 0), (1, 1.5, 0), (2, 1, 1)]),
      "1.5"),
+    (lambda: vertex_set([(1.2, 0, 0)]), "1.2"),
+    (lambda: DigitWord(((0.5, 0, 0),), ((1, 0, 0),)), "0.5"),
+    (lambda: DigitWord((), ((1.7, 0, 0),)), "1.7"),
+    (lambda: word_admissible_from(analysis_for((1, 2, 4)).boundary_graph,
+                                  (1.0, 0, 0), DigitWord((), ((1, 0, 0),))),
+     "1.0"),
+    (lambda: build_graph([(1, 0.5, 0)], M124, D124), "0.5"),
+    (lambda: build_graph([(1, 0, 0)], M124, D124[:3] + ((3.0, 0, 0),)),
+     "3.0"),
+    (lambda: contact_set(M124, D124, [(1, 0, 0), (1, 1, 0), (2, 1, 1.5)]),
+     "1.5"),
+    (lambda: neighbor_set([(0, 0, 0), (1, 0, 0.5)], M124, D124), "0.5"),
+    (lambda: is_complete_residue_system(
+        M124, [(i + 0.5, 0, 0) for i in range(4)]), "0.5"),
+    (lambda: radix_expand(M124, D124, (5.5, 1, 0)), "5.5"),
+    (lambda: boundary_loop_pieces((1, 2, 4), (1.0, 0, 0)), "1.0"),
+    (lambda: approximate_boundary_piece((1, 2, 4), (1.0, 0, 0), 2), "1.0"),
+    (lambda: ExactPoint((0.5, 0, 0), 2), "0.5"),
+    (lambda: ExactPoint((1, 0, 0), 2.0), "2.0"),
 ], ids=["triple", "triple-float-int", "triple-str", "matrix",
         "matrix-fraction", "polynomial", "direction", "digits",
-        "digit-fraction", "basis"])
+        "digit-fraction", "basis", "vertex-set", "word-preperiod",
+        "word-period", "admissible-start", "graph-vertex", "graph-digit",
+        "contact-basis", "neighbor-contact", "residue-digits", "radix-input",
+        "loop-neighbor", "piece-neighbor", "point-numerator",
+        "point-denominator"])
 def test_non_integer_entries_are_refused_not_truncated(build, entry):
     # int() would truncate each of these to another, valid input: the
     # quarter-shifted digits of (1,2,4) would be analysed as {i e1} and
     # report 14 neighbours, and x^3 + 1.9x^2 + 2x + 4.5 would be the
     # companion of (1,2,4).  TileAnalysis validates in its constructor and
-    # runs no fixpoint there.
+    # runs no fixpoint there; a stage refuses before it computes.
     with pytest.raises(ValueError, match="non-integer entry") as info:
         build()
     assert str(info.value).endswith(entry)
@@ -181,3 +229,35 @@ def test_importing_tileforge_loads_no_dataclasses_or_inspect():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["[]", "[]"]
+
+
+def test_tileforge_loads_no_fractions_and_its_work_imports_nothing(tmp_path):
+    # Every process pays for each module it loads, and a module first
+    # imported in a forked sweep worker costs that worker file-backed RSS
+    # too; fractions would also load decimal and numbers.  So tileforge
+    # loads none of them, and a sweep, an audit report and both PLY renders
+    # import no module at all.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
+    code = "\n".join([
+        "import sys",
+        "sys.path.insert(0, sys.argv[1])",
+        "heavy = {'fractions', 'decimal', 'numbers'}",
+        "print(sorted(heavy & set(sys.modules)))",
+        "import tileforge, tileforge.cli",
+        "print(sorted(heavy & set(sys.modules)))",
+        "from tileforge import *",
+        "before = set(sys.modules)",
+        "sweep(5, 5, 5)",
+        "audit_report((1, 2, 4), k_max=2)",
+        "t = analysis_for((1, 2, 4))",
+        "export(approximate_tile(t.matrix, t.digits, 3), 'ply', sys.argv[2])",
+        "export(merge_clouds([approximate_boundary_piece(t, a, 3)",
+        "                     for a in t.neighbors.points]), 'ply', sys.argv[2])",
+        "print(sorted(set(sys.modules) - before))",
+    ])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src, str(tmp_path / "out.ply")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [lines[0], lines[1], lines[-1]] == ["[]", "[]", "[]"]
