@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .analysis import (
     AbcTriple,
@@ -143,55 +143,95 @@ def run_render(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tileforge",
-        description="Exact neighbor, boundary, and topology analysis of "
-                    "integer self-affine tiles with collinear digits.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# Each command's help, run function and options, name: (kind, default, help);
+# a FLAG takes no value, an OUTPUT path's directory must exist before the run.
+FLAG, OUTPUT = "flag", "output"
+_HELP = {"help": (FLAG, False, "show this help and exit")}
+_SYSTEM = {**_HELP, "abc": (str, None, "family parameters A,B,C"),
+           "matrix": (str, None, "JSON file with matrix rows"),
+           "digits": (str, None, "JSON file with digit vectors")}
+COMMANDS = {
+    "analyze": ("full report for one tile", run_analyze, {**_SYSTEM,
+        "basis": (str, None, "JSON list of contact seed vectors"),
+        "k": (int, 1, f"loop audit depth, 1 to {MAX_LOOP_DEPTH} (default 1)"),
+        "json": (OUTPUT, None, "write the JSON report here"),
+        "dot": (OUTPUT, None, "write the contact graph as DOT here")}),
+    "sweep": ("audit a whole parameter box", run_sweep, {**_HELP,
+        "max": (int, 12, "bound on A, B, and C, at least 2 (default 12)"),
+        "jobs": (int, 1, "processes to run on, this one among them, at least "
+                         "1 and at most the usable cores (default 1)"),
+        "csv": (OUTPUT, None, "write sweep records here")}),
+    "render": ("emit point-cloud geometry", run_render, {**_SYSTEM,
+        "depth": (int, None, "word length (default 8, or 6 with --boundary)"),
+        "boundary": (FLAG, False, "per-face boundary clouds, not the tile"),
+        "ply": (OUTPUT, None, "write an ascii PLY here"),
+        "csv": (OUTPUT, None, "write x,y,z CSV here"),
+        "json": (OUTPUT, None, "write a JSON cloud here")}),
+}
 
-    analyze = sub.add_parser("analyze", help="full report for one tile")
-    analyze.add_argument("--abc", help="family parameters A,B,C")
-    analyze.add_argument("--matrix", help="JSON file with matrix rows")
-    analyze.add_argument("--digits", help="JSON file with digit vectors")
-    analyze.add_argument("--basis", help="JSON list of contact seed vectors")
-    analyze.add_argument("--k", type=int, default=1,
-                         help=f"loop audit depth, 1 to {MAX_LOOP_DEPTH} "
-                              "(default 1)")
-    analyze.add_argument("--json", help="write the JSON report here")
-    analyze.add_argument("--dot", help="write the contact graph as DOT here")
-    analyze.set_defaults(func=run_analyze)
 
-    sweep_cmd = sub.add_parser("sweep", help="audit a whole parameter box")
-    sweep_cmd.add_argument("--max", type=int, default=12,
-                           help="bound on A, B, and C, at least 2 "
-                                "(default 12)")
-    sweep_cmd.add_argument("--jobs", type=int, default=1,
-                           help="processes to run on, this one among "
-                                "them, at least 1 and at most the usable "
-                                "cores (default 1)")
-    sweep_cmd.add_argument("--csv", help="write sweep records here")
-    sweep_cmd.set_defaults(func=run_sweep)
+def _help(command) -> str:
+    """The usage line, then a row for each command or each of its options."""
+    rows = [(name, spec[0]) for name, spec in COMMANDS.items()]
+    if command:
+        rows = [(f"--{name}" + ("" if kind == FLAG else f" {name.upper()}"),
+                 doc) for name, (kind, _, doc) in COMMANDS[command][2].items()]
+    usage = f"usage: tileforge {command or 'COMMAND'} [--OPTION [VALUE] ...]"
+    return "\n".join([usage, ""]
+                     + [f"  {left:<20}  {doc}" for left, doc in rows])
 
-    render = sub.add_parser("render", help="emit point-cloud geometry")
-    render.add_argument("--abc", help="family parameters A,B,C")
-    render.add_argument("--matrix", help="JSON file with matrix rows")
-    render.add_argument("--digits", help="JSON file with digit vectors")
-    render.add_argument("--depth", type=int,
-                        help="word length (default 8, or 6 with --boundary)")
-    render.add_argument("--boundary", action="store_true",
-                        help="per-face boundary clouds instead of the tile")
-    render.add_argument("--ply", help="write an ascii PLY here")
-    render.add_argument("--csv", help="write x,y,z CSV here")
-    render.add_argument("--json", help="write a JSON cloud here")
-    render.set_defaults(func=run_render)
-    return parser
+
+def _parse(command, argv):
+    """The options of command given in argv as attributes, or None once help
+    is printed.  A malformed command line raises ValueError."""
+    if command is None and argv[:1] not in (["-h"], ["--help"]):
+        raise ValueError("expected a command: " + ", ".join(COMMANDS))
+    options = COMMANDS[command][2] if command else _HELP
+    args = SimpleNamespace(**{name: spec[1] for name, spec in options.items()})
+    rest = iter(argv)
+    for arg in rest:
+        given, eq, value = ("--help" if arg == "-h" else arg).partition("=")
+        key = given[2:] if given.startswith("--") else ""
+        found = [key] if key in options else [
+            name for name in options if key and name.startswith(key)]
+        if len(found) != 1:
+            raise ValueError(f"unrecognized argument {arg}" if not found else
+                             f"ambiguous option {given}: " + ", ".join(found))
+        name, kind = found[0], options[found[0]][0]
+        if kind == FLAG and eq:
+            raise ValueError(f"--{name} takes no value")
+        if name == "help":
+            return print(_help(command))
+        if kind != FLAG and not eq:
+            value = next(rest, "-")
+            if value.startswith("-") and not value[1:].isdigit():
+                raise ValueError(f"--{name} expects a value")
+        try:
+            setattr(args, name, kind == FLAG or (
+                int(value) if kind is int else value))
+        except ValueError:
+            raise ValueError(f"--{name} {value!r} is not an integer") from None
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv[:1] and argv[0] in COMMANDS else None
     try:
-        return args.func(args)
+        args = _parse(command, argv[1:] if command else argv)
+    except ValueError as exc:
+        usage = _help(command).partition("\n")[0]
+        print(usage, f"error: {exc}", sep="\n", file=sys.stderr)
+        return 2
+    if args is None:
+        return 0
+    _, run, options = COMMANDS[command]
+    try:
+        for name in (n for n in options if options[n][0] == OUTPUT):
+            path = getattr(args, name)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"cannot write {path}: No such directory")
+        return run(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -453,10 +453,81 @@ def test_deep_render_is_refused_within_the_cap(argv, monkeypatch):
     (["render", "--abc", "1,2,4", "--depth", "2"], "--json"),
     (["render", "--abc", "1,2,4", "--depth", "2"], "--ply"),
 ])
-def test_unwritable_output_path_is_input_error(argv, flag, tmp_path, capsys):
+def test_unwritable_output_path_is_input_error(argv, flag, tmp_path,
+                                               monkeypatch, capsys):
+    # An output path in a missing directory is refused before any context is
+    # built, not after the whole analysis or sweep has run.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before the output path was checked")
+
+    for name in ("TileAnalysis", "sweep"):
+        monkeypatch.setattr(cli, name, forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
     path = tmp_path / "missing" / "out"
     assert cli.main(argv + [flag, str(path)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["analyze", "--nope"], ["analyze", "--k"],
+    ["analyze", "--k", "two"], ["sweep", "--max", "x"],
+    ["sweep", "--jobs", "1.5"], ["render", "--depth", "x"],
+    ["render", "--boundary=1"], ["render", "--d", "3"],
+], ids=lambda argv: " ".join(argv) or "no command")
+def test_malformed_command_line_is_one_error_line(argv, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran on a malformed command line")
+
+    for name in ("TileAnalysis", "sweep"):
+        monkeypatch.setattr(cli, name, forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == ""
+    assert len(lines) == 2
+    assert lines[0].startswith("usage: tileforge ")
+    assert lines[1].startswith("error: ")
+
+
+@pytest.mark.parametrize("spelled,equivalent", [
+    (["analyze", "--abc", "1,2,4", "--k", "2", "--json"],
+     ["analyze", "--abc=1,2,4", "--k", "5", "--k=2", "--json"]),
+    (["render", "--abc", "1,2,4", "--depth", "3", "--ply"],
+     ["render", "--abc=1,2,4", "--dep", "3", "--ply"]),
+    (["render", "--abc", "1,2,4", "--boundary", "--depth", "3", "--ply"],
+     ["render", "--ab", "1,2,4", "--bound", "--de=3", "--depth", "3",
+      "--pl"]),
+])
+def test_equivalent_command_lines_write_the_same_files(spelled, equivalent,
+                                                       tmp_path):
+    # --name=value, a unique prefix and a repeated option (its last value
+    # wins) parse to the spelled-out command.
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert cli.main(spelled + [str(a)]) == 0
+    assert cli.main(equivalent + [str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_negative_depth_is_a_value(capsys):
+    assert cli.main(["render", "--abc", "1,2,4", "--depth", "-2"]) == 2
+    assert capsys.readouterr().err == "error: depth must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", [None, *cli.COMMANDS])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_option_from_the_table(command, flag, capsys):
+    assert cli.main([flag] if command is None else [command, flag]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: tileforge")
+    if command is None:
+        rows = {name: spec[0] for name, spec in cli.COMMANDS.items()}
+    else:
+        rows = {f"--{name}": spec[2]
+                for name, spec in cli.COMMANDS[command][2].items()}
+    for name, text in rows.items():
+        assert re.search(rf"^  {re.escape(name)}\b.*  {re.escape(text)}$",
+                         out, re.M), (name, text)
 
 
 def _write_system(tmp_path, matrix, digits):

@@ -234,14 +234,16 @@ def test_importing_tileforge_loads_no_dataclasses_or_inspect():
 def test_tileforge_loads_no_fractions_and_its_work_imports_nothing(tmp_path):
     # Every process pays for each module it loads, and a module first
     # imported in a forked sweep worker costs that worker file-backed RSS
-    # too; fractions would also load decimal and numbers.  So tileforge
-    # loads none of them, and a sweep, an audit report and both PLY renders
-    # import no module at all.
+    # too; fractions would also load decimal and numbers, and argparse
+    # gettext, whose first parser loads locale.  So tileforge loads none of
+    # them, and a sweep, an audit report, both PLY renders and a CLI run of
+    # each command import no module at all.
     src = os.path.dirname(os.path.dirname(os.path.abspath(tileforge.__file__)))
     code = "\n".join([
         "import sys",
         "sys.path.insert(0, sys.argv[1])",
-        "heavy = {'fractions', 'decimal', 'numbers'}",
+        "heavy = {'fractions', 'decimal', 'numbers',",
+        "         'argparse', 'gettext', 'locale', '_locale'}",
         "print(sorted(heavy & set(sys.modules)))",
         "import tileforge, tileforge.cli",
         "print(sorted(heavy & set(sys.modules)))",
@@ -253,6 +255,11 @@ def test_tileforge_loads_no_fractions_and_its_work_imports_nothing(tmp_path):
         "export(approximate_tile(t.matrix, t.digits, 3), 'ply', sys.argv[2])",
         "export(merge_clouds([approximate_boundary_piece(t, a, 3)",
         "                     for a in t.neighbors.points]), 'ply', sys.argv[2])",
+        "for argv in (['sweep', '--max', '5', '--csv'],",
+        "             ['analyze', '--abc', '1,2,4', '--json'],",
+        "             ['render', '--abc', '1,2,4', '--depth', '3', '--ply']):",
+        "    assert tileforge.cli.main(argv + [sys.argv[2]]) == 0",
+        "print(sorted(heavy & set(sys.modules)))",
         "print(sorted(set(sys.modules) - before))",
     ])
     proc = subprocess.run(
@@ -260,4 +267,4 @@ def test_tileforge_loads_no_fractions_and_its_work_imports_nothing(tmp_path):
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert [lines[0], lines[1], lines[-1]] == ["[]", "[]", "[]"]
+    assert [lines[0], lines[1], lines[-2], lines[-1]] == ["[]"] * 4
