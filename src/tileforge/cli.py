@@ -128,6 +128,9 @@ def run_sweep(args) -> int:
 def run_render(args) -> int:
     depth = args.depth if args.depth is not None else (6 if args.boundary else 8)
     t = _load_context(args)
+    if t.matrix.size != 3 and (args.ply or args.csv):
+        raise ValueError("--ply and --csv write x y z rows; a system of "
+                         f"dimension {t.matrix.size} renders with --json")
     if args.boundary:
         boundary_point_count(t, depth)  # raises over the point cap
         pieces = [approximate_boundary_piece(t, a, depth)
@@ -144,7 +147,7 @@ def run_render(args) -> int:
 
 
 # Each command's help, run function and options, name: (kind, default, help);
-# a FLAG takes no value, an OUTPUT path's directory must exist before the run.
+# a FLAG takes no value; an OUTPUT path names a file in an existing directory.
 FLAG, OUTPUT = "flag", "output"
 _HELP = {"help": (FLAG, False, "show this help and exit")}
 _SYSTEM = {**_HELP, "abc": (str, None, "family parameters A,B,C"),
@@ -164,8 +167,8 @@ COMMANDS = {
     "render": ("emit point-cloud geometry", run_render, {**_SYSTEM,
         "depth": (int, None, "word length (default 8, or 6 with --boundary)"),
         "boundary": (FLAG, False, "per-face boundary clouds, not the tile"),
-        "ply": (OUTPUT, None, "write an ascii PLY here"),
-        "csv": (OUTPUT, None, "write x,y,z CSV here"),
+        "ply": (OUTPUT, None, "write an ascii PLY here (3x3 systems)"),
+        "csv": (OUTPUT, None, "write x,y,z CSV here (3x3 systems)"),
         "json": (OUTPUT, None, "write a JSON cloud here")}),
 }
 
@@ -231,6 +234,8 @@ def main(argv=None) -> int:
             path = getattr(args, name)
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise ValueError(f"cannot write {path}: No such directory")
+            if path and os.path.isdir(path):
+                raise ValueError(f"cannot write {path}: Is a directory")
         return run(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -291,11 +291,12 @@ def minkowski_sum(left, right) -> set[Vec]:
 
 
 def default_contact_basis(matrix: IntMatrix) -> tuple[Vec, ...]:
-    """Basis (1,0,0), (A,1,0), (B,A,1) read off the characteristic polynomial."""
-    if matrix.size != 3:
-        raise ValueError("default contact basis requires a 3x3 matrix")
-    _, a, b, _ = char_poly(matrix)
-    return ((1, 0, 0), (a, 1, 0), (b, a, 1))
+    """Basis b_j = (c_j, ..., c_1, 1, 0, ..., 0), 0 <= j < m, read off the
+    characteristic polynomial x^m + c_1 x^(m-1) + ... + c_m: for m = 3,
+    (1,0,0), (A,1,0), (B,A,1)."""
+    c = char_poly(matrix)
+    m = matrix.size
+    return tuple(tuple(c[j::-1]) + (0,) * (m - 1 - j) for j in range(m))
 
 
 class ContactSet(checked_record("ContactSet", "points rounds")):

@@ -287,18 +287,10 @@ def _all_roots_strictly_inside(coeffs: list[int]) -> bool:
 
 
 def is_expanding(matrix: IntMatrix) -> bool:
-    """True iff every eigenvalue has modulus strictly greater than 1.
-
-    Supports 3x3 matrices only; decided exactly via Schur-Cohn on the
-    reversed characteristic polynomial (whose roots are the reciprocal
-    eigenvalues).
-    """
-    if matrix.size != 3:
-        raise ValueError("is_expanding supports 3x3 matrices only")
-    one, a, b, c = char_poly(matrix)
-    if c == 0:
-        return False  # zero eigenvalue
-    return _all_roots_strictly_inside([c, b, a, one])
+    """True iff every eigenvalue has modulus above 1, decided exactly by
+    Schur-Cohn on the reversed characteristic polynomial, whose roots are
+    their reciprocals; a zero eigenvalue fails its first step."""
+    return _all_roots_strictly_inside(char_poly(matrix)[::-1])
 
 
 def collinear_digit_set(matrix: IntMatrix, v: Vec) -> tuple[Vec, ...]:

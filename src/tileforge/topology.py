@@ -139,11 +139,12 @@ def classify(h: HataGraph) -> ChainReport:
         out = next(i for i in range(n) if i not in seen)
         return ChainReport("disconnected", n, len(h.edges),
                            f"nodes 0 and {out} are in different components")
-    point_links = all(len(e[2]) == 3 for e in h.edges)
+    # A point link is where m + 1 tiles of R^m meet: a vertex set of size m.
+    m = len(h.nodes[0].shift)
+    bad = next((e for e in h.edges if len(e[2]) != m), None)
     if all(d == 2 for d in deg) and n >= 3:
-        if n >= 4 and point_links:
+        if n >= 4 and bad is None:
             return ChainReport("circular_chain", n, len(h.edges))
-        bad = next((e for e in h.edges if len(e[2]) != 3), None)
         note = None if bad is None else f"link {bad[0]}-{bad[1]} is not a point"
         if n < 4:
             note = "fewer than 4 pieces"
@@ -151,9 +152,8 @@ def classify(h: HataGraph) -> ChainReport:
     if all(d <= 2 for d in deg) and len(h.edges) == n - 1:
         if n == 1:
             return ChainReport("path", 1, 0)
-        if point_links:
+        if bad is None:
             return ChainReport("regular_chain", n, len(h.edges))
-        bad = next(e for e in h.edges if len(e[2]) != 3)
         return ChainReport("path", n, len(h.edges),
                            f"link {bad[0]}-{bad[1]} is not a point")
     return ChainReport("connected", n, len(h.edges), "degree above 2")
@@ -349,7 +349,7 @@ def _loop_point_failure(h: HataGraph) -> str | None:
     node_keys = [p.key for p in h.nodes]
     keys = []
     for i, j, gamma in h.edges:
-        if len(gamma) != 3:
+        if len(gamma) != len(h.nodes[i].shift):
             return f"link {i}-{j} is not a point"
         key = node_keys[i] | node_keys[j]
         keys.append(key)

@@ -455,17 +455,20 @@ def test_deep_render_is_refused_within_the_cap(argv, monkeypatch):
 ])
 def test_unwritable_output_path_is_input_error(argv, flag, tmp_path,
                                                monkeypatch, capsys):
-    # An output path in a missing directory is refused before any context is
-    # built, not after the whole analysis or sweep has run.
+    # An output path in a missing directory, or one that is a directory, is
+    # refused before any context is built, not after the whole analysis or
+    # sweep has run.
     def forbidden(*args, **kwargs):
         raise AssertionError("work ran before the output path was checked")
 
     for name in ("TileAnalysis", "sweep"):
         monkeypatch.setattr(cli, name, forbidden)
     forbid_fixpoints(monkeypatch, forbidden)
-    path = tmp_path / "missing" / "out"
-    assert cli.main(argv + [flag, str(path)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+    for path, reason in ((tmp_path / "missing" / "out", "No such directory"),
+                         (tmp_path, "Is a directory")):
+        assert cli.main(argv + [flag, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {path}: {reason}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -546,6 +549,64 @@ FAMILY_124 = [[0, 0, -4], [1, 0, -2], [0, 1, -1]]
 # tile's Z^3-translates do not tile.
 DIAG_235 = [[2, 0, 0], [0, 3, 0], [0, 0, 5]]
 DIGITS_111 = [[i, i, i] for i in range(30)]
+
+
+# The companion of x^2 + x + 3 with digits (i, 0): a disk-like planar tile
+# with 6 neighbours.
+PLANAR = [[0, -3], [1, -1]]
+PLANAR_DIGITS = [[i, 0] for i in range(3)]
+
+
+@pytest.mark.parametrize("matrix,digits,count", [
+    ([[3]], [[0], [1], [2]], 2),
+    (PLANAR, PLANAR_DIGITS, 6),
+    # PLANAR ⊕ PLANAR: by the product law, 7 * 7 - 1 neighbours.
+    ([[0, -3, 0, 0], [1, -1, 0, 0], [0, 0, 0, -3], [0, 0, 1, -1]],
+     [[i, 0, j, 0] for i in range(3) for j in range(3)], 48),
+], ids=["1x1", "2x2", "4x4"])
+def test_analyze_takes_a_system_of_any_dimension(matrix, digits, count,
+                                                 tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(["analyze"] + _write_system(tmp_path, matrix, digits)
+                    + ["--json", str(out)]) == 0
+    assert capsys.readouterr().out.startswith(f"neighbors: {count} ")
+    report = json.loads(out.read_text())
+    assert report["neighbors"]["count"] == count
+    assert report["predicted_14"] is None and report["audit_pass"] is None
+
+
+@pytest.mark.parametrize("boundary", [[], ["--boundary"]],
+                         ids=["tile", "boundary"])
+@pytest.mark.parametrize("flag", ["--ply", "--csv"])
+def test_render_refuses_xyz_files_of_a_planar_system(flag, boundary, tmp_path,
+                                                     monkeypatch, capsys):
+    # PLY and CSV files have x y z columns, so a planar cloud is refused
+    # before any point is made, not written two columns wide.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a point was made")
+
+    for name in ("approximate_tile", "approximate_boundary_piece",
+                 "boundary_point_count"):
+        monkeypatch.setattr(cli, name, forbidden)
+    forbid_fixpoints(monkeypatch, forbidden)
+    out = tmp_path / "cloud"
+    argv = ["render"] + _write_system(tmp_path, PLANAR, PLANAR_DIGITS)
+    assert cli.main(argv + boundary + [flag, str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: --ply and --csv write x y z rows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("boundary,count", [([], 27), (["--boundary"], 46)],
+                         ids=["tile", "boundary"])
+def test_render_writes_a_planar_cloud_as_json(boundary, count, tmp_path):
+    out = tmp_path / "cloud.json"
+    argv = ["render"] + _write_system(tmp_path, PLANAR, PLANAR_DIGITS)
+    assert cli.main(argv + boundary + ["--depth", "3", "--json", str(out)]) == 0
+    points = json.loads(out.read_text())["points"]
+    assert len(points) == count
+    assert {len(p) for p in points} == {2}
 
 
 @pytest.mark.parametrize("command,matrix,digits,extra,message", [

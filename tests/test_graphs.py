@@ -28,6 +28,7 @@ from tileforge.graphs import _walk_alive
 from tileforge.lattice import (
     IntMatrix,
     companion_form,
+    is_expanding,
     vec_add,
     vec_neg,
     vec_sub,
@@ -147,8 +148,17 @@ def test_reduce_retains_cycle_witnesses_for_equal_ab():
 
 
 def test_default_basis_reads_char_poly():
-    m, _ = setup_tile(2, 3, 5)
-    assert default_contact_basis(m) == ((1, 0, 0), (2, 1, 0), (3, 2, 1))
+    # The lower-triangular Toeplitz basis (c_j, ..., c_1, 1, 0, ..., 0) of
+    # x^m + c_1 x^(m-1) + ... + c_m, in each dimension 1 to 4.
+    for coeffs, basis in [
+        ([1, 3], ((1,),)),
+        ([1, -2, 5], ((1, 0), (-2, 1))),
+        ([1, 2, 3, 5], ((1, 0, 0), (2, 1, 0), (3, 2, 1))),
+        ([1, 2, -3, 4, 7],
+         ((1, 0, 0, 0), (2, 1, 0, 0), (-3, 2, 1, 0), (4, -3, 2, 1))),
+    ]:
+        m, _ = companion_form(coeffs)
+        assert default_contact_basis(m) == basis, coeffs
 
 
 def test_contact_set_124():
@@ -223,6 +233,59 @@ def test_neighbor_set_123_has_24_points():
     s = neighbor_set(contact_set(m, digits), m, digits)
     assert len(s.points) == 24
     assert (4, 0, 2) in s.points and (-4, 0, -2) in s.points
+
+
+def neighbors_of(matrix, digits) -> set:
+    return set(neighbor_set(contact_set(matrix, digits), matrix, digits).points)
+
+
+def test_planar_collinear_tiles_have_6_or_8_neighbors_iff_disk_like():
+    # Leung and Lau: the tile of x^2 + p x + q with collinear digits is a
+    # disk exactly when 2|p| <= |q + 2|, and a disk-like lattice tile of the
+    # plane has 6 or 8 neighbours (Bandt and Wang); 8 exactly when p = 0.
+    checked = 0
+    for p in range(-12, 13):
+        for q in range(-12, 13):
+            if q == 0:
+                continue
+            m, digits = companion_form([1, p, q])
+            if not is_expanding(m):
+                continue
+            n = len(neighbors_of(m, digits))
+            assert (n in (6, 8)) == (2 * abs(p) <= abs(q + 2)), (p, q, n)
+            assert (n == 8) == (p == 0), (p, q, n)
+            checked += 1
+    assert checked == 286
+
+
+def test_line_tiles_have_neighbors_plus_and_minus_one():
+    # M = [q] with digits 0, ..., |q| - 1 tiles the line by an interval.
+    for q in (2, 3, 5, 10, -2, -3, -7):
+        assert neighbors_of(IntMatrix(((q,),)),
+                            [(i,) for i in range(abs(q))]) == {(1,), (-1,)}
+
+
+def direct_sum(first, second):
+    """The system M1 ⊕ M2 with digits D1 × D2."""
+    (m1, d1), (m2, d2) = first, second
+    pad1, pad2 = (0,) * m1.size, (0,) * m2.size
+    rows = [r + pad2 for r in m1.rows] + [pad1 + r for r in m2.rows]
+    return IntMatrix(tuple(rows)), tuple(a + b for a in d1 for b in d2)
+
+
+# Characteristic polynomials, M = [3] being the companion of x - 3.
+@pytest.mark.parametrize("first,second", [
+    ([1, 1, 3], [1, 0, 3]), ([1, 1, 3], [1, 1, 3]), ([1, -3], [1, 1, 3]),
+    ([1, 0, 2], [1, 0, 3]),
+], ids=["x2+x+3,x2+3", "x2+x+3,x2+x+3", "x-3,x2+x+3", "x2+2,x2+3"])
+def test_neighbors_of_a_product_tile_obey_the_product_law(first, second):
+    # T1 × T2 meets T1 × T2 + (a, b) exactly when T1 meets T1 + a and T2
+    # meets T2 + b: N = ((N1 ∪ {0}) × (N2 ∪ {0})) \ {0}.
+    s1, s2 = companion_form(first), companion_form(second)
+    z1, z2 = (0,) * s1[0].size, (0,) * s2[0].size
+    law = {a + b for a in neighbors_of(*s1) | {z1}
+           for b in neighbors_of(*s2) | {z2}} - {z1 + z2}
+    assert neighbors_of(*direct_sum(s1, s2)) == law
 
 
 def test_neighbor_set_rejects_asymmetric_points():

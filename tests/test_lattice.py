@@ -65,6 +65,9 @@ def test_is_expanding_examples():
     assert not is_expanding(m)
     m, _ = cubic_companion(5, 5, 6)
     assert is_expanding(m)
+    # A zero eigenvalue, next to eigenvalues of modulus 2 and 5.
+    assert not is_expanding(IntMatrix(((2, 0), (0, 0))))
+    assert not is_expanding(IntMatrix(((0, 0, 0), (1, 2, 0), (0, 0, -5))))
 
 
 def test_is_expanding_holds_on_every_family_member():
@@ -76,26 +79,33 @@ def test_is_expanding_holds_on_every_family_member():
         assert is_expanding(m), abc
 
 
-def test_is_expanding_rejects_other_sizes():
-    with pytest.raises(ValueError):
-        is_expanding(IntMatrix(((1, 0), (0, 1))))
+def test_identity_is_not_expanding_in_any_dimension():
+    # Every eigenvalue is 1, on the unit circle: the first Schur-Cohn step
+    # meets |a0| == |an| in every dimension.
+    for m in range(1, 5):
+        identity = IntMatrix(tuple(tuple(int(i == j) for j in range(m))
+                                   for i in range(m)))
+        assert not is_expanding(identity), m
 
 
 def test_is_expanding_matches_float_roots_on_random_companions():
-    rng = np.random.default_rng(20260818)
-    checked = 0
-    for _ in range(1000):
-        a, b = (int(x) for x in rng.integers(-20, 21, size=2))
-        c = int(rng.integers(-20, 21))
-        if c == 0:
-            continue
-        roots = np.roots([1, a, b, c])
-        if min(abs(abs(r) - 1.0) for r in roots) <= 1e-6:
-            continue  # too close to the unit circle for floats to referee
-        m, _ = companion_form([1, a, b, c])
-        assert is_expanding(m) == bool(all(abs(r) > 1 for r in roots))
-        checked += 1
-    assert checked > 900
+    for degree in (1, 2, 3, 4):
+        rng = np.random.default_rng(20260818)
+        checked = expanding = 0
+        for _ in range(1000):
+            coeffs = [1, *(int(x) for x in rng.integers(-20, 21, size=degree))]
+            if coeffs[-1] == 0:
+                continue
+            roots = np.roots(coeffs)
+            if min(abs(abs(r) - 1.0) for r in roots) <= 1e-6:
+                continue  # too close to the unit circle for floats to referee
+            m, _ = companion_form(coeffs)
+            outside = bool(all(abs(r) > 1 for r in roots))
+            assert is_expanding(m) == outside, coeffs
+            checked += 1
+            expanding += outside
+        assert checked > 900, degree
+        assert 0 < expanding, degree
 
 
 def test_collinear_digit_set_rejects_zero_direction():

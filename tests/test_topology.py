@@ -6,7 +6,13 @@ import pytest
 from tileforge import analysis, topology
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
 from tileforge.family import family_triples
-from tileforge.lattice import Vec, companion_form, vec_add, vec_sub
+from tileforge.lattice import (
+    Vec,
+    companion_form,
+    is_expanding,
+    vec_add,
+    vec_sub,
+)
 from tileforge.power import unique_walk, vertex_set
 from tileforge.topology import (
     ChainReport,
@@ -87,6 +93,30 @@ def test_classify_star_is_connected_only():
     g3 = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
     h = _fake(4, [(0, 1, g3), (0, 2, g3), (0, 3, g3)])
     assert classify(h).classification == "connected"
+
+
+def test_planar_boundary_is_a_circular_chain_iff_6_neighbors():
+    # The level-1 pieces T ∩ (T + a) of a 6-neighbour planar tile are 6
+    # arcs, each meeting the next in a point where 3 tiles of R^2 meet; an
+    # 8-neighbour tile has 4 pieces that are points, and a tile that is no
+    # disk has more than 8 pieces.  Every expanding x^2 + p x + q with
+    # |p|, |q| <= 12 and collinear digits.
+    chains = 0
+    for p in range(-12, 13):
+        for q in range(-12, 13):
+            if q == 0:
+                continue
+            m, digits = companion_form([1, p, q])
+            if not is_expanding(m):
+                continue
+            t = TileAnalysis(m, digits)
+            h = hata_graph(t, [((a,), (0, 0)) for a in t.neighbors.points])
+            six = len(t.neighbors.points) == 6
+            assert classify(h).is_circular_chain == six, (p, q)
+            if six:
+                assert topology._loop_point_failure(h) is None, (p, q)
+            chains += six
+    assert chains == 144
 
 
 def test_path_order_walks_end_to_end():
