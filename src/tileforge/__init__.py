@@ -5,6 +5,11 @@ matrix M and a digit set D that is a complete residue system modulo M.
 Everything that decides a property (neighbor sets, boundary graphs,
 piece intersections, chain audits) runs in integer or rational
 arithmetic; floating point appears only in exported point clouds.
+
+The package exports the context built from (M, D) and what is read off
+it: reports, sweeps, censuses, renders and the records they return.  The
+stages inside a context (fixpoints, level graphs, subdivision, Hata
+graphs) stay in their submodules.
 """
 
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
@@ -12,9 +17,6 @@ from tileforge.family import (
     SweepRecord,
     audit_report,
     disagreements,
-    expected_contact_set,
-    expected_graph,
-    family_triples,
     sweep,
     sweep_csv,
 )
@@ -22,11 +24,8 @@ from tileforge.geometry_io import (
     PointCloud,
     approximate_boundary_piece,
     approximate_tile,
-    attractor_radius,
     export,
     merge_clouds,
-    render,
-    to_dot,
 )
 from tileforge.graphs import (
     BoundaryGraph,
@@ -34,45 +33,10 @@ from tileforge.graphs import (
     LabeledEdge,
     NeighborSet,
     RoundLimitError,
-    build_graph,
-    contact_set,
-    minkowski_sum,
-    neighbor_set,
-    reduce,
 )
-from tileforge.lattice import (
-    ExactPoint,
-    IntMatrix,
-    RadixExpansion,
-    companion_form,
-    is_complete_residue_system,
-    is_expanding,
-    radix_expand,
-)
-from tileforge.power import (
-    DigitWord,
-    PowerGraph,
-    power_graph,
-    subdivide,
-    vertex_set,
-    walk_point,
-    word_admissible_from,
-)
-from tileforge.topology import (
-    BingReport,
-    ChainReport,
-    ComplexCensus,
-    FourFold,
-    HataGraph,
-    Piece,
-    bing_audit,
-    boundary_loop_audit,
-    census,
-    classify,
-    four_fold_placement,
-    hata_graph,
-    successor_hata,
-)
+from tileforge.lattice import ExactPoint, IntMatrix, companion_form
+from tileforge.power import DigitWord, PowerGraph
+from tileforge.topology import BingReport, ComplexCensus, bing_audit, census
 
 __version__ = "0.1.0"
 
@@ -80,58 +44,29 @@ __all__ = [
     "AbcTriple",
     "BingReport",
     "BoundaryGraph",
-    "ChainReport",
     "ComplexCensus",
     "ContactSet",
     "DigitWord",
     "ExactPoint",
-    "FourFold",
-    "HataGraph",
     "IntMatrix",
     "LabeledEdge",
     "NeighborSet",
-    "Piece",
     "PointCloud",
     "PowerGraph",
-    "RadixExpansion",
     "RoundLimitError",
     "SweepRecord",
     "TileAnalysis",
     "analysis_for",
     "approximate_boundary_piece",
     "approximate_tile",
-    "attractor_radius",
     "audit_report",
     "bing_audit",
-    "boundary_loop_audit",
-    "build_graph",
     "census",
-    "classify",
     "companion_form",
-    "contact_set",
     "disagreements",
-    "expected_contact_set",
-    "expected_graph",
     "export",
-    "family_triples",
-    "four_fold_placement",
-    "hata_graph",
-    "is_complete_residue_system",
-    "is_expanding",
     "merge_clouds",
-    "minkowski_sum",
-    "neighbor_set",
-    "power_graph",
     "predicts_14",
-    "radix_expand",
-    "reduce",
-    "render",
-    "subdivide",
-    "successor_hata",
     "sweep",
     "sweep_csv",
-    "to_dot",
-    "vertex_set",
-    "walk_point",
-    "word_admissible_from",
 ]

@@ -97,17 +97,18 @@ def predicts_14(triple) -> bool:
     return c >= a + b - 2
 
 
-def check_system(matrix: IntMatrix, digits, basis=None) -> None:
-    """Reject a system outside the theory: M must be expanding, D a complete
-    residue system modulo M with one coordinate per row of M whose lattice
-    Z[M, D] is all of Z^n, and a basis must hold as many linearly
+def check_system(matrix: IntMatrix, digits, basis=None):
+    """The digits and the basis (None stays None) as tuples of int tuples,
+    once the system is known to be in the theory: M must be expanding, D a
+    complete residue system modulo M with one coordinate per row of M whose
+    lattice Z[M, D] is all of Z^n, and a basis must hold as many linearly
     independent vectors as M has rows.  The translates of a tile whose
     digits generate a proper sublattice do not tile by Z^n.  Every entry
     of a digit or a basis vector must be an integer."""
     size = matrix.size
     if not digits:
         raise ValueError("digit set is empty")
-    digits = [int_vector(d, "digit") for d in digits]
+    digits = tuple(int_vector(d, "digit") for d in digits)
     if any(len(d) != size for d in digits):
         raise ValueError(f"every digit needs {size} coordinates")
     if not is_expanding(matrix):
@@ -122,18 +123,18 @@ def check_system(matrix: IntMatrix, digits, basis=None) -> None:
     index = math.prod(r[i] for i, r in enumerate(hermite))
     if index != 1:
         raise ValueError(f"digits generate a sublattice of index {index}")
-    if basis is not None:
-        check_basis(basis, size)
+    return digits, None if basis is None else check_basis(basis, size)
 
 
-def check_basis(basis, size: int) -> None:
-    """Reject a contact seed basis that is not size linearly independent
-    vectors of length size."""
-    basis = [int_vector(v, "basis vector") for v in basis]
+def check_basis(basis, size: int) -> tuple[Vec, ...]:
+    """The basis as a tuple of int tuples, unless it is not size linearly
+    independent vectors of length size."""
+    basis = tuple(int_vector(v, "basis vector") for v in basis)
     if len(basis) != size or any(len(v) != size for v in basis):
         raise ValueError(f"basis needs {size} vectors of length {size}")
     if IntMatrix(basis).det == 0:
         raise ValueError("basis vectors are linearly dependent")
+    return basis
 
 
 class TileAnalysis:
@@ -145,12 +146,9 @@ class TileAnalysis:
     """
 
     def __init__(self, matrix: IntMatrix, digits, basis=None):
-        check_system(matrix, digits, basis)
         # Tuples of ints, the hashable form the stages and audits key by.
+        self.digits, self.basis = check_system(matrix, digits, basis)
         self.matrix = matrix
-        self.digits = tuple(tuple(map(int, d)) for d in digits)
-        self.basis = None if basis is None else tuple(
-            tuple(map(int, b)) for b in basis)
         self._levels: dict[int, PowerGraph] = {}
         self._walks: dict[VertexSet, DigitWord] = {}
         # The memo of topology.hata_graph: each link decided so far, None

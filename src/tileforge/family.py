@@ -51,8 +51,6 @@ def _contact_rows(triple: AbcTriple):
     A, B, C = triple.A, triple.B, triple.C
     p, q, n, qp, nq, np_, nqp = triple.names()
     rows = [
-        (ORIGIN, ORIGIN, 0, C - 1, 0),
-        (ORIGIN, p, 0, C - 2, 1),
         (p, q, 0, C - A - 1, A),
         (p, qp, 0, C - A, A - 1),
         (n, vec_neg(p), 0, 0, C - 1),
@@ -79,8 +77,6 @@ def _contact_edges(triple: AbcTriple) -> set[LabeledEdge]:
     digit = lambda i: (i, 0, 0)
     edges: set[LabeledEdge] = set()
     for src, dst, lo, hi, off in _contact_rows(triple):
-        if ORIGIN in (src, dst):
-            continue
         for i in range(lo, hi + 1):
             e = LabeledEdge(src, dst, digit(i), digit(i + off))
             edges.add(e)

@@ -256,12 +256,15 @@ def _walk_blocks(step, start, columns, dim: int, tails: dict):
 
 
 def approximate_tile(matrix: IntMatrix, digits, depth: int) -> PointCloud:
-    """All digit-word points of the given depth, in word order."""
+    """All digit-word points of the given depth, in word order.  Every digit
+    must be matrix.size integers."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if not is_expanding(matrix):
         raise ValueError("matrix is not expanding")
-    digits = tuple(tuple(d) for d in digits)
+    digits = tuple(int_vector(d, "digit") for d in digits)
+    if any(len(d) != matrix.size for d in digits):
+        raise ValueError(f"every digit needs {matrix.size} coordinates")
     count = check_cap(accumulate(repeat(len(digits), depth), operator.mul),
                       depth)
     columns, den = _level_columns(matrix, digits, depth)
@@ -407,7 +410,17 @@ def _row_chunks(cloud: PointCloud, sep: str):
                        for end, start, stop in take(len(texts))])
 
 
+def _check_xyz(cloud: PointCloud) -> None:
+    """Raise ValueError unless the cloud's rows have the three coordinates
+    that the PLY and CSV headers name; the first block is made to see."""
+    block = next(cloud.points.blocks(), None)
+    if block is not None and len(block[0]) != 3:
+        raise ValueError(f"ply and csv clouds have x, y and z columns, not "
+                         f"{len(block[0])}; write this cloud as json")
+
+
 def _ply_chunks(cloud: PointCloud):
+    _check_xyz(cloud)
     lines = [
         "ply",
         "format ascii 1.0",
@@ -420,13 +433,13 @@ def _ply_chunks(cloud: PointCloud):
     if cloud.tags is not None:
         lines.append("property uchar face")
     lines.append("end_header")
-    yield "\n".join(lines) + "\n"
-    yield from _row_chunks(cloud, " ")
+    return chain(("\n".join(lines) + "\n",), _row_chunks(cloud, " "))
 
 
 def _csv_chunks(cloud: PointCloud):
-    yield "x,y,z\n" if cloud.tags is None else "x,y,z,face\n"
-    yield from _row_chunks(cloud, ",")
+    _check_xyz(cloud)
+    return chain(("x,y,z\n" if cloud.tags is None else "x,y,z,face\n",),
+                 _row_chunks(cloud, ","))
 
 
 _TAG_BLOCK = 4096
@@ -501,7 +514,9 @@ def render(doc, fmt: str) -> str:
 def export(doc, fmt: str, path) -> None:
     """Write doc to path as fmt; clouds stream block by block.
 
-    A path that cannot be written raises ValueError("cannot write ...").
+    A PLY or CSV cloud whose rows are not 3 wide raises ValueError before
+    path is opened.  A path that cannot be written raises
+    ValueError("cannot write ...").
     """
     if isinstance(doc, PointCloud) and fmt in _CLOUD_CHUNKS:
         chunks = _CLOUD_CHUNKS[fmt](doc)

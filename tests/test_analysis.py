@@ -1,4 +1,6 @@
 import gc
+import os
+import re
 
 import pytest
 
@@ -147,8 +149,34 @@ def test_family_contexts_stay_bounded_after_a_sweep():
     assert len(alive) <= CONTEXT_CACHE_SIZE
 
 
+# The stages inside a context and their internal records, which stay in
+# their submodules.
+STAGES = (
+    "build_graph", "contact_set", "neighbor_set", "reduce", "minkowski_sum",
+    "power_graph", "subdivide", "vertex_set", "walk_point",
+    "word_admissible_from", "radix_expand", "RadixExpansion",
+    "is_complete_residue_system", "is_expanding", "hata_graph", "classify",
+    "successor_hata", "four_fold_placement", "boundary_loop_audit",
+    "HataGraph", "ChainReport", "FourFold", "Piece", "expected_graph",
+    "expected_contact_set", "to_dot", "render", "attractor_radius",
+    "family_triples",
+)
+
+
 def test_every_exported_name_resolves_once():
     missing = [name for name in tileforge.__all__
                if not hasattr(tileforge, name)]
     assert missing == []
     assert len(set(tileforge.__all__)) == len(tileforge.__all__)
+    assert len(tileforge.__all__) <= 28
+    assert [name for name in STAGES if hasattr(tileforge, name)] == []
+
+
+def test_readme_library_example_uses_only_exported_names():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    names = set(re.findall(r"\btf\.(\w+)", code))
+    assert names and names - set(tileforge.__all__) == set()

@@ -1,5 +1,6 @@
 import fractions
 import hashlib
+import json
 import os
 from collections import Counter
 from fractions import Fraction
@@ -99,6 +100,41 @@ def test_tile_rejects_non_expanding_matrix():
     M = IntMatrix(((1, 0, 0), (0, 1, 0), (0, 0, 2)))
     with pytest.raises(ValueError):
         approximate_tile(M, collinear_digit_set(M, (0, 0, 1)), 1)
+
+
+@pytest.mark.parametrize("digits", [
+    [(0, 0), (1, 0), (2, 0), (3, 0)],
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0, 0)],
+], ids=["planar-digits", "one-long-digit"])
+def test_tile_refuses_digits_of_the_wrong_length(digits, monkeypatch):
+    # Each digit needs one coordinate per matrix row; 2-wide digits of a
+    # 3x3 matrix used to give a cloud of 3-wide rows.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a point was made")
+
+    for name in ("check_cap", "_level_columns", "_walk_blocks"):
+        monkeypatch.setattr(geometry_io, name, forbidden)
+    M, _ = system_124()
+    with pytest.raises(ValueError, match="every digit needs 3 coordinates"):
+        approximate_tile(M, digits, 2)
+
+
+@pytest.mark.parametrize("fmt", ["ply", "csv"])
+def test_export_refuses_a_planar_cloud_under_an_xyz_header(fmt, tmp_path):
+    # The PLY and CSV headers name x, y and z; a planar cloud is refused
+    # before the path is opened, so no file is made and none is changed.
+    cloud = approximate_tile(*companion_form([1, 1, 3]), 2)
+    new, old = tmp_path / f"new.{fmt}", tmp_path / f"old.{fmt}"
+    old.write_text("kept\n")
+    for path in (new, old):
+        with pytest.raises(ValueError, match="x, y and z columns, not 2"):
+            export(cloud, fmt, path)
+    assert not new.exists()
+    assert old.read_text() == "kept\n"
+    with pytest.raises(ValueError, match="not 2"):
+        render(cloud, fmt)
+    export(cloud, "json", new)
+    assert {len(p) for p in json.loads(new.read_text())["points"]} == {2}
 
 
 def test_boundary_piece_single_walk_from_far_corner():

@@ -10,13 +10,19 @@ from fractions import Fraction
 import pytest
 
 import tileforge
-from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for
-from tileforge.family import SweepRecord
+from tileforge.analysis import (
+    AbcTriple,
+    TileAnalysis,
+    analysis_for,
+    predicts_14,
+)
+from tileforge.family import SweepRecord, audit_report
 from tileforge.geometry_io import (
     PointCloud,
     PointRows,
     TagRuns,
     approximate_boundary_piece,
+    approximate_tile,
 )
 from tileforge.graphs import (
     BoundaryGraph,
@@ -48,7 +54,9 @@ from tileforge.topology import (
     FourFold,
     HataGraph,
     Piece,
+    bing_audit,
     boundary_loop_pieces,
+    census,
 )
 
 M124, D124 = AbcTriple(1, 2, 4).system()
@@ -159,11 +167,14 @@ class Three:
 def test_integer_types_with_index_are_taken_as_ints():
     assert AbcTriple(True, 2, Three()) == (1, 2, 3)
     assert IntMatrix([[Three(), 0], [0, True]]).rows == ((3, 0), (0, 1))
-    t = TileAnalysis(M124, [(Three(), 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0)],
-                     [(1, 0, 0), (1, 1, 0), (2, 1, Three())])
+    digits = [(Three(), 0, 0), (False, 0, 0), (1, 0, 0), (2, 0, 0)]
+    t = TileAnalysis(M124, digits, [(1, 0, 0), (1, 1, 0), (2, 1, Three())])
     assert t.digits == ((3, 0, 0), (0, 0, 0), (1, 0, 0), (2, 0, 0))
     assert t.basis == ((1, 0, 0), (1, 1, 0), (2, 1, 3))
+    assert {type(x) for v in t.digits + t.basis for x in v} == {int}
     assert t.triple == AbcTriple(1, 2, 4)
+    assert (list(approximate_tile(M124, digits, 2).points)
+            == list(approximate_tile(M124, t.digits, 2).points))
 
 
 @pytest.mark.parametrize("build, entry", [
@@ -199,13 +210,22 @@ def test_integer_types_with_index_are_taken_as_ints():
     (lambda: approximate_boundary_piece((1, 2, 4), (1.0, 0, 0), 2), "1.0"),
     (lambda: ExactPoint((0.5, 0, 0), 2), "0.5"),
     (lambda: ExactPoint((1, 0, 0), 2.0), "2.0"),
+    (lambda: approximate_tile(M124, [(0.5, 0, 0)] + list(D124[1:]), 2),
+     "0.5"),
+    (lambda: analysis_for((1, 2, 4.5)), "4.5"),
+    (lambda: predicts_14((1.5, 2, 4)), "1.5"),
+    (lambda: audit_report((1, 2.0, 4)), "2.0"),
+    (lambda: census((1, 2, 4.0)), "4.0"),
+    (lambda: bing_audit((1.0, 2, 4)), "1.0"),
 ], ids=["triple", "triple-float-int", "triple-str", "matrix",
         "matrix-fraction", "polynomial", "direction", "digits",
         "digit-fraction", "basis", "vertex-set", "word-preperiod",
         "word-period", "admissible-start", "graph-vertex", "graph-digit",
         "contact-basis", "neighbor-contact", "residue-digits", "radix-input",
         "loop-neighbor", "piece-neighbor", "point-numerator",
-        "point-denominator"])
+        "point-denominator", "tile-digit", "context-triple",
+        "predicate-triple", "report-triple", "census-triple",
+        "bing-triple"])
 def test_non_integer_entries_are_refused_not_truncated(build, entry):
     # int() would truncate each of these to another, valid input: the
     # quarter-shifted digits of (1,2,4) would be analysed as {i e1} and
