@@ -104,7 +104,8 @@ def check_system(matrix: IntMatrix, digits, basis=None):
     lattice Z[M, D] is all of Z^n, and a basis must hold as many linearly
     independent vectors as M has rows.  The translates of a tile whose
     digits generate a proper sublattice do not tile by Z^n.  Every entry
-    of a digit or a basis vector must be an integer."""
+    of a digit or a basis vector must be an integer.  The system is checked
+    first, and only a message about the basis starts with "basis"."""
     size = matrix.size
     if not digits:
         raise ValueError("digit set is empty")
@@ -123,18 +124,14 @@ def check_system(matrix: IntMatrix, digits, basis=None):
     index = math.prod(r[i] for i, r in enumerate(hermite))
     if index != 1:
         raise ValueError(f"digits generate a sublattice of index {index}")
-    return digits, None if basis is None else check_basis(basis, size)
-
-
-def check_basis(basis, size: int) -> tuple[Vec, ...]:
-    """The basis as a tuple of int tuples, unless it is not size linearly
-    independent vectors of length size."""
+    if basis is None:
+        return digits, None
     basis = tuple(int_vector(v, "basis vector") for v in basis)
     if len(basis) != size or any(len(v) != size for v in basis):
         raise ValueError(f"basis needs {size} vectors of length {size}")
     if IntMatrix(basis).det == 0:
         raise ValueError("basis vectors are linearly dependent")
-    return basis
+    return digits, basis
 
 
 class TileAnalysis:

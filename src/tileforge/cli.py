@@ -7,12 +7,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .analysis import (
-    AbcTriple,
-    TileAnalysis,
-    check_basis,
-    check_system,
-)
+from .analysis import AbcTriple, TileAnalysis
 from .family import audit_report, disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
@@ -64,18 +59,20 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
                                         "matrix file"))
         digits = _int_vectors(_load_json(args.digits, "digits"),
                               "digits file")
-    if not basis_text:
-        return TileAnalysis(matrix, digits)
+    basis = None
+    if basis_text:
+        try:
+            basis = _int_vectors(json.loads(basis_text), "--basis")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"--basis is not valid JSON: {exc}") from exc
     try:
-        basis = _int_vectors(json.loads(basis_text), "--basis")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"--basis is not valid JSON: {exc}") from exc
-    check_system(matrix, digits)
-    try:
-        check_basis(basis, matrix.size)
+        return TileAnalysis(matrix, digits, basis)
     except ValueError as exc:
+        # The context checks the system before the basis, and only the
+        # basis's messages start with "basis": those name the flag.
+        if not str(exc).startswith("basis"):
+            raise
         raise ValueError(f"--{exc}") from None
-    return TileAnalysis(matrix, digits, basis)
 
 
 def _int_vectors(value, what: str):

@@ -305,7 +305,8 @@ class ContactSet(checked_record("ContactSet", "points rounds")):
     __slots__ = ()
 
     def __new__(cls, points: tuple[Vec, ...], rounds: int):
-        if (0,) * len(points[0]) not in points:
+        points = tuple(int_vector(p, "contact point") for p in points)
+        if not points or (0,) * len(points[0]) not in points:
             raise ValueError("contact set must contain the origin")
         return super().__new__(cls, points, rounds)
 
@@ -364,6 +365,7 @@ class NeighborSet(checked_record("NeighborSet", "points rounds")):
     __slots__ = ()
 
     def __new__(cls, points: tuple[Vec, ...], rounds: int):
+        points = tuple(int_vector(p, "neighbor") for p in points)
         have = set(points)
         for p in points:
             if vec_neg(p) not in have:

@@ -2,9 +2,10 @@
 
 Everything here is exact: determinants, adjugates, linear solves, and the
 expansion test run over Python integers (arbitrary precision, so overflow
-cannot occur); a rational point is integer numerators over one positive
-denominator (ExactPoint).  No floating point enters any computation that
-feeds the combinatorial layers.
+cannot occur).  One Faddeev-LeVerrier pass gives a matrix's characteristic
+polynomial, determinant and adjugate together.  A rational point is integer
+numerators over one positive denominator (ExactPoint).  No floating point
+enters any computation that feeds the combinatorial layers.
 """
 
 from __future__ import annotations
@@ -94,40 +95,40 @@ def vec_scale(k: int, u: Vec) -> Vec:
     return tuple(k * a for a in u)
 
 
-def _det(rows):
+def _faddeev_leverrier(rows):
+    """Coefficients [1, c1, ..., cm] of det(xI - M) in descending powers, and
+    B = N_(m-1) + c_(m-1) I, with M B = -cm I.
+
+    Faddeev-LeVerrier on row tuples: B_0 = I, N_k = M B_(k-1),
+    c_k = -tr(N_k) / k and B_k = N_k + c_k I; Cayley-Hamilton makes
+    N_m + cm I zero.
+    """
     m = len(rows)
-    if m == 0:
-        return 1
-    if m == 1:
-        return rows[0][0]
-    if m == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = 0
-    sign = 1
-    for j in range(m):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        total += sign * rows[0][j] * _det(minor)
-        sign = -sign
-    return total
+    coeffs = [1]
+    n = rows
+    b = _scalar(m, 1)
+    for k in range(1, m + 1):
+        t = sum(n[i][i] for i in range(m))
+        if t % k != 0:
+            raise AssertionError("characteristic coefficients must be integral")
+        c = -(t // k)
+        coeffs.append(c)
+        if k < m:
+            b = tuple(tuple(x + c if i == j else x for j, x in enumerate(r))
+                      for i, r in enumerate(n))
+            n = _mat_mul(rows, b)
+    return coeffs, b
 
 
 def det_adjugate(rows) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Determinant and adjugate of a square integer matrix given as rows,
-    checked against the identity adjugate @ M == det * I."""
+    read off one Faddeev-LeVerrier pass: det M = (-1)^m cm and
+    adj M = (-1)^(m+1) B, and checked against adjugate @ M == det * I."""
     m = len(rows)
-    det = _det(rows)
-    adj = tuple(
-        tuple(
-            (-1) ** (i + j)
-            * _det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
-            for j in range(m)
-        )
-        for i in range(m)
-    )
-    ident = tuple(
-        tuple(det if i == j else 0 for j in range(m)) for i in range(m)
-    )
-    if _mat_mul(adj, rows) != ident:
+    coeffs, b = _faddeev_leverrier(rows)
+    det = -coeffs[m] if m % 2 else coeffs[m]
+    adj = b if m % 2 else tuple(tuple(-x for x in r) for r in b)
+    if _mat_mul(adj, rows) != _scalar(m, det):
         raise AssertionError("adjugate self-check failed")
     return det, adj
 
@@ -209,18 +210,20 @@ class IntMatrix:
 
 
 def _mat_mul(a, b):
-    m = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(m)) for j in range(m))
-        for i in range(m)
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(operator.mul, r, c)) for c in cols) for r in a)
+
+
+def _scalar(m: int, c: int):
+    """Rows of c times the m x m identity."""
+    return tuple(tuple(c if i == j else 0 for j in range(m)) for i in range(m))
 
 
 def mat_pow(rows, k: int):
     """Rows of the k-th power (k >= 0) of the square matrix with these rows."""
     if k < 0:
         raise ValueError("nonnegative powers only")
-    acc = tuple(tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows)))
+    acc = _scalar(len(rows), 1)
     for _ in range(k):
         acc = _mat_mul(acc, rows)
     return acc
@@ -250,23 +253,7 @@ def companion_form(coeffs) -> tuple[IntMatrix, tuple[Vec, ...]]:
 
 def char_poly(matrix: IntMatrix) -> list[int]:
     """Coefficients [1, c1, ..., cm] of det(xI - M) in descending powers."""
-    # Faddeev-LeVerrier on row tuples: N_1 = M, c_k = -tr(N_k) / k and
-    # N_(k+1) = M (N_k + c_k I).
-    rows = matrix.rows
-    m = len(rows)
-    coeffs = [1]
-    n = rows
-    for k in range(1, m + 1):
-        t = sum(n[i][i] for i in range(m))
-        if t % k != 0:
-            raise AssertionError("characteristic coefficients must be integral")
-        c = -(t // k)
-        coeffs.append(c)
-        if k < m:
-            n = _mat_mul(rows, tuple(
-                tuple(x + c if i == j else x for j, x in enumerate(r))
-                for i, r in enumerate(n)))
-    return coeffs
+    return _faddeev_leverrier(matrix.rows)[0]
 
 
 def _all_roots_strictly_inside(coeffs: list[int]) -> bool:

@@ -47,12 +47,13 @@ class HataGraph(NamedTuple):
     nodes: tuple[Piece, ...]
     edges: tuple[tuple[int, int, VertexSet], ...]
 
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * len(self.nodes)
+    def adjacency(self) -> dict[int, list[int]]:
+        """Each node's index and the indices of the nodes it is linked to."""
+        adj: dict[int, list[int]] = {i: [] for i in range(len(self.nodes))}
         for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return tuple(deg)
+            adj[i].append(j)
+            adj[j].append(i)
+        return adj
 
 
 def hata_graph(ctx, pieces) -> HataGraph:
@@ -123,11 +124,8 @@ def classify(h: HataGraph) -> ChainReport:
     n = len(h.nodes)
     if n == 0:
         return ChainReport("other", 0, 0, "no pieces")
-    deg = h.degrees()
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j, _ in h.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = h.adjacency()
+    deg = [len(adj[i]) for i in range(n)]
     seen = {0}
     stack = [0]
     while stack:
@@ -164,10 +162,7 @@ def path_order(h: HataGraph) -> list[int]:
     n = len(h.nodes)
     if n == 1:
         return [0]
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for i, j, _ in h.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = h.adjacency()
     ends = [i for i in range(n) if len(adj[i]) == 1]
     if len(ends) != 2:
         raise ValueError("graph is not a path")
@@ -306,13 +301,8 @@ def four_fold_failure(ctx) -> str | None:
 
 def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
     _check_loop_depth(k_max)
-    t = analysis_for(ctx)
-    for alpha in t.neighbors.points:
-        for k in range(1, k_max + 1):
-            msg = _loop_failure(t, alpha, k)[1]
-            if msg is not None:
-                return msg
-    return None
+    checks = _loop_checks(analysis_for(ctx), k_max)
+    return next((msg for *_, msg in checks if msg is not None), None)
 
 
 def walk_points_failure(ctx) -> str | None:
@@ -332,16 +322,23 @@ def walk_points_failure(ctx) -> str | None:
     return None
 
 
-def _loop_failure(t: TileAnalysis, alpha: Vec, k: int):
-    """Shape of the depth-k loop around alpha, and why it is not a circular
-    chain of distinct point links (None when it is one)."""
-    h, report = boundary_loop_audit(t, alpha, k)
-    shape, where = report.classification, f"loop around {alpha} at depth {k}"
-    if not report.is_circular_chain:
-        witness = "" if report.witness is None else f": {report.witness}"
-        return shape, f"{where} is {shape}{witness}"
-    msg = _loop_point_failure(h)
-    return shape, None if msg is None else f"{where}: {msg}"
+def _loop_checks(t: TileAnalysis, k_max: int):
+    """(alpha, k, shape, message) for the depth-k loop around each neighbor
+    alpha, k = 1, ..., k_max, one at a time: its shape, and why it is not a
+    circular chain of distinct point links (None when it is one)."""
+    for alpha in t.neighbors.points:
+        for k in range(1, k_max + 1):
+            h, report = boundary_loop_audit(t, alpha, k)
+            shape = report.classification
+            where = f"loop around {alpha} at depth {k}"
+            if not report.is_circular_chain:
+                witness = ("" if report.witness is None
+                           else f": {report.witness}")
+                msg = f"{where} is {shape}{witness}"
+            else:
+                msg = _loop_point_failure(h)
+                msg = None if msg is None else f"{where}: {msg}"
+            yield alpha, k, shape, msg
 
 
 def _loop_point_failure(h: HataGraph) -> str | None:
@@ -426,12 +423,10 @@ def bing_audit(ctx, k_max: int = 4) -> BingReport:
     messages = []
 
     loop_checks = []
-    for alpha in t.neighbors.points:
-        for k in range(1, k_max + 1):
-            shape, msg = _loop_failure(t, alpha, k)
-            if msg is not None:
-                messages.append(msg)
-            loop_checks.append((alpha, k, shape, msg is None))
+    for alpha, k, shape, msg in _loop_checks(t, k_max):
+        if msg is not None:
+            messages.append(msg)
+        loop_checks.append((alpha, k, shape, msg is None))
 
     equation_checks = []
     for alpha in t.neighbors.points:

@@ -674,7 +674,35 @@ def test_degenerate_basis_is_rejected_first(basis, message, monkeypatch,
 
     forbid_fixpoints(monkeypatch, forbidden)
     assert cli.main(["analyze", "--abc", "1,2,4", "--basis", basis]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: --basis ") and message in err
+
+
+def test_system_error_is_reported_before_basis_error(tmp_path, capsys):
+    system = _write_system(tmp_path, FAMILY_124, [[i, 0, 0] for i in range(3)])
+    argv = ["analyze"] + system + ["--basis", "[[1,0,0],[0,1,0],[1,1,0]]"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: digits are not a complete residue system modulo the matrix\n")
+
+
+def test_basis_run_checks_the_system_once(monkeypatch, tmp_path):
+    # The context checks the system and the basis; the CLI checks neither
+    # again, wherever it looks check_system up.
+    calls = []
+    real = analysis.check_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "check_system", counted)
+    monkeypatch.setattr(cli, "check_system", counted, raising=False)
+    argv = ["analyze", "--abc", "1,2,4",
+            "--basis", "[[1,0,0],[1,1,0],[2,1,1]]",
+            "--json", str(tmp_path / "report.json")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
 
 
 DIGITS_124 = [[i, 0, 0] for i in range(4)]

@@ -12,6 +12,7 @@ from tileforge.lattice import (
     char_poly,
     collinear_digit_set,
     companion_form,
+    det_adjugate,
     digit_lattice,
     is_complete_residue_system,
     is_expanding,
@@ -256,6 +257,48 @@ square_rows = st.integers(1, 4).flatmap(lambda m: st.lists(
 def test_char_poly_matches_oracle(rows):
     matrix = IntMatrix(rows)
     assert char_poly(matrix) == oracle_char_poly(matrix)
+
+
+# Oracle: the recursive cofactor expansion that once computed det M and
+# adj M, kept verbatim apart from its name.
+
+
+def oracle_det(rows):
+    m = len(rows)
+    if m == 0:
+        return 1
+    if m == 1:
+        return rows[0][0]
+    if m == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    total = 0
+    sign = 1
+    for j in range(m):
+        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
+        total += sign * rows[0][j] * oracle_det(minor)
+        sign = -sign
+    return total
+
+
+def oracle_adjugate(rows):
+    m = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * oracle_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(m)
+        )
+        for i in range(m)
+    )
+
+
+@given(square_rows)
+def test_det_adjugate_matches_cofactor_oracle(rows):
+    rows = tuple(map(tuple, rows))
+    expected = oracle_det(rows), oracle_adjugate(rows)
+    assert det_adjugate(rows) == expected
+    matrix = IntMatrix(rows)
+    assert (matrix.det, matrix.adjugate) == expected
 
 
 def test_char_poly_builds_no_matrix(monkeypatch):

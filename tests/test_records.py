@@ -217,6 +217,8 @@ def test_integer_types_with_index_are_taken_as_ints():
     (lambda: audit_report((1, 2.0, 4)), "2.0"),
     (lambda: census((1, 2, 4.0)), "4.0"),
     (lambda: bing_audit((1.0, 2, 4)), "1.0"),
+    (lambda: ContactSet(((0, 0, 0), (0.5, 0, 0)), 1), "0.5"),
+    (lambda: NeighborSet(((0.5, 0, 0), (-0.5, 0, 0)), 1), "0.5"),
 ], ids=["triple", "triple-float-int", "triple-str", "matrix",
         "matrix-fraction", "polynomial", "direction", "digits",
         "digit-fraction", "basis", "vertex-set", "word-preperiod",
@@ -225,7 +227,7 @@ def test_integer_types_with_index_are_taken_as_ints():
         "loop-neighbor", "piece-neighbor", "point-numerator",
         "point-denominator", "tile-digit", "context-triple",
         "predicate-triple", "report-triple", "census-triple",
-        "bing-triple"])
+        "bing-triple", "contact-point", "neighbor-point"])
 def test_non_integer_entries_are_refused_not_truncated(build, entry):
     # int() would truncate each of these to another, valid input: the
     # quarter-shifted digits of (1,2,4) would be analysed as {i e1} and
@@ -235,6 +237,12 @@ def test_non_integer_entries_are_refused_not_truncated(build, entry):
     with pytest.raises(ValueError, match="non-integer entry") as info:
         build()
     assert str(info.value).endswith(entry)
+
+
+def test_empty_contact_set_is_refused():
+    # An empty set lacks the origin; it once raised IndexError instead.
+    with pytest.raises(ValueError, match="must contain the origin"):
+        ContactSet((), 0)
 
 
 def test_importing_tileforge_loads_no_dataclasses_or_inspect():
