@@ -8,7 +8,7 @@ import sys
 from types import SimpleNamespace
 
 from .analysis import AbcTriple, TileAnalysis
-from .family import audit_report, disagreements, sweep
+from .family import _check_parallelism, audit_report, disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
@@ -17,7 +17,7 @@ from .geometry_io import (
     merge_clouds,
 )
 from .lattice import IntMatrix
-from .topology import MAX_LOOP_DEPTH
+from .topology import MAX_LOOP_DEPTH, _check_loop_depth
 
 
 def _parse_abc(text: str) -> AbcTriple:
@@ -65,14 +65,7 @@ def _load_context(args, basis_text=None) -> TileAnalysis:
             basis = _int_vectors(json.loads(basis_text), "--basis")
         except json.JSONDecodeError as exc:
             raise ValueError(f"--basis is not valid JSON: {exc}") from exc
-    try:
-        return TileAnalysis(matrix, digits, basis)
-    except ValueError as exc:
-        # The context checks the system before the basis, and only the
-        # basis's messages start with "basis": those name the flag.
-        if not str(exc).startswith("basis"):
-            raise
-        raise ValueError(f"--{exc}") from None
+    return TileAnalysis(matrix, digits, basis)
 
 
 def _int_vectors(value, what: str):
@@ -86,10 +79,7 @@ def _int_vectors(value, what: str):
 
 
 def run_analyze(args) -> int:
-    if args.k < 1:
-        raise ValueError(f"--k must be at least 1, got {args.k}")
-    if args.k > MAX_LOOP_DEPTH:
-        raise ValueError(f"--k must be at most {MAX_LOOP_DEPTH}")
+    _check_loop_depth(args.k)
     t = _load_context(args, args.basis)
     report = audit_report(t, k_max=args.k)
     if args.json:
@@ -106,10 +96,7 @@ def run_analyze(args) -> int:
 def run_sweep(args) -> int:
     if args.max < 2:
         raise ValueError("--max must be at least 2")
-    if args.jobs < 1:
-        raise ValueError("--jobs must be at least 1")
-    if args.jobs > 1 and not hasattr(os, "fork"):
-        raise ValueError("--jobs above 1 needs os.fork")
+    _check_parallelism(args.jobs)
     records = sweep(args.max, args.max, args.max, parallelism=args.jobs)
     flagged = [r for r in records if not (r.agrees and r.audit_pass)]
     if args.csv:
@@ -146,6 +133,9 @@ def run_render(args) -> int:
 # Each command's help, run function and options, name: (kind, default, help);
 # a FLAG takes no value; an OUTPUT path names a file in an existing directory.
 FLAG, OUTPUT = "flag", "output"
+# A library refusal whose message starts with one of these names is about
+# the option it maps to, and names that option.
+_FLAG_OF = {"basis": "--basis", "k": "--k", "parallelism": "--jobs"}
 _HELP = {"help": (FLAG, False, "show this help and exit")}
 _SYSTEM = {**_HELP, "abc": (str, None, "family parameters A,B,C"),
            "matrix": (str, None, "JSON file with matrix rows"),
@@ -235,7 +225,9 @@ def main(argv=None) -> int:
                 raise ValueError(f"cannot write {path}: Is a directory")
         return run(args)
     except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        name, space, rest = str(exc).partition(" ")
+        print(f"error: {_FLAG_OF.get(name, name)}{space}{rest}",
+              file=sys.stderr)
         return 2
 
 

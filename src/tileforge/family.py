@@ -404,6 +404,14 @@ def _fork_worker(deal: int, out: int, triples) -> int:
         os._exit(status)
 
 
+def _check_parallelism(parallelism: int) -> None:
+    """Reject a process count below 1, or above 1 without os.fork."""
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    if parallelism > 1 and not hasattr(os, "fork"):
+        raise ValueError("parallelism above 1 needs os.fork")
+
+
 def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
           parallelism: int = 1) -> tuple[SweepRecord, ...]:
     """Audit every family member in the box; order is deterministic.
@@ -416,10 +424,7 @@ def sweep(a_max: int = 12, b_max: int = 12, c_max: int = 12,
     whether it returns or raises.  As with any fork, call it with
     parallelism above 1 only from a process that runs no other threads.
     """
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
-    if parallelism > 1 and not hasattr(os, "fork"):
-        raise ValueError("parallelism above 1 needs os.fork")
+    _check_parallelism(parallelism)
     triples = family_triples(a_max, b_max, c_max)
     processes = min(parallelism, len(triples), _usable_cores())
     workers: list[int] = []  # unreaped pids

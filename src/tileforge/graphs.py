@@ -323,20 +323,13 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
         pts.add(b)
         pts.add(vec_neg(b))
     diffs = digit_differences(digits)
-    # M k = w has an integer solution exactly when adj(M) w = 0 mod |det M|,
-    # and then k = adj(M) w / det M.  So the differences are indexed by the
-    # residue of adj(M) delta, and a point l looks up the deltas whose
-    # residue cancels that of adj(M) l.
-    det, adj = matrix.det, matrix.adjugate
-    modulus = abs(det)
-
-    def adj_mul(v):
-        return tuple(sum(map(mul, row, v)) for row in adj)
-
-    by_residue: dict[Vec, list[Vec]] = {}
+    # l has the predecessor M^-1 (l + delta) exactly when l + delta lies in
+    # M Z^m, that is when l and -delta share a class modulo M; so each
+    # difference is indexed by the class of its negative, and l solves only
+    # for the differences under its own class.
+    by_class: dict[Vec, list[Vec]] = {}
     for delta in diffs:
-        t = adj_mul(delta)
-        by_residue.setdefault(tuple(x % modulus for x in t), []).append(t)
+        by_class.setdefault(matrix.residue(vec_neg(delta)), []).append(delta)
     # Predecessors of points already closed were found in earlier rounds,
     # so each round solves only for the points the previous round added.
     frontier = pts
@@ -344,9 +337,8 @@ def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
     for _ in range(MAX_ROUNDS):
         found = set()
         for l in frontier:
-            t = adj_mul(l)
-            for s in by_residue.get(tuple(-x % modulus for x in t), ()):
-                found.add(tuple((a + b) // det for a, b in zip(t, s)))
+            for delta in by_class.get(matrix.residue(l), ()):
+                found.add(matrix.solve_int(vec_add(l, delta)))
         frontier = found - pts
         if not frontier:
             break

@@ -3,9 +3,11 @@
 Everything here is exact: determinants, adjugates, linear solves, and the
 expansion test run over Python integers (arbitrary precision, so overflow
 cannot occur).  One Faddeev-LeVerrier pass gives a matrix's characteristic
-polynomial, determinant and adjugate together.  A rational point is integer
-numerators over one positive denominator (ExactPoint).  No floating point
-enters any computation that feeds the combinatorial layers.
+polynomial, determinant and adjugate together.  IntMatrix.residue is the
+one computation of a vector's class modulo M; the residue-system test, the
+radix expansion and the contact search in graphs all read it.  A rational
+point is integer numerators over one positive denominator (ExactPoint).  No
+floating point enters any computation that feeds the combinatorial layers.
 """
 
 from __future__ import annotations
@@ -186,12 +188,23 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         return IntMatrix(_mat_mul(self.rows, other.rows))
 
-    def solve_int(self, w: Vec) -> Vec | None:
-        """Integer solution x of M x = w, or None when none exists."""
+    def _adj_mul(self, v: Vec) -> Vec:
+        if len(v) != self.size:
+            raise ValueError("dimension mismatch")
         if self.det == 0:
             raise ValueError("matrix is singular")
+        return tuple(sum(map(operator.mul, r, v)) for r in self.adjugate)
+
+    def residue(self, v: Vec) -> Vec:
+        """The class of v in Z^m / M Z^m, as adj(M) v mod |det M|: M x = u - v
+        has an integer solution exactly when u and v have equal residues."""
+        modulus = abs(self.det)
+        return tuple(x % modulus for x in self._adj_mul(v))
+
+    def solve_int(self, w: Vec) -> Vec | None:
+        """Integer solution x of M x = w, or None when none exists."""
+        t = self._adj_mul(w)
         det = self.det
-        t = tuple(sum(map(operator.mul, r, w)) for r in self.adjugate)
         if any(x % det for x in t):
             return None
         return tuple(x // det for x in t)
@@ -201,12 +214,7 @@ class IntMatrix:
         Fractions."""
         from fractions import Fraction
 
-        if self.det == 0:
-            raise ValueError("matrix is singular")
-        return tuple(
-            Fraction(sum(r[j] * w[j] for j in range(self.size))) / self.det
-            for r in self.adjugate
-        )
+        return tuple(Fraction(x) / self.det for x in self._adj_mul(w))
 
 
 def _mat_mul(a, b):
@@ -299,16 +307,8 @@ def is_complete_residue_system(matrix: IntMatrix, digits) -> bool:
         raise ValueError("digit set contains duplicates")
     if matrix.det == 0:
         raise ValueError("matrix is singular")
-    modulus = abs(matrix.det)
-    if len(digits) != modulus:
-        return False
-    adj = matrix.adjugate
-    m = matrix.size
-    residues = {
-        tuple(sum(adj[i][j] * d[j] for j in range(m)) % modulus for i in range(m))
-        for d in digits
-    }
-    return len(residues) == modulus
+    residues = set(map(matrix.residue, digits))
+    return len(digits) == len(residues) == abs(matrix.det)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -390,37 +390,35 @@ def radix_expand(matrix: IntMatrix, digits, z: Vec,
                  max_len: int = DEFAULT_MAX_LEN) -> RadixExpansion:
     """Expand z in base (M, digits): z = d1 + M d2 + ... + M^(n-1) dn.
 
-    Each step picks the unique digit congruent to the remainder modulo M Z^m
-    and divides; a revisited remainder is reported as a cycle instead of
-    looping forever.
+    Each step takes the one digit in the remainder's class modulo M Z^m
+    and divides by M; a revisited remainder is reported as a cycle instead
+    of looping forever.
     """
     digits = tuple(int_vector(d, "digit") for d in digits)
     if len(set(digits)) != len(digits):
         raise ValueError("digit set contains duplicates")
+    by_class: dict[Vec, list[Vec]] = {}
+    for d in digits:
+        by_class.setdefault(matrix.residue(d), []).append(d)
     state = int_vector(z, "radix input")
+    if len(state) != matrix.size:
+        raise ValueError("dimension mismatch")
     word: list[Vec] = []
-    seen: dict[Vec, int] = {}
-    order: list[Vec] = []
+    seen: dict[Vec, int] = {}  # each remainder and its step, in step order
     for _ in range(max_len):
-        if all(x == 0 for x in state):
-            return RadixExpansion(tuple(word), True, None)
+        if not any(state):
+            break
         if state in seen:
-            cyc = tuple(order[seen[state]:])
+            cyc = tuple(seen)[seen[state]:]
             return RadixExpansion(tuple(word), False, cyc)
-        seen[state] = len(order)
-        order.append(state)
-        matches = []
-        for d in digits:
-            nxt = matrix.solve_int(vec_sub(state, d))
-            if nxt is not None:
-                matches.append((d, nxt))
+        seen[state] = len(seen)
+        matches = by_class.get(matrix.residue(state), ())
         if len(matches) != 1:
             raise ValueError(
                 f"digit set is not a residue system at {state}: "
                 f"{len(matches)} candidate digits"
             )
-        d, state = matches[0]
+        (d,) = matches
         word.append(d)
-    if all(x == 0 for x in state):
-        return RadixExpansion(tuple(word), True, None)
-    return RadixExpansion(tuple(word), False, None)
+        state = matrix.solve_int(vec_sub(state, d))
+    return RadixExpansion(tuple(word), not any(state), None)

@@ -203,7 +203,7 @@ MAX_LOOP_DEPTH = 6
 def _check_loop_depth(k: int) -> None:
     """Reject a loop depth outside 1..MAX_LOOP_DEPTH."""
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ValueError(f"k must be at least 1, got {k}")
     if k > MAX_LOOP_DEPTH:
         raise ValueError(f"k must be at most {MAX_LOOP_DEPTH}")
 

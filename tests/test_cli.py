@@ -82,7 +82,7 @@ def test_analyze_rejects_loop_depth_below_one(k, monkeypatch, capsys):
 
     forbid_fixpoints(monkeypatch, forbidden)
     assert cli.main(["analyze", "--abc", "1,2,4", "--k", k]) == 2
-    assert capsys.readouterr().err.startswith("error: --k must be at least 1")
+    assert capsys.readouterr().err == f"error: --k must be at least 1, got {k}\n"
 
 
 @pytest.mark.parametrize("k", ["7", "100"])

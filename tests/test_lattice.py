@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from tileforge import lattice
 from tileforge.family import family_triples
 from tileforge.lattice import (
     IntMatrix,
@@ -17,6 +18,7 @@ from tileforge.lattice import (
     is_complete_residue_system,
     is_expanding,
     radix_expand,
+    vec_add,
     vec_sub,
 )
 
@@ -145,6 +147,49 @@ def test_complete_residue_system_wrong_cardinality():
     assert not is_complete_residue_system(m, digits[:-1])
 
 
+@pytest.mark.parametrize("digits, z, refusal", [
+    (((0, 0, 0), (1, 0, 0), (2, 0, 0)), (3, 0, 0),
+     "digit set is not a residue system at (3, 0, 0): 0 candidate digits"),
+    (((0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0), (4, 0, 0)), (4, 0, 0),
+     "digit set is not a residue system at (4, 0, 0): 2 candidate digits"),
+], ids=["missing-class", "class-twice"])
+def test_radix_expand_names_a_class_without_one_digit(digits, z, refusal):
+    # Z^3 / M Z^3 is cyclic of order 4 on e1 for (1,2,4): 3 e1 has no digit
+    # in its class, and 4 e1 shares the class of 0.
+    m, _ = cubic_companion(1, 2, 4)
+    with pytest.raises(ValueError) as info:
+        radix_expand(m, digits, z)
+    assert str(info.value) == refusal
+
+
+WRONG_LENGTH_DIGITS = [(0, 0), (1, 0), (2, 0), (3, 0)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda m: m.solve_int((4, 0)),
+    lambda m: m.residue((4, 0)),
+    lambda m: radix_expand(m, WRONG_LENGTH_DIGITS, (1, 0, 0)),
+    lambda m: is_complete_residue_system(m, WRONG_LENGTH_DIGITS),
+], ids=["solve-int", "residue", "radix-digits", "residue-system-digits"])
+def test_wrong_length_vectors_are_refused(run):
+    # Before the check, solve_int((4, 0)) answered (-2, -1, -1), the radix
+    # expansion of e1 ended on the digit (1, 0), and the residue-system test
+    # raised IndexError.
+    m, _ = cubic_companion(1, 2, 4)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        run(m)
+
+
+@given(expanding_systems(), st.tuples(*[st.integers(-9, 9)] * 3),
+       st.tuples(*[st.integers(-9, 9)] * 3))
+def test_equal_residues_are_exactly_the_congruent_pairs(system, u, v):
+    matrix = system[0]
+    congruent = matrix.solve_int(vec_sub(u, v)) is not None
+    assert (matrix.residue(u) == matrix.residue(v)) == congruent
+    # u + M x is congruent to u for every x.
+    assert matrix.residue(vec_add(u, matrix.mul_vec(v))) == matrix.residue(u)
+
+
 def test_radix_expand_zero_is_empty():
     m, digits = cubic_companion(1, 2, 4)
     out = radix_expand(m, digits, (0, 0, 0))
@@ -202,14 +247,32 @@ def test_solve_int_agrees_with_multiplication():
     x = (3, -2, 1)
     w = m.mul_vec(x)
     assert m.solve_int(w) == x
-    assert m.solve_int(vec_sub(w, (1, 0, 0))) is None or True  # may or may not solve
+    # M x = e1 has no integer solution: adj(M) e1 = (3, 2, 1) is not
+    # divisible by det M = -5.
+    assert tuple(r[0] for r in m.adjugate) == (3, 2, 1)
+    assert m.solve_int(vec_sub(w, (1, 0, 0))) is None
 
 
 @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9))
 def test_adjugate_self_check_never_trips(entries):
     rows = (tuple(entries[0:3]), tuple(entries[3:6]), tuple(entries[6:9]))
     m = IntMatrix(rows)  # constructor verifies adj @ M == det I
-    assert m.det == m.det
+    adj_m = [[sum(m.adjugate[i][k] * rows[k][j] for k in range(3))
+              for j in range(3)] for i in range(3)]
+    assert adj_m == [[m.det * (i == j) for j in range(3)] for i in range(3)]
+
+
+def test_corrupted_faddeev_leverrier_trips_the_self_check(monkeypatch):
+    rows = ((0, 0, -4), (1, 0, -2), (0, 1, -1))
+    clean = lattice._faddeev_leverrier
+
+    def corrupted(rows):
+        coeffs, b = clean(rows)
+        return coeffs, ((b[0][0] + 1,) + b[0][1:],) + b[1:]
+
+    monkeypatch.setattr(lattice, "_faddeev_leverrier", corrupted)
+    with pytest.raises(AssertionError, match="adjugate self-check failed"):
+        IntMatrix(rows)
 
 
 def test_singular_solve_raises():
