@@ -17,10 +17,10 @@ import os
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 
-from .analysis import analysis_for
+from .analysis import analysis_for, check_system
 from .family import SweepRecord, sweep_csv
 from .graphs import BoundaryGraph
-from .lattice import IntMatrix, Vec, checked_record, int_vector, is_expanding
+from .lattice import IntMatrix, Vec, checked_record, int_vector
 
 DEFAULT_POINT_CAP = 10 ** 7
 CAP_ENV_VAR = "TILEFORGE_CAP_POINTS"
@@ -256,15 +256,11 @@ def _walk_blocks(step, start, columns, dim: int, tails: dict):
 
 
 def approximate_tile(matrix: IntMatrix, digits, depth: int) -> PointCloud:
-    """All digit-word points of the given depth, in word order.  Every digit
-    must be matrix.size integers."""
+    """All digit-word points of the given depth, in word order.  The system
+    must pass check_system: the points of anything else are not a tile."""
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    if not is_expanding(matrix):
-        raise ValueError("matrix is not expanding")
-    digits = tuple(int_vector(d, "digit") for d in digits)
-    if any(len(d) != matrix.size for d in digits):
-        raise ValueError(f"every digit needs {matrix.size} coordinates")
+    digits, _ = check_system(matrix, digits)
     count = check_cap(accumulate(repeat(len(digits), depth), operator.mul),
                       depth)
     columns, den = _level_columns(matrix, digits, depth)

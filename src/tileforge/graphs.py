@@ -22,6 +22,7 @@ from .lattice import (
     char_poly,
     checked_record,
     int_vector,
+    int_vectors,
     vec_add,
     vec_neg,
     vec_sub,
@@ -68,16 +69,9 @@ class BoundaryGraph(checked_record("BoundaryGraph",
         return tuple(self._out.get(v, ()))
 
     @cached_property
-    def digit_successors(self) -> dict:
-        """(alpha, d) -> list of (dst, right digit); built once per graph."""
-        table: dict[tuple[Vec, Vec], list[tuple[Vec, Vec]]] = {}
-        for e in self.edges:
-            table.setdefault((e.src, e.d), []).append((e.dst, e.d_prime))
-        return table
-
-    @cached_property
     def bit_tables(self) -> tuple:
-        """(verts, index, out) for the level fixpoints.
+        """(verts, index, out), the graph's one successor index, made in
+        one pass over the edges for the level graphs and word admissibility.
 
         verts are the sorted vertices and index[v] the position of v in
         verts.  out[i] lists (successor index, digit mask) once for each
@@ -87,16 +81,12 @@ class BoundaryGraph(checked_record("BoundaryGraph",
         """
         verts = tuple(sorted(self.vertices))
         index = {v: i for i, v in enumerate(verts)}
-        table = self.digit_successors
-        out = []
-        for v in verts:
-            masks: dict[int, int] = {}
-            for j, d in enumerate(self.digits):
-                for dst, _ in table.get((v, d), ()):
-                    i = index[dst]
-                    masks[i] = masks.get(i, 0) | 1 << j
-            out.append(tuple(masks.items()))
-        return verts, index, out
+        bit = {d: 1 << j for j, d in enumerate(self.digits)}
+        masks: list[dict[int, int]] = [{} for _ in verts]
+        for e in self.edges:
+            row, i = masks[index[e.src]], index[e.dst]
+            row[i] = row.get(i, 0) | bit[e.d]
+        return verts, index, [tuple(row.items()) for row in masks]
 
 
 @lru_cache(maxsize=16)
@@ -118,8 +108,8 @@ def digit_differences(digits) -> MappingProxyType:
 
 def build_graph(gamma, matrix: IntMatrix, digits) -> BoundaryGraph:
     """Graph on gamma with every edge alpha ->(d|d') alpha' = M alpha + d' - d."""
-    pts = sorted({int_vector(v, "vertex") for v in gamma})
-    digits = tuple(int_vector(d, "digit") for d in digits)
+    pts = sorted(set(int_vectors(gamma, "vertex", matrix.size)))
+    digits = int_vectors(digits, "digit", matrix.size)
     pset = set(pts)
     diff_pairs = digit_differences(digits).items()
     edges: list[LabeledEdge] = []
@@ -193,9 +183,9 @@ def prune_sinks(offsets, targets) -> list[int]:
 
 def reduce(graph: BoundaryGraph) -> BoundaryGraph:
     """Largest subgraph in which every vertex keeps an outgoing edge."""
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    alive = {graph.vertices[i] for i in prune_sinks(*successor_arrays(
-        [index[e.dst] for e in graph._out[v]] for v in graph.vertices))}
+    verts, _, out = graph.bit_tables
+    alive = {verts[i] for i in prune_sinks(*successor_arrays(
+        [b for b, _ in row] for row in out))}
     if len(alive) == len(graph.vertices):
         return graph
     kept = tuple(e for e in graph.edges if e.src in alive and e.dst in alive)
@@ -313,10 +303,10 @@ class ContactSet(checked_record("ContactSet", "points rounds")):
 
 def contact_set(matrix: IntMatrix, digits, basis=None) -> ContactSet:
     """Close {0, +-basis} under predecessors, then trim walk-dead points."""
-    digits = tuple(int_vector(d, "digit") for d in digits)
+    digits = int_vectors(digits, "digit", matrix.size)
     if basis is None:
         basis = default_contact_basis(matrix)
-    basis = tuple(int_vector(b, "basis vector") for b in basis)
+    basis = int_vectors(basis, "basis vector", matrix.size)
     zero = (0,) * matrix.size
     pts: set[Vec] = {zero}
     for b in basis:
@@ -368,9 +358,9 @@ class NeighborSet(checked_record("NeighborSet", "points rounds")):
 def neighbor_set(contact, matrix: IntMatrix, digits) -> NeighborSet:
     """Iterate S <- trim(S + S0) from S0 = contact set until stable."""
     base = tuple(contact.points) if isinstance(contact, ContactSet) else tuple(contact)
-    digits = tuple(int_vector(d, "digit") for d in digits)
+    digits = int_vectors(digits, "digit", matrix.size)
     zero = (0,) * matrix.size
-    s0 = {int_vector(p, "contact point") for p in base} | {zero}
+    s0 = set(int_vectors(base, "contact point", matrix.size)) | {zero}
     diffs = digit_differences(digits)
     s0_max = _max_abs(s0)
     current = set(s0)

@@ -36,6 +36,15 @@ def int_vector(v, what: str) -> Vec:
     return tuple(out)
 
 
+def int_vectors(vs, what: str, size: int) -> tuple[Vec, ...]:
+    """The vectors vs as int tuples (see int_vector) of length size: the
+    vector arithmetic would truncate another length silently."""
+    out = tuple(int_vector(v, what) for v in vs)
+    if any(len(v) != size for v in out):
+        raise ValueError("dimension mismatch")
+    return out
+
+
 def _immutable(self, name, *value):
     raise AttributeError(
         f"{type(self).__name__} is immutable: cannot set or delete {name!r}")

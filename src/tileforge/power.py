@@ -405,33 +405,36 @@ def walk_point(word: DigitWord, matrix: IntMatrix) -> ExactPoint:
 def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bool:
     """True iff the infinite word labels some infinite walk from start.
 
-    Runs the subset construction along the word; once inside the period,
-    a repeated (phase, state set) pair proves an infinite walk exists.
+    Runs the subset construction along the word on base.bit_tables, a set
+    of vertices being an int with the bits of their sorted indices; a start
+    off the graph, or a digit not in D, gives the empty set.  Once inside
+    the period, a repeated set at its start proves an infinite walk exists.
     """
-    succ = base.digit_successors
+    _, index, out = base.bit_tables
+    bit = {d: 1 << j for j, d in enumerate(base.digits)}
 
     def step(states, d):
-        out = set()
-        for s in states:
-            for dst, _ in succ.get((s, d), ()):
-                out.add(dst)
-        return frozenset(out)
+        m, nxt = bit.get(d, 0), 0
+        for i in _bit_indices(states):
+            for b, mask in out[i]:
+                if mask & m:
+                    nxt |= 1 << b
+        return nxt
 
-    states = frozenset([int_vector(start, "start")])
+    i = index.get(int_vector(start, "start"))
+    states = 0 if i is None else 1 << i
     for d in word.preperiod:
         states = step(states, d)
         if not states:
             return False
     seen = set()
-    while True:
-        key = states
-        if key in seen:
-            return True
-        seen.add(key)
+    while states not in seen:
+        seen.add(states)
         for d in word.period:
             states = step(states, d)
             if not states:
                 return False
+    return True
 
 
 def subdivide(graph: PowerGraph, pieces, steps: int) -> tuple:

@@ -342,18 +342,18 @@ def _loop_checks(t: TileAnalysis, k_max: int):
 
 
 def _loop_point_failure(h: HataGraph) -> str | None:
+    """Why a circular chain's links are not distinct points, or None; as
+    classify has checked, every link is a point and every piece on two."""
     incident: dict[int, list[frozenset]] = {}
     node_keys = [p.key for p in h.nodes]
     keys = []
-    for i, j, gamma in h.edges:
-        if len(gamma) != len(h.nodes[i].shift):
-            return f"link {i}-{j} is not a point"
+    for i, j, _ in h.edges:
         key = node_keys[i] | node_keys[j]
         keys.append(key)
         incident.setdefault(i, []).append(key)
         incident.setdefault(j, []).append(key)
-    for i, ks in incident.items():
-        if len(ks) != 2 or ks[0] == ks[1]:
+    for i, (a, b) in incident.items():
+        if a == b:
             return f"piece {i} does not meet its neighbors in 2 distinct points"
     if len(set(keys)) != len(keys):
         return "a point lies in more than two pieces"

@@ -1,6 +1,7 @@
 """Hypothesis strategies, oracles and a memory probe shared by several
 test modules."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -30,6 +31,22 @@ def expanding_systems(draw):
     digits = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * 3),
                            min_size=1, max_size=4, unique=True))
     return matrix, tuple(digits), draw(st.integers(1, 3))
+
+
+@st.composite
+def residue_systems(draw):
+    """An expanding matrix, a complete residue system of short digits modulo
+    it that need not be collinear, and the unit vectors as seed basis."""
+    matrix, _, _ = draw(expanding_systems())
+    modulus = abs(matrix.det)
+    box = draw(st.permutations(list(itertools.product(range(-2, 3), repeat=3))))
+    classes = {}
+    for v in sorted(box, key=lambda v: sum(map(abs, v))):
+        key = tuple(sum(a * b for a, b in zip(r, v)) % modulus
+                    for r in matrix.adjugate)
+        classes.setdefault(key, v)
+    assume(len(classes) == modulus)
+    return matrix, tuple(classes.values()), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def walk_alive_oracle(succ: dict) -> set:

@@ -2,14 +2,15 @@ import fractions
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from tileforge import cli, geometry_io
-from tileforge.analysis import analysis_for
+from tileforge.analysis import analysis_for, check_system
 from tileforge.family import sweep
 from tileforge.graphs import BoundaryGraph, LabeledEdge
 from tileforge.geometry_io import (
@@ -26,7 +27,7 @@ from tileforge.geometry_io import (
 )
 from tileforge.lattice import Vec, companion_form
 
-from strategies import expanding_systems, run_fresh
+from strategies import expanding_systems, residue_systems, run_fresh
 
 
 def system_124():
@@ -102,21 +103,38 @@ def test_tile_rejects_non_expanding_matrix():
         approximate_tile(M, collinear_digit_set(M, (0, 0, 1)), 1)
 
 
-@pytest.mark.parametrize("digits", [
-    [(0, 0), (1, 0), (2, 0), (3, 0)],
-    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0, 0)],
-], ids=["planar-digits", "one-long-digit"])
-def test_tile_refuses_digits_of_the_wrong_length(digits, monkeypatch):
-    # Each digit needs one coordinate per matrix row; 2-wide digits of a
-    # 3x3 matrix used to give a cloud of 3-wide rows.
+@pytest.fixture
+def no_points(monkeypatch):
+    """Fail the test if approximate_tile makes a point."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a point was made")
 
     for name in ("check_cap", "_level_columns", "_walk_blocks"):
         monkeypatch.setattr(geometry_io, name, forbidden)
+
+
+@pytest.mark.parametrize("digits", [
+    [(0, 0), (1, 0), (2, 0), (3, 0)],
+    [(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0, 0)],
+], ids=["planar-digits", "one-long-digit"])
+def test_tile_refuses_digits_of_the_wrong_length(digits, no_points):
+    # Each digit needs one coordinate per matrix row; 2-wide digits of a
+    # 3x3 matrix used to give a cloud of 3-wide rows.
     M, _ = system_124()
     with pytest.raises(ValueError, match="every digit needs 3 coordinates"):
         approximate_tile(M, digits, 2)
+
+
+@pytest.mark.parametrize("digits,depth,message", [
+    ([(0, 0, 0)] * 4, 2, "digit set contains duplicates"),
+    ([(i, 0, 0) for i in (0, 2, 4, 6)], 3, "not a complete residue system"),
+], ids=["four-origins", "even-multiples"])
+def test_tile_refuses_digit_sets_that_make_no_tile(digits, depth, message,
+                                                    no_points):
+    # These gave 16 and 64 points.
+    M, _ = system_124()
+    with pytest.raises(ValueError, match=message):
+        approximate_tile(M, digits, depth)
 
 
 @pytest.mark.parametrize("fmt", ["ply", "csv"])
@@ -383,9 +401,16 @@ def fraction_boundary_piece(t, alpha, depth):
     return [p for p, _ in walks]
 
 
-@given(expanding_systems())
-def test_integer_rows_equal_fraction_sums(system):
-    matrix, digits, depth = system
+@given(st.one_of(residue_systems(), expanding_systems()), st.integers(1, 3))
+def test_integer_rows_equal_fraction_sums(system, depth):
+    # A system that check_system refuses makes no tile, and no cloud.
+    matrix, digits, _ = system
+    try:
+        check_system(matrix, digits)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            approximate_tile(matrix, digits, depth)
+        return
     cloud = approximate_tile(matrix, digits, depth)
     expected = fraction_tile(matrix, digits, depth)
     assert cloud.points.denominator == abs(matrix.det) ** depth

@@ -34,7 +34,7 @@ from tileforge.lattice import (
     vec_sub,
 )
 
-from strategies import expanding_systems, walk_alive_oracle
+from strategies import expanding_systems, residue_systems, walk_alive_oracle
 
 
 def setup_tile(a, b, c):
@@ -55,6 +55,22 @@ def test_labeled_edge_is_a_named_tuple_of_its_fields():
                        "d=(0, 0, 0), d_prime=(1, 0, 0))")
     assert e.mirrored() == LabeledEdge((-1, 0, 0), (-1, -1, 0), (1, 0, 0),
                                        (0, 0, 0))
+
+
+PLANAR_DIGITS = [(i, 0) for i in range(4)]
+
+
+@pytest.mark.parametrize("run", [
+    lambda m, d: neighbor_set([(0, 0), (1, 0)], m, d),
+    lambda m, d: neighbor_set([(0, 0, 0), (1, 0, 0)], m, PLANAR_DIGITS),
+    lambda m, d: build_graph([(1, 0, 0), (-1, 0, 0)], m, PLANAR_DIGITS),
+], ids=["neighbor-points", "neighbor-digits", "graph-digits"])
+def test_stages_refuse_vectors_of_the_wrong_width(run):
+    # Vector sums stop at the shorter vector, so these gave an empty
+    # neighbor set and a graph without edges instead of a refusal.
+    m, digits = setup_tile(1, 2, 4)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        run(m, digits)
 
 
 def test_build_graph_origin_only_gives_digit_loops():
@@ -449,22 +465,6 @@ def test_contact_set_matches_oracle_on_the_family():
         m, digits = setup_tile(*abc)
         got, want = contact_set(m, digits), oracle_contact_set(m, digits)
         assert (got.points, got.rounds) == (want.points, want.rounds), abc
-
-
-@st.composite
-def residue_systems(draw):
-    """An expanding matrix, a complete residue system of short digits modulo
-    it that need not be collinear, and the unit vectors as seed basis."""
-    matrix, _, _ = draw(expanding_systems())
-    modulus = abs(matrix.det)
-    box = draw(st.permutations(list(itertools.product(range(-2, 3), repeat=3))))
-    classes = {}
-    for v in sorted(box, key=lambda v: sum(map(abs, v))):
-        key = tuple(sum(a * b for a, b in zip(r, v)) % modulus
-                    for r in matrix.adjugate)
-        classes.setdefault(key, v)
-    assume(len(classes) == modulus)
-    return matrix, tuple(classes.values()), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 @given(residue_systems())

@@ -222,10 +222,13 @@ def test_word_admissibility_reuses_one_successor_table():
     v = t.level(3).vertices[0]
     word = t.walk(v)
     assert word_admissible_from(g, v[0], word)
-    table = g.digit_successors
-    assert g.digit_successors is table
-    # An emptied table must be what the next call sees: nothing is rebuilt.
-    table.clear()
+    # The graph's one successor index is all the check builds and reads.
+    assert list(vars(g)) == ["bit_tables"]
+    tables = g.bit_tables
+    assert word_admissible_from(g, v[0], word)
+    assert g.bit_tables is tables
+    # Emptied rows must be what the next call sees: nothing is rebuilt.
+    tables[2][:] = [()] * len(tables[2])
     assert not word_admissible_from(g, v[0], word)
 
 
@@ -345,12 +348,21 @@ def symmetry_defects(edges, digits) -> tuple:
     return tuple(bad)
 
 
+def digit_table(base: BoundaryGraph) -> dict:
+    """(alpha, d) -> list of (dst, right digit), read off base.edges alone,
+    so the oracles below stay independent of the tables they check."""
+    table: dict[tuple[Vec, Vec], list[tuple[Vec, Vec]]] = {}
+    for e in base.edges:
+        table.setdefault((e.src, e.d), []).append((e.dst, e.d_prime))
+    return table
+
+
 def oracle_power_graph(base: BoundaryGraph, level: int) -> OraclePowerGraph:
     """Level graph on size-`level` subsets of the base graph's vertex set."""
     if level < 1:
         raise ValueError("level must be at least 1")
     members = list(base.vertices)
-    succ = base.digit_successors
+    succ = digit_table(base)
     digits = base.digits
 
     prev: list[VertexSet] | None = None
@@ -461,6 +473,65 @@ def test_level_graphs_of_expanding_systems_match_oracle(base):
         assert_matches_oracle(base, level)
 
 
+def oracle_word_admissible(table, start, word: DigitWord) -> bool:
+    """The subset construction along the word on the (alpha, d) table."""
+    def step(states, d):
+        return {dst for s in states for dst, _ in table.get((s, d), ())}
+
+    states = {start}
+    for d in word.preperiod:
+        states = step(states, d)
+    seen = []
+    while states and states not in seen:
+        seen.append(states)
+        for d in word.period:
+            states = step(states, d)
+    return bool(states)
+
+
+@st.composite
+def words_from(draw, base: BoundaryGraph):
+    """(start, word): a start among the vertices or off the graph, and an
+    eventually periodic word: random digits, some outside D, or the labels
+    of a walk from the start among the vertices that can walk forever, up
+    to a repeated vertex, one label of which may be replaced."""
+    live = walk_alive_oracle({v: {e.dst for e in base.out_edges(v)}
+                              for v in base.vertices})
+    outside = [(3, 3, 3), (0, 0, 0), (9, -9, 0)]
+    if live and draw(st.booleans()):
+        start = draw(st.sampled_from(sorted(live)))
+    else:
+        start = draw(st.sampled_from(base.vertices + tuple(outside)))
+    digit = st.sampled_from(list(base.digits) + [(7, 7, 7), (0, 0)])
+    if draw(st.booleans()):
+        pre = draw(st.lists(digit, max_size=3))
+        per = draw(st.lists(digit, min_size=1, max_size=3))
+        return start, DigitWord(tuple(pre), tuple(per))
+    labels, seen, v = [], {}, start
+    while v not in seen and v in live:
+        seen[v] = len(labels)
+        e = draw(st.sampled_from([e for e in base.out_edges(v)
+                                  if e.dst in live]))
+        labels.append(e.d)
+        v = e.dst
+    if v not in seen:  # a start that cannot walk forever: end on one digit
+        seen[v] = len(labels)
+        labels.append(draw(digit))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, len(labels) - 1))] = draw(digit)
+    i = seen[v]
+    return start, DigitWord(tuple(labels[:i]), tuple(labels[i:]))
+
+
+@given(systems_on_a_box(), st.data())
+def test_word_admissibility_matches_the_subset_oracle(base, data):
+    table = digit_table(base)
+    for _ in range(8):
+        start, word = data.draw(words_from(base))
+        assert word_admissible_from(base, start, word) == \
+            oracle_word_admissible(table, start, word), (start, word)
+
+
 def test_level2_candidates_are_pairs_whose_difference_walks(monkeypatch):
     # Of the C(182, 2) = 16,471 pairs only 7,275 differ by a translation
     # that can walk forever, and 6,873 of those survive.  The level graph's
@@ -534,7 +605,7 @@ def test_images_match_the_per_digit_oracle(base, data):
     # did.
     verts, index, out = base.bit_tables
     assert [index[v] for v in verts] == list(range(len(verts)))
-    table = base.digit_successors
+    table = digit_table(base)
     want_out = []
     for v in verts:
         row = {}
@@ -681,7 +752,7 @@ def oracle_bit_tables(base: BoundaryGraph):
     """
     verts = tuple(sorted(base.vertices))
     bit = {v: 1 << i for i, v in enumerate(verts)}
-    table = base.digit_successors
+    table = digit_table(base)
     succ = [[[bit[dst] for dst, _ in table.get((v, d), ())] for v in verts]
             for d in base.digits]
     live = [sum(1 << j for j, d in enumerate(base.digits) if (v, d) in table)
