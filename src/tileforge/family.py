@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .graphs import LabeledEdge, minkowski_sum
 from .lattice import Vec, vec_neg
-from .power import negated, vertex_set
+from .power import negated
 from .topology import (
     census,
     four_fold_failure,
@@ -85,7 +85,8 @@ def _contact_edges(triple: AbcTriple) -> set[LabeledEdge]:
 
 
 def _g2_rows(triple: AbcTriple):
-    """Arc-graph edge table: (src pair, dst pair, label range)."""
+    """Arc-graph edge table: (src pair, dst pair, label range); a pair is
+    a sorted tuple of the triple's names, which are nonzero and distinct."""
     A, B, C = triple.A, triple.B, triple.C
     p, q, n, qp, nq, np_, nqp = triple.names()
     neg = vec_neg
@@ -93,7 +94,7 @@ def _g2_rows(triple: AbcTriple):
 
     def add(src, dst, lo, hi, guard=True):
         if guard and hi >= lo:
-            rows.append((vertex_set(src), vertex_set(dst), lo, hi))
+            rows.append((tuple(sorted(src)), tuple(sorted(dst)), lo, hi))
 
     add((qp, np_), (neg(q), nq), 0, A - 1)
     add((qp, np_), (neg(qp), nq), 0, A - 2, A >= 2)
@@ -192,7 +193,8 @@ def expected_edges(p, which: str) -> set:
         for cycle in _g3_cycles(triple):
             for idx, (members, label) in enumerate(cycle):
                 nxt = cycle[(idx + 1) % len(cycle)][0]
-                edges.add((vertex_set(members), digit(label), vertex_set(nxt)))
+                edges.add((tuple(sorted(members)), digit(label),
+                           tuple(sorted(nxt))))
         return edges
     raise ValueError(f"unknown table {which!r}")
 

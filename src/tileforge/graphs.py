@@ -53,9 +53,11 @@ class BoundaryGraph(checked_record("BoundaryGraph",
 
     def __new__(cls, vertices: tuple[Vec, ...], edges: tuple[LabeledEdge, ...],
                 matrix: IntMatrix, digits: tuple[Vec, ...]):
-        vset = set(vertices)
+        vset, dset = set(vertices), set(digits)
         if any(e.src not in vset or e.dst not in vset for e in edges):
             raise ValueError("edge endpoints must be vertices")
+        if any(e.d not in dset or e.d_prime not in dset for e in edges):
+            raise ValueError("edge digits must be in the digit set")
         return super().__new__(cls, vertices, edges, matrix, digits)
 
     @cached_property

@@ -54,16 +54,6 @@ def negated(vs: VertexSet) -> VertexSet:
     return tuple(sorted(vec_neg(p) for p in vs))
 
 
-def _bit_indices(mask: int) -> list[int]:
-    """Indices of the set bits of mask, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _pack(members, w: int) -> int:
     """The key of a vertex set from its member indices in increasing order:
     each member takes w bits, the smallest the highest, so keys of sets of
@@ -217,8 +207,8 @@ def _label_edges(base: BoundaryGraph, vertices) -> tuple:
         for image, digit_mask in _images(out, ix, w).items():
             dst = alive.get(image)
             if dst is not None:
-                edges.extend((src, digits[j], dst)
-                             for j in _bit_indices(digit_mask))
+                edges.extend((src, d, dst) for j, d in enumerate(digits)
+                             if digit_mask >> j & 1)
     edges.sort()
     return tuple(edges)
 
@@ -415,10 +405,12 @@ def word_admissible_from(base: BoundaryGraph, start: Vec, word: DigitWord) -> bo
 
     def step(states, d):
         m, nxt = bit.get(d, 0), 0
-        for i in _bit_indices(states):
-            for b, mask in out[i]:
+        while states:
+            low = states & -states
+            for b, mask in out[low.bit_length() - 1]:
                 if mask & m:
                     nxt |= 1 << b
+            states ^= low
         return nxt
 
     i = index.get(int_vector(start, "start"))
@@ -447,7 +439,10 @@ def subdivide(graph: PowerGraph, pieces, steps: int) -> tuple:
         raise ValueError("steps must be nonnegative")
     frontier = tuple(pieces)
     for _ in range(steps):
-        frontier = tuple((dst, vec_add(graph.matrix.mul_vec(s), d))
-                         for v, s in frontier
-                         for d, dst in sorted(graph.out_edges(v)))
+        children = []
+        for v, s in frontier:
+            ms = graph.matrix.mul_vec(s)
+            children.extend((dst, vec_add(ms, d))
+                            for d, dst in sorted(graph.out_edges(v)))
+        frontier = tuple(children)
     return frontier

@@ -35,9 +35,10 @@ class Piece(NamedTuple):
 
 def make_piece(vertex, shift) -> Piece:
     """Canonical piece: reframe so the shift is the smallest family member."""
-    key = Piece(tuple(vertex), tuple(shift)).key
-    base = min(key)
-    members = tuple(sorted(vec_sub(t, base) for t in key if t != base))
+    shift = tuple(shift)
+    tiles = {shift, *(vec_add(b, shift) for b in vertex)}
+    base = min(tiles)
+    members = tuple(sorted(vec_sub(t, base) for t in tiles if t != base))
     return Piece(members, base)
 
 
@@ -178,7 +179,8 @@ def path_order(h: HataGraph) -> list[int]:
 
 
 def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
-    """Hata graph of the distinct one-step successors of a level vertex."""
+    """Hata graph of the children of a level vertex: B_dst + d for each out
+    edge (d, dst), as subdivide makes them."""
     t = analysis_for(ctx)
     vs = vertex_set(alpha_set)
     g = t.level(len(vs))
@@ -190,8 +192,7 @@ def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
 def _successor_hata(t: TileAnalysis, g: PowerGraph, vs: VertexSet):
     """successor_hata on vs, a vertex of the level graph g."""
     zero = (0,) * t.matrix.size
-    dsts = sorted({dst for _, dst in g.out_edges(vs)})
-    h = hata_graph(t, [(d, zero) for d in dsts])
+    h = hata_graph(t, subdivide(g, [(vs, zero)], 1))
     return h, classify(h)
 
 
@@ -227,28 +228,40 @@ def boundary_loop_audit(ctx, alpha: Vec, k: int = 1) -> tuple[HataGraph, ChainRe
 
 
 class FourFold(NamedTuple):
-    """The two level-3 vertices enclosing a level-2 vertex."""
+    """The two level-3 vertices enclosing a level-2 vertex, and for each the
+    child (d, dst) of the level-2 vertex that holds it."""
 
     pair: tuple[VertexSet, VertexSet]
-    first_digits: tuple[Vec, Vec]
+    children: tuple[tuple[Vec, VertexSet], tuple[Vec, VertexSet]]
 
 
 def four_fold_placement(ctx, alpha_set) -> FourFold:
-    """Exactly two triple-points bound each arc; returns them with first digits."""
+    """Exactly two triple-points bound each arc; returns them with the
+    children of the arc that hold them."""
     return _four_fold_placement(analysis_for(ctx), vertex_set(alpha_set))
 
 
 def _four_fold_placement(t: TileAnalysis, vs: VertexSet) -> FourFold:
-    """four_fold_placement on vs, a canonical vertex set."""
+    """four_fold_placement on vs, a canonical vertex set.
+
+    The child B_v' + d of vs, one out-edge (d, v'), holds the triple point
+    w when w's first step w ->(d) w' reads the same digit and v' lies in
+    w'; exactly one child may hold w.
+    """
+    g2, g3 = t.level(2), t.level(3)
     members = set(vs)
-    supersets = [w for w in t.level(3).vertices if members.issubset(w)]
+    supersets = [w for w in g3.vertices if members.issubset(w)]
     if len(supersets) != 2:
         raise ValueError(f"{vs} lies in {len(supersets)} level-3 vertices, not 2")
-    first = []
+    children = []
     for w in supersets:
-        word = t.walk(w)
-        first.append((word.preperiod + word.period)[0])
-    return FourFold((supersets[0], supersets[1]), (first[0], first[1]))
+        held = [(d, v) for d, v in g2.out_edges(vs)
+                for dw, w_next in g3.out_edges(w)
+                if dw == d and set(v).issubset(w_next)]
+        if len(held) != 1:
+            raise ValueError(f"{w} lies in {len(held)} children of {vs}, not 1")
+        children.append(held[0])
+    return FourFold((supersets[0], supersets[1]), (children[0], children[1]))
 
 
 class ComplexCensus(NamedTuple):
@@ -294,8 +307,8 @@ def four_fold_failure(ctx) -> str | None:
             ff = _four_fold_placement(t, v)
         except ValueError as exc:
             return str(exc)
-        if len(t.level(2).out_edges(v)) > 1 and ff.first_digits[0] == ff.first_digits[1]:
-            return f"branching vertex {v} has equal first digits"
+        if len(t.level(2).out_edges(v)) > 1 and ff.children[0] == ff.children[1]:
+            return f"branching vertex {v} has both triple points in one child"
     return None
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import signal
@@ -8,12 +9,13 @@ import time
 import pytest
 
 from tileforge import family
-from tileforge.analysis import analysis_for, as_triple, predicts_14
+from tileforge.analysis import TileAnalysis, analysis_for, as_triple, predicts_14
 from tileforge.family import (
     CSV_HEADER,
     SweepRecord,
     _g2_rows,
     _sweep_worker,
+    audit_failures,
     disagreements,
     expected_contact_set,
     expected_edges,
@@ -22,8 +24,8 @@ from tileforge.family import (
     sweep,
     sweep_csv,
 )
-from tileforge.graphs import LabeledEdge
-from tileforge.lattice import vec_neg
+from tileforge.graphs import LabeledEdge, RoundLimitError
+from tileforge.lattice import companion_form, is_expanding, vec_neg
 from tileforge.power import vertex_set
 
 
@@ -506,3 +508,29 @@ def test_tables_match_oracle_and_their_sets_on_the_family():
         for which in ("contact", "g2", "g3"):
             assert expected_edges(abc, which) == set(
                 expected_graph(abc, which)), (abc, which)
+
+
+def test_registry_passes_on_every_signed_tile_with_14_neighbors():
+    # x^3 + A x^2 + B x + C with |A|, |B|, |C| <= 6, companion digits and
+    # the default basis: the tiles with 14 neighbors are the ones the
+    # audits must pass on, family members or not.  A system whose neighbor
+    # fixpoint hits the round cap is counted and left out.
+    passed, capped = [], 0
+    for abc in itertools.product(range(-6, 7), repeat=3):
+        if abc[2] == 0:
+            continue
+        m, digits = companion_form([1, *abc])
+        if not is_expanding(m):
+            continue
+        t = TileAnalysis(m, digits)
+        try:
+            if len(t.neighbors.points) != 14:
+                continue
+        except RoundLimitError:
+            capped += 1
+            continue
+        failures = audit_failures(t)
+        assert set(failures.values()) == {None}, (abc, failures)
+        passed.append(abc)
+    assert (len(passed), capped) == (82, 16)
+    assert (0, -2, 3) in passed

@@ -73,6 +73,22 @@ def test_stages_refuse_vectors_of_the_wrong_width(run):
         run(m, digits)
 
 
+@pytest.mark.parametrize("edge, message", [
+    (((0, 0, 1), (5, 5, 5), (0, 0, 0), (0, 0, 0)),
+     "edge endpoints must be vertices"),
+    (((0, 0, 1), (0, 0, 1), (5, 5, 5), (0, 0, 0)),
+     "edge digits must be in the digit set"),
+    (((0, 0, 1), (0, 0, 1), (0, 0, 0), (5, 5, 5)),
+     "edge digits must be in the digit set"),
+], ids=["endpoint", "left-digit", "right-digit"])
+def test_boundary_graph_refuses_edges_it_cannot_index(edge, message):
+    # A left digit outside D made bit_tables raise KeyError on first read;
+    # a right digit outside D was carried along unread.
+    m, digits = setup_tile(1, 2, 4)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BoundaryGraph(((0, 0, 1),), (LabeledEdge(*edge),), m, digits)
+
+
 def test_build_graph_origin_only_gives_digit_loops():
     m, digits = setup_tile(1, 2, 4)
     g = build_graph([(0, 0, 0)], m, digits)

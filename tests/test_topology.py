@@ -126,13 +126,16 @@ def test_path_order_walks_end_to_end():
     assert order in ([0, 2, 3, 1], [1, 3, 2, 0])
 
 
-def test_successor_hata_example_is_three_node_path():
+def test_successor_hata_example_is_seven_node_chain():
+    # One child B_dst + d per out-edge (d, dst), each at its own shift.
     t = analysis_for((2, 3, 5))
     alpha = ((-1, 0, 0), (1, 1, 0))
     h, report = successor_hata(t, alpha)
-    assert report.node_count == 3
+    out = t.level(2).out_edges(alpha)
+    assert report.node_count == len(out) == 7
     assert report.classification == "regular_chain"
     assert all(len(gamma) == 3 for _, _, gamma in h.edges)
+    assert set(h.nodes) == {make_piece(dst, d) for d, dst in out}
 
 
 def test_successor_hata_trivial_vertex_is_single_node():
@@ -183,17 +186,22 @@ def test_loop_rejects_unknown_direction():
         boundary_loop_audit(triple_124(), (9, 9, 9), 1)
 
 
-def test_four_fold_picks_two_triple_points_with_distinct_digits():
+def test_four_fold_puts_two_triple_points_in_distinct_children():
     t = triple_124()
-    ff = four_fold_placement(t, ((-1, 0, 0), (0, 1, 0)))
+    alpha = ((-1, 0, 0), (0, 1, 0))
+    ff = four_fold_placement(t, alpha)
     assert len(ff.pair) == 2
-    assert ff.first_digits[0] != ff.first_digits[1]
+    assert ff.children == (((2, 0, 0), ((0, -1, 0), (1, 0, 1))),
+                           ((0, 0, 0), ((0, -1, 0), (1, 0, 1))))
+    assert set(ff.children) <= set(t.level(2).out_edges(alpha))
 
 
-def test_four_fold_trivial_vertex_shares_first_digit():
+def test_four_fold_trivial_vertex_has_one_child():
     t = triple_124()
-    ff = four_fold_placement(t, ((-1, -1, 0), (1, 0, 1)))
-    assert ff.first_digits[0] == ff.first_digits[1]
+    alpha = ((-1, -1, 0), (1, 0, 1))
+    ff = four_fold_placement(t, alpha)
+    assert ff.children[0] == ff.children[1]
+    assert t.level(2).out_edges(alpha) == (ff.children[0],)
 
 
 def test_census_124():
@@ -326,11 +334,12 @@ def test_piece_is_its_pair():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: hata_graph's by-shift enumeration, the unmemoised walk and
-# four_fold_placement's two-set superset scan, kept verbatim apart from
-# their names (the oracle four-fold walks with the oracle walk, and the
-# oracle Hata graph canonicalises every piece with make_piece).  The link
-# memo, the piece memo and the walk memo must reproduce them exactly.
+# Oracles: hata_graph's by-shift enumeration and the unmemoised walk, kept
+# verbatim apart from their names (the oracle Hata graph canonicalises
+# every piece with make_piece), and a four-fold placement that reads each
+# triple point's child off the full level-2 and level-3 edge lists.  The
+# link memo, the piece memo, the walk memo and the out-edge index must
+# reproduce them exactly.
 
 
 def oracle_hata_graph(ctx, pieces) -> HataGraph:
@@ -360,17 +369,28 @@ def oracle_walk(self, vertex):
 
 
 def oracle_four_fold_placement(ctx, alpha_set) -> FourFold:
-    """Exactly two triple-points bound each arc; returns them with first digits."""
+    """Exactly two triple-points bound each arc; returns them with the
+    children of the arc that hold them: the child along the level-2 edge
+    (vs, d, v') holds w when w's walk starts with d and its first step
+    (w, d, w') has v' inside w'."""
     t = analysis_for(ctx)
     vs = vertex_set(alpha_set)
     supersets = [w for w in t.level(3).vertices if set(vs) <= set(w)]
     if len(supersets) != 2:
         raise ValueError(f"{vs} lies in {len(supersets)} level-3 vertices, not 2")
-    first = []
+    children = []
     for w in supersets:
         word = oracle_walk(t, w)
-        first.append((word.preperiod + word.period)[0])
-    return FourFold((supersets[0], supersets[1]), (first[0], first[1]))
+        d = (word.preperiod + word.period)[0]
+        steps = [dst for src, dw, dst in t.level(3).edges
+                 if src == w and dw == d]
+        held = [(d, v) for src, dv, v in t.level(2).edges
+                if src == vs and dv == d
+                and any(set(v) <= set(w2) for w2 in steps)]
+        if len(held) != 1:
+            raise ValueError(f"{w} lies in {len(held)} children of {vs}, not 1")
+        children.append(held[0])
+    return FourFold((supersets[0], supersets[1]), (children[0], children[1]))
 
 
 def members_14():
@@ -458,14 +478,18 @@ def test_loop_pieces_match_the_word_oracle_at_depth_4():
 
 
 def test_shift0_hata_graphs_match_oracle_on_the_family():
-    zero = (0, 0, 0)
+    # The successor graphs are built on the children of a vertex at shift
+    # 0, which the word oracle gives with their own shifts.
     for abc in members_14():
         t = analysis_for(abc)
         g2 = t.level(2)
         for v in g2.vertices:
-            dsts = sorted({dst for _, dst in g2.out_edges(v)})
+            children = [(ref.vertex, oracle_ref_shift(t.matrix, ref.word))
+                        for ref in oracle_subdivide(
+                            g2, OracleSubtileRef(1, (), v), 1)]
+            assert len(children) == len(g2.out_edges(v))
             assert successor_hata(t, v)[0] == oracle_hata_graph(
-                t, [(d, zero) for d in dsts]), (abc, v)
+                t, children), (abc, v)
         for alpha in t.neighbors.points:
             assert boundary_loop_audit(t, alpha, 1)[0] == oracle_hata_graph(
                 t, boundary_loop_pieces(t, alpha, 1)), (abc, alpha)
@@ -575,6 +599,20 @@ def test_memoised_walks_and_four_fold_match_oracle_on_the_family():
         for v in t.level(2).vertices:
             assert four_fold_placement(t, v) == oracle_four_fold_placement(
                 t, v), (abc, v)
+
+
+def test_triple_points_lie_in_the_end_children_on_the_family():
+    # Both audits read an arc's children off its out-edges: the chain of
+    # children runs from the child holding one triple point to the child
+    # holding the other.
+    for abc in members_14():
+        t = analysis_for(abc)
+        for v in t.level(2).vertices:
+            h, _ = successor_hata(t, v)
+            order = path_order(h)
+            ff = four_fold_placement(t, v)
+            assert {make_piece(dst, d) for d, dst in ff.children} == {
+                h.nodes[order[0]], h.nodes[order[-1]]}, (abc, v)
 
 
 def test_walk_is_found_once_per_vertex_and_failures_are_not_kept(
