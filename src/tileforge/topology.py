@@ -245,7 +245,7 @@ def _four_fold_placement(t: TileAnalysis, vs: VertexSet) -> FourFold:
     """four_fold_placement on vs, a canonical vertex set.
 
     The child B_v' + d of vs, one out-edge (d, v'), holds the triple point
-    w when w's first step w ->(d) w' reads the same digit and v' lies in
+    w when w's single step w ->(d) w' reads the same digit and v' lies in
     w'; exactly one child may hold w.
     """
     g2, g3 = t.level(2), t.level(3)
@@ -255,9 +255,12 @@ def _four_fold_placement(t: TileAnalysis, vs: VertexSet) -> FourFold:
         raise ValueError(f"{vs} lies in {len(supersets)} level-3 vertices, not 2")
     children = []
     for w in supersets:
+        steps = g3.out_edges(w)
+        if len(steps) != 1:
+            raise ValueError(f"{w} has {len(steps)} out-edges, not 1")
+        (dw, w_next), = steps
         held = [(d, v) for d, v in g2.out_edges(vs)
-                for dw, w_next in g3.out_edges(w)
-                if dw == d and set(v).issubset(w_next)]
+                if d == dw and set(v).issubset(w_next)]
         if len(held) != 1:
             raise ValueError(f"{w} lies in {len(held)} children of {vs}, not 1")
         children.append(held[0])

@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 from fractions import Fraction
+import re
 
 import pytest
 
@@ -202,6 +203,18 @@ def test_four_fold_trivial_vertex_has_one_child():
     ff = four_fold_placement(t, alpha)
     assert ff.children[0] == ff.children[1]
     assert t.level(2).out_edges(alpha) == (ff.children[0],)
+
+
+def test_four_fold_refuses_a_triple_point_with_two_steps():
+    # A triple point with two steps has no single step to place it by, even
+    # when both steps read one digit and reach one vertex.
+    t = TileAnalysis(*AbcTriple(1, 2, 4).system())
+    alpha = ((-1, 0, 0), (0, 1, 0))
+    g3 = t.level(3)
+    w = four_fold_placement(t, alpha).pair[0]
+    g3.__dict__["_out"] = {**g3._out, w: g3._out[w] * 2}
+    with pytest.raises(ValueError, match=re.escape(f"{w} has 2 out-edges, not 1")):
+        four_fold_placement(t, alpha)
 
 
 def test_census_124():

@@ -1,7 +1,7 @@
 """Mutant battery: each row breaks the program in one place and names the
 tests that must then fail.
 
-    python tools/mutants.py [--workdir DIR] [--timeout SECONDS] [NAME ...]
+    python tools/mutants.py [--workdir DIR] [NAME ...]
 
 Each mutant (all of them, or the NAMEs given) runs in its own copy of
 src/, tests/ and pyproject.toml, made in a fresh directory under DIR (the
@@ -9,7 +9,8 @@ system's temporary directory by default) and removed afterwards.  The row's
 old text, which must occur exactly once in its file, is replaced by its new
 text, and the row's tests run there with ``pytest -x``.  A mutant is killed
 when a test fails, survives when every test passes, and is an error
-otherwise: a test id that pytest cannot find, or a run past the timeout.
+otherwise: a test id that pytest cannot find, or a run past TIMEOUT
+seconds.
 The exit status is 0 only if every mutant run was killed.
 
 tests/test_mutants.py checks the table (each old text occurs once, each
@@ -29,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 600.0
 
 
 class Mutant(NamedTuple):
@@ -111,7 +113,7 @@ def apply(root: Path, mutant: Mutant) -> None:
     path.write_text(text.replace(mutant.old, mutant.new))
 
 
-def run(mutant: Mutant, workdir: str | None, timeout: float) -> str:
+def run(mutant: Mutant, workdir: str | None) -> str:
     """killed, survived, or error with the reason, for one mutant."""
     scratch = Path(tempfile.mkdtemp(prefix=f"{mutant.name}-", dir=workdir))
     try:
@@ -130,9 +132,9 @@ def run(mutant: Mutant, workdir: str | None, timeout: float) -> str:
                 [sys.executable, "-m", "pytest", "-x", "-q",
                  "-p", "no:cacheprovider", *mutant.tests],
                 cwd=scratch, env=env, capture_output=True, text=True,
-                timeout=timeout)
+                timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
-            return f"error: no result within {timeout:g} s"
+            return f"error: no result within {TIMEOUT:g} s"
     finally:
         shutil.rmtree(scratch)
     if proc.returncode == 1:
@@ -146,8 +148,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--workdir", help="directory for the tree copies")
-    parser.add_argument("--timeout", type=float, default=600.0,
-                        help="seconds per mutant (default 600)")
     args = parser.parse_args(argv)
     known = {m.name: m for m in MUTANTS}
     unknown = [n for n in args.names if n not in known]
@@ -156,7 +156,7 @@ def main(argv=None) -> int:
     chosen = [known[n] for n in args.names] if args.names else list(MUTANTS)
     results = []
     for mutant in chosen:
-        outcome = run(mutant, args.workdir, args.timeout)
+        outcome = run(mutant, args.workdir)
         results.append(outcome)
         print(f"{mutant.name}: {outcome}", flush=True)
     killed = results.count("killed")
