@@ -147,7 +147,6 @@ class TileAnalysis:
         self.digits, self.basis = check_system(matrix, digits, basis)
         self.matrix = matrix
         self._levels: dict[int, PowerGraph] = {}
-        self._walks: dict[VertexSet, DigitWord] = {}
         # The memo of topology.hata_graph: each link decided so far, None
         # included, keyed by (vertex, offset, vertex).
         self.links: dict = {}
@@ -205,13 +204,8 @@ class TileAnalysis:
         return intersection_vertex(beta1, a1, beta2, a2, self.is_vertex)
 
     def walk(self, vertex: VertexSet) -> DigitWord:
-        """The digit word of the unique walk from a level vertex, found once
-        per vertex; a vertex whose walk raises is not stored."""
-        word = self._walks.get(vertex)
-        if word is None:
-            word = unique_walk(self.level(len(vertex)), vertex)
-            self._walks[vertex] = word
-        return word
+        """The digit word of the unique walk from a level vertex."""
+        return unique_walk(self.level(len(vertex)), vertex)
 
     def word_point(self, word: DigitWord):
         """Exact point addressed by an eventually periodic digit word."""

@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from tileforge import analysis, topology
+from tileforge import analysis, power, topology
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
 from tileforge.family import family_triples
 from tileforge.lattice import (
@@ -49,9 +49,28 @@ def test_make_piece_is_frame_independent():
     assert left.shift == (2, 0, 0)
 
 
-def test_piece_key_matches_tile_family():
-    p = make_piece(((1, 1, 0), (2, 1, 1)), (0, 0, 0))
-    assert p.key == frozenset({(0, 0, 0), (1, 1, 0), (2, 1, 1)})
+def tile_family(piece) -> set[Vec]:
+    """The tiles a piece lies in: its shift s and s + v for each v."""
+    vertex, shift = piece
+    return {shift, *(vec_add(b, shift) for b in vertex)}
+
+
+def test_link_piece_lies_in_the_tiles_of_both_its_pieces_on_the_family():
+    # The audits name the point where pieces i < j meet by the canonical
+    # piece of their link at piece i's shift; its tiles are those of both.
+    links = 0
+    for abc in members_14():
+        t = analysis_for(abc)
+        graphs = [boundary_loop_audit(t, alpha, k)[0]
+                  for alpha in t.neighbors.points for k in (1, 2)]
+        graphs += [successor_hata(t, v)[0] for v in t.level(2).vertices]
+        for h in graphs:
+            for i, j, gamma in h.edges:
+                assert tile_family(make_piece(gamma, h.nodes[i].shift)) == (
+                    tile_family(h.nodes[i]) | tile_family(h.nodes[j])), (
+                        abc, i, j)
+                links += 1
+    assert links == 68202
 
 
 def _fake(nodes, edges):
@@ -83,6 +102,18 @@ def test_classify_point_linked_path_is_regular_chain():
     g3 = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
     h = _fake(3, [(0, 1, g3), (1, 2, g3)])
     assert classify(h).classification == "regular_chain"
+
+
+def test_loop_point_on_two_links_is_refused():
+    # Every piece meets its two neighbors in two distinct points, but the
+    # links 0-1 and 2-3 are one point, which then lies in four pieces.
+    a = ((1, 0, 0), (2, 0, 0), (3, 0, 0))
+    b = ((1, 0, 0), (2, 0, 0), (4, 0, 0))
+    c = ((1, 0, 0), (2, 0, 0), (5, 0, 0))
+    h = _fake(4, [(0, 1, a), (0, 3, c), (1, 2, b), (2, 3, a)])
+    assert classify(h).is_circular_chain
+    assert topology._loop_point_failure(h) == (
+        "a point lies in more than two pieces")
 
 
 def test_classify_disconnected():
@@ -239,6 +270,22 @@ def test_walk_points_audit_accepts_124():
     assert walk_points_failure(triple_124()) is None
 
 
+def test_walk_points_audit_reads_the_word_from_every_member(monkeypatch):
+    # A triple point's word must label a walk from each of its members;
+    # refusing it from the last member of one vertex alone is named.
+    t = TileAnalysis(*AbcTriple(1, 2, 4).system())
+    v = t.level(3).vertices[0]
+    word = t.walk(v)
+    real = power.word_admissible_from
+
+    def refusing(base, start, w):
+        return (start, w) != (v[-1], word) and real(base, start, w)
+
+    monkeypatch.setattr(power, "word_admissible_from", refusing)
+    assert walk_points_failure(t) == (
+        f"walk word of {v} is not admissible from {v[-1]}")
+
+
 def test_face_order_enumerates_neighbors():
     t = triple_124()
     order = _face_order(AbcTriple(1, 2, 4))
@@ -347,12 +394,11 @@ def test_piece_is_its_pair():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: hata_graph's by-shift enumeration and the unmemoised walk, kept
-# verbatim apart from their names (the oracle Hata graph canonicalises
-# every piece with make_piece), and a four-fold placement that reads each
-# triple point's child off the full level-2 and level-3 edge lists.  The
-# link memo, the piece memo, the walk memo and the out-edge index must
-# reproduce them exactly.
+# Oracles: hata_graph's by-shift enumeration and the walk, kept verbatim
+# apart from their names (the oracle Hata graph canonicalises every piece
+# with make_piece), and a four-fold placement that reads each triple
+# point's child off the full level-2 and level-3 edge lists.  The link memo
+# and the out-edge index must reproduce them exactly.
 
 
 def oracle_hata_graph(ctx, pieces) -> HataGraph:
@@ -642,8 +688,6 @@ def test_walk_is_found_once_per_vertex_and_failures_are_not_kept(
     assert four_fold_failure(t) is None
     assert walk_points_failure(t) is None
     assert sorted(calls) == sorted(t.level(3).vertices)
-    v = t.level(3).vertices[0]
-    assert t.walk(v) is t.walk(v)
     branching = vertex_set(((-1, 0, 0), (0, 1, 0)))
     for _ in range(2):
         with pytest.raises(ValueError, match="outgoing"):

@@ -69,6 +69,39 @@ MUTANTS = (
         "first digits alone fails 40 of the 82 signed tiles",
     ),
     Mutant(
+        "loop-point-framed-by-higher-piece",
+        "src/tileforge/topology.py",
+        "        point = make_piece(gamma, h.nodes[i].shift)\n",
+        "        point = make_piece(gamma, h.nodes[j].shift)\n",
+        ("tests/test_topology.py::test_loop_chain_audit_accepts_124",
+         "tests/test_topology.py::"
+         "test_planar_boundary_is_a_circular_chain_iff_6_neighbors"),
+        "hata_graph decides a link in its lower piece's frame; read from "
+        "the higher piece, the links of real loops stop being distinct "
+        "points",
+    ),
+    Mutant(
+        "loop-point-on-two-links-allowed",
+        "src/tileforge/topology.py",
+        "    if len(set(points)) != len(points):\n"
+        "        return \"a point lies in more than two pieces\"\n",
+        "",
+        ("tests/test_topology.py::"
+         "test_loop_point_on_two_links_is_refused",),
+        "two links that are one point put it in more than two pieces, "
+        "even when each piece meets its neighbors in two points",
+    ),
+    Mutant(
+        "walk-word-from-first-member-only",
+        "src/tileforge/topology.py",
+        "        for member in v:\n",
+        "        for member in v[:1]:\n",
+        ("tests/test_topology.py::"
+         "test_walk_points_audit_reads_the_word_from_every_member",),
+        "a triple point's word must label a walk from each member, not "
+        "only from the first",
+    ),
+    Mutant(
         "edge-digits-unchecked",
         "src/tileforge/graphs.py",
         "        if any(e.d not in dset or e.d_prime not in dset for e in edges):\n"
