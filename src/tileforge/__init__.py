@@ -16,6 +16,7 @@ from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_1
 from tileforge.family import (
     SweepRecord,
     audit_report,
+    bing_audit,
     disagreements,
     sweep,
     sweep_csv,
@@ -36,13 +37,12 @@ from tileforge.graphs import (
 )
 from tileforge.lattice import ExactPoint, IntMatrix, companion_form
 from tileforge.power import DigitWord, PowerGraph
-from tileforge.topology import BingReport, ComplexCensus, bing_audit, census
+from tileforge.topology import ComplexCensus, census
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbcTriple",
-    "BingReport",
     "BoundaryGraph",
     "ComplexCensus",
     "ContactSet",

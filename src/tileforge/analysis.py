@@ -99,13 +99,20 @@ def predicts_14(triple) -> bool:
 
 def check_system(matrix: IntMatrix, digits, basis=None):
     """The digits and the basis (None stays None) as tuples of int tuples,
-    once the system is known to be in the theory: M must be expanding, D a
-    complete residue system modulo M with one coordinate per row of M whose
-    lattice Z[M, D] is all of Z^n, and a basis must hold as many linearly
-    independent vectors as M has rows.  The translates of a tile whose
-    digits generate a proper sublattice do not tile by Z^n.  Every entry
-    of a digit or a basis vector must be an integer.  The system is checked
-    first, and only a message about the basis starts with "basis"."""
+    once the system is checked: M must be expanding, D a complete residue
+    system modulo M with one coordinate per row of M whose lattice Z[M, D]
+    is all of Z^n, and a basis must hold as many linearly independent
+    vectors as M has rows.  Every entry of a digit or a basis vector must
+    be an integer.  The system is checked first, and only a message about
+    the basis starts with "basis".
+
+    Z[M, D] = Z^n is necessary for the tile's translates by Z^n to tile.
+    For a D that is not collinear it is not sufficient (Lagarias and
+    Wang), and nothing more is checked: M = [[2, 1], [0, 2]] with
+    D = {(-1, 1), (-1, 2), (2, 1), (2, 2)} passes, though its tile has
+    area about 3 and overlaps its translates by +-e1 and +-2e1 in positive
+    measure.
+    """
     size = matrix.size
     if not digits:
         raise ValueError("digit set is empty")

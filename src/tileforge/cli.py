@@ -135,7 +135,8 @@ def run_render(args) -> int:
 FLAG, OUTPUT = "flag", "output"
 # A library refusal whose message starts with one of these names is about
 # the option it maps to, and names that option.
-_FLAG_OF = {"basis": "--basis", "k": "--k", "parallelism": "--jobs"}
+_FLAG_OF = {"basis": "--basis", "depth": "--depth", "k": "--k",
+            "parallelism": "--jobs"}
 _HELP = {"help": (FLAG, False, "show this help and exit")}
 _SYSTEM = {**_HELP, "abc": (str, None, "family parameters A,B,C"),
            "matrix": (str, None, "JSON file with matrix rows"),

@@ -27,7 +27,10 @@ from .graphs import LabeledEdge, minkowski_sum
 from .lattice import Vec, vec_neg
 from .power import negated
 from .topology import (
+    _check_loop_depth,
+    attachment_failure,
     census,
+    face_equations_failure,
     four_fold_failure,
     loop_chains_failure,
     successor_paths_failure,
@@ -219,6 +222,27 @@ def audit_failures(ctx, k_max: int = 1) -> dict[str, str | None]:
         "loops": loop_chains_failure(t, k_max),
         "walk_points": walk_points_failure(t),
     }
+
+
+def bing_audit(ctx, k_max: int = 4) -> dict[str, str | None]:
+    """audit_failures, loops to depth k_max, and Bing's two checks of the
+    faces: each face's children meet in the order of their digits
+    (face_equations), and in the fixed face order each face meets the
+    faces before it in a nonempty connected set (attachment).
+
+    ctx is a 14-neighbor family member, as a triple or a context: the face
+    order is read off the triple.
+    """
+    _check_loop_depth(k_max)
+    t = analysis_for(ctx)
+    triple = t.triple
+    if triple is None:
+        raise ValueError("audit needs a family member")
+    if not predicts_14(triple):
+        raise ValueError("audit requires a 14-neighbor family member")
+    return {**audit_failures(t, k_max),
+            "face_equations": face_equations_failure(t),
+            "attachment": attachment_failure(t)}
 
 
 def census_failures(c, g4_empty: bool) -> list[str]:

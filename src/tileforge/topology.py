@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analysis import (
-    AbcTriple,
-    TileAnalysis,
-    analysis_for,
-    predicts_14,
-)
+from .analysis import AbcTriple, TileAnalysis, analysis_for
 from .lattice import Vec, int_vector, vec_add, vec_neg, vec_sub
 from .power import PowerGraph, VertexSet, subdivide, vertex_set
 
@@ -316,9 +311,22 @@ def four_fold_failure(ctx) -> str | None:
 
 
 def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
+    """Why the depth-k loop around some neighbor alpha, k = 1, ..., k_max,
+    is not a circular chain of distinct point links; the first such loop
+    is named."""
     _check_loop_depth(k_max)
-    checks = _loop_checks(analysis_for(ctx), k_max)
-    return next((msg for *_, msg in checks if msg is not None), None)
+    t = analysis_for(ctx)
+    for alpha in t.neighbors.points:
+        for k in range(1, k_max + 1):
+            h, report = boundary_loop_audit(t, alpha, k)
+            where = f"loop around {alpha} at depth {k}"
+            if not report.is_circular_chain:
+                witness = ("" if report.witness is None
+                           else f": {report.witness}")
+                return f"{where} is {report.classification}{witness}"
+            if (msg := _loop_point_failure(h)) is not None:
+                return f"{where}: {msg}"
+    return None
 
 
 def walk_points_failure(ctx) -> str | None:
@@ -339,25 +347,6 @@ def walk_points_failure(ctx) -> str | None:
             if not word_admissible_from(t.boundary_graph, member, word):
                 return f"walk word of {v} is not admissible from {member}"
     return None
-
-
-def _loop_checks(t: TileAnalysis, k_max: int):
-    """(alpha, k, shape, message) for the depth-k loop around each neighbor
-    alpha, k = 1, ..., k_max, one at a time: its shape, and why it is not a
-    circular chain of distinct point links (None when it is one)."""
-    for alpha in t.neighbors.points:
-        for k in range(1, k_max + 1):
-            h, report = boundary_loop_audit(t, alpha, k)
-            shape = report.classification
-            where = f"loop around {alpha} at depth {k}"
-            if not report.is_circular_chain:
-                witness = ("" if report.witness is None
-                           else f": {report.witness}")
-                msg = f"{where} is {shape}{witness}"
-            else:
-                msg = _loop_point_failure(h)
-                msg = None if msg is None else f"{where}: {msg}"
-            yield alpha, k, shape, msg
 
 
 def _loop_point_failure(h: HataGraph) -> str | None:
@@ -381,19 +370,11 @@ def _loop_point_failure(h: HataGraph) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# interior-structure audit: loops, ordered face equations, check partition
-
-
-class BingReport(NamedTuple):
-    ok: bool
-    loop_checks: tuple
-    equation_checks: tuple
-    partition_checks: tuple
-    messages: tuple[str, ...]
+# Bing's two checks of the faces in a fixed order
 
 
 def _face_order(triple: AbcTriple) -> tuple[Vec, ...]:
-    """Fixed face enumeration used by the check-partition audit."""
+    """Fixed face enumeration used by the attachment audit."""
     p, q, n, qp, nq, np_, nqp = triple.names()
     return (
         vec_neg(qp), nqp, nq, vec_neg(q), vec_neg(n), vec_neg(np_),
@@ -401,84 +382,63 @@ def _face_order(triple: AbcTriple) -> tuple[Vec, ...]:
     )
 
 
-def _equation_failure(t: TileAnalysis, alpha: Vec) -> tuple[int, str | None]:
-    """Check the ordered subdivision of one face meets only adjacently."""
-    out = t.boundary_graph.out_edges(alpha)
+def face_equations_failure(ctx) -> str | None:
+    """Why the children of some face, one per out-edge of its level-1
+    vertex, do not form a path of arcs in the order of their digits."""
+    t = analysis_for(ctx)
+    for alpha in t.neighbors.points:
+        if (msg := _equation_failure(t, alpha)) is not None:
+            return f"face equation {alpha}: {msg}"
+    return None
+
+
+def _equation_failure(t: TileAnalysis, alpha: Vec) -> str | None:
+    """Check the ordered subdivision of one face meets only adjacently.
+    Each child B_dst + d, as subdivide makes it, is labelled by its digit
+    d, its shift before canonicalisation."""
+    zero = (0,) * t.matrix.size
+    children = subdivide(t.level(1), [((alpha,), zero)], 1)
     labeled = {}
-    for e in out:
-        piece = make_piece((e.dst,), e.d)
-        labeled.setdefault(piece, set()).add(e.d)
+    for dst, d in children:
+        labeled.setdefault(make_piece(dst, d), set()).add(d)
     if any(len(ls) > 1 for ls in labeled.values()):
-        return len(out), "two labels denote one piece"
+        return "two labels denote one piece"
     h = hata_graph(t, labeled.keys())
-    if len(h.nodes) != len(out):
-        return len(out), "children collapsed unexpectedly"
+    if len(h.nodes) != len(children):
+        return "children collapsed unexpectedly"
     report = classify(h)
     if len(h.nodes) > 1:
         if report.classification != "path":
-            return len(out), f"children form {report.classification}"
+            return f"children form {report.classification}"
         if any(len(gamma) != 2 for _, _, gamma in h.edges):
-            return len(out), "a consecutive link is not an arc"
+            return "a consecutive link is not an arc"
         label_of = {node: next(iter(labeled[node]))[0] for node in h.nodes}
         seq = [label_of[h.nodes[i]] for i in path_order(h)]
         if seq != sorted(seq) and seq != sorted(seq, reverse=True):
-            return len(out), f"path does not follow the digit order: {seq}"
-    return len(out), None
+            return f"path does not follow the digit order: {seq}"
+    return None
 
 
-def bing_audit(ctx, k_max: int = 4) -> BingReport:
-    """Loops are circular chains, face equations meet adjacent-only, and the
-    fixed face order gives nonempty connected attachment sets.
-
-    ctx is a family triple or a context of a family member: the face order
-    is read off the triple.
-    """
-    _check_loop_depth(k_max)
+def attachment_failure(ctx) -> str | None:
+    """Why, in the fixed face order of a family member, some face's
+    attachment set (its arcs with the faces before it) is empty or
+    disconnected, or the last face's is not its whole loop."""
     t = analysis_for(ctx)
-    triple = t.triple
-    if triple is None:
-        raise ValueError("audit needs a family member")
-    if not predicts_14(triple):
-        raise ValueError("audit requires a 14-neighbor family member")
-    messages = []
-
-    loop_checks = []
-    for alpha, k, shape, msg in _loop_checks(t, k_max):
-        if msg is not None:
-            messages.append(msg)
-        loop_checks.append((alpha, k, shape, msg is None))
-
-    equation_checks = []
-    for alpha in t.neighbors.points:
-        count, msg = _equation_failure(t, alpha)
-        if msg is not None:
-            messages.append(f"face equation {alpha}: {msg}")
-        equation_checks.append((alpha, count, msg is None, msg))
-
-    partition_checks = []
-    order = _face_order(triple)
+    if t.triple is None:
+        raise ValueError("the face order needs a family member")
+    order = _face_order(t.triple)
     v2 = set(t.level(2).vertices)
     zero = (0,) * t.matrix.size
     for i in range(1, len(order)):
         alpha = order[i]
-        arcs = [vertex_set((prev, alpha)) for prev in order[:i]
-                if vertex_set((prev, alpha)) in v2]
-        ok = bool(arcs)
-        if ok:
-            report = classify(hata_graph(t, [(a, zero) for a in arcs]))
-            ok = report.classification != "disconnected" and report.node_count > 0
-            if not ok:
-                messages.append(f"attachment set {i + 1} is disconnected")
-        else:
-            messages.append(f"attachment set {i + 1} is empty")
-        if i == len(order) - 1 and ok:
-            loop_faces = {v for v in v2 if alpha in v}
-            if set(arcs) != loop_faces:
-                ok = False
-                messages.append("final attachment set is not the full loop")
-        partition_checks.append((i + 1, alpha, len(arcs), ok))
-
-    ok = not messages
-    return BingReport(ok, tuple(loop_checks), tuple(equation_checks),
-                      tuple(partition_checks), tuple(messages))
-
+        arcs = [arc for prev in order[:i]
+                if (arc := vertex_set((prev, alpha))) in v2]
+        if not arcs:
+            return f"attachment set {i + 1} of face {alpha} is empty"
+        report = classify(hata_graph(t, [(a, zero) for a in arcs]))
+        if report.classification == "disconnected":
+            return (f"attachment set {i + 1} of face {alpha} is "
+                    f"disconnected: {report.witness}")
+    if set(arcs) != {v for v in v2 if alpha in v}:
+        return f"final attachment set of face {alpha} is not its full loop"
+    return None

@@ -514,7 +514,7 @@ def test_equivalent_command_lines_write_the_same_files(spelled, equivalent,
 
 def test_negative_depth_is_a_value(capsys):
     assert cli.main(["render", "--abc", "1,2,4", "--depth", "-2"]) == 2
-    assert capsys.readouterr().err == "error: depth must be at least 1\n"
+    assert capsys.readouterr().err == "error: --depth must be at least 1\n"
 
 
 @pytest.mark.parametrize("command", [None, *cli.COMMANDS])

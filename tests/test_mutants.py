@@ -2,6 +2,8 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -40,3 +42,20 @@ def test_every_mutant_names_one_place_and_existing_tests():
             path, _, function = test_id.partition("::")
             assert function in pytest_ids(
                 path, function.partition("[")[0]), test_id
+
+
+def test_a_missing_workdir_is_refused_before_any_copy(tmp_path, monkeypatch,
+                                                      capsys):
+    battery = load_battery()
+
+    def forbidden(*args):
+        raise AssertionError("a mutant was run")
+
+    monkeypatch.setattr(battery, "run", forbidden)
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as info:
+        battery.main(["--workdir", str(missing)])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f": error: --workdir {missing} is not a directory")
+    assert list(tmp_path.iterdir()) == []

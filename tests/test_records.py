@@ -16,7 +16,7 @@ from tileforge.analysis import (
     analysis_for,
     predicts_14,
 )
-from tileforge.family import SweepRecord, audit_report
+from tileforge.family import SweepRecord, audit_report, bing_audit
 from tileforge.geometry_io import (
     PointCloud,
     PointRows,
@@ -48,13 +48,11 @@ from tileforge.power import (
     word_admissible_from,
 )
 from tileforge.topology import (
-    BingReport,
     ChainReport,
     ComplexCensus,
     FourFold,
     HataGraph,
     Piece,
-    bing_audit,
     boundary_loop_pieces,
     census,
 )
@@ -96,7 +94,6 @@ CASES = {
         (((1, 0, 0), (2, 0, 0)), ((1, 0, 0), (3, 0, 0))),
         ((0, 0, 0), (1, 0, 0)))),
     "ComplexCensus": lambda: (ComplexCensus, (14, 36, 24, 2, (4, 6))),
-    "BingReport": lambda: (BingReport, (True, (1,), (2,), (3,), ("ok",))),
 }
 
 # The fields each type compares, hashes and prints, where they are not

@@ -4,9 +4,9 @@ import re
 
 import pytest
 
-from tileforge import analysis, power, topology
+from tileforge import analysis, family, power, topology
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
-from tileforge.family import family_triples
+from tileforge.family import audit_failures, bing_audit, family_triples
 from tileforge.lattice import (
     Vec,
     companion_form,
@@ -14,13 +14,13 @@ from tileforge.lattice import (
     vec_add,
     vec_sub,
 )
-from tileforge.power import unique_walk, vertex_set
+from tileforge.power import DigitWord, VertexSet, subdivide, vertex_set
 from tileforge.topology import (
     ChainReport,
     FourFold,
     HataGraph,
     Piece,
-    bing_audit,
+    attachment_failure,
     boundary_loop_audit,
     boundary_loop_pieces,
     census,
@@ -36,6 +36,8 @@ from tileforge.topology import (
     walk_points_failure,
     _face_order,
 )
+
+from test_power import oracle_power_graph
 
 
 def triple_124():
@@ -293,16 +295,20 @@ def test_face_order_enumerates_neighbors():
     assert set(order) == set(t.neighbors.points)
 
 
+BING_KEYS = ["successor_paths", "four_fold", "loops", "walk_points",
+             "face_equations", "attachment"]
+
+
 def test_bing_audit_passes_on_124():
     report = bing_audit((1, 2, 4), k_max=2)
-    assert report.ok
-    assert report.messages == ()
-    assert all(ok for _, _, _, ok in report.loop_checks)
-    assert all(ok for *_rest, ok in report.partition_checks)
+    assert report == dict.fromkeys(BING_KEYS)
+    assert list(report) == BING_KEYS
+    assert list(audit_failures((1, 2, 4))) == BING_KEYS[:4]
 
 
 def test_bing_audit_fails_a_loop_that_is_a_chain_without_witness(monkeypatch):
-    # A regular chain carries no witness; the audit must still fail it.
+    # A regular chain carries no witness; the audit must still fail it, and
+    # it names the first failing loop.
     real = topology.classify
 
     def broken(h):
@@ -313,12 +319,9 @@ def test_bing_audit_fails_a_loop_that_is_a_chain_without_witness(monkeypatch):
 
     monkeypatch.setattr(topology, "classify", broken)
     report = bing_audit((1, 2, 4), k_max=1)
-    failed = [c for c in report.loop_checks if not c[3]]
-    assert len(failed) == 14
-    assert not report.ok
-    assert len(report.messages) == len(failed)
-    assert report.messages[0] == loop_chains_failure((1, 2, 4))
-    assert report.messages[0].endswith(" at depth 1 is regular_chain")
+    first = analysis_for((1, 2, 4)).neighbors.points[0]
+    assert report == {**dict.fromkeys(BING_KEYS), "loops": (
+        f"loop around {first} at depth 1 is regular_chain")}
 
 
 def test_bing_audit_takes_a_family_context():
@@ -337,23 +340,79 @@ def test_bing_audit_rejects_a_system_outside_the_family():
     t = TileAnalysis(*companion_form([1, 0, -2, 3]))
     with pytest.raises(ValueError, match="audit needs a family member"):
         bing_audit(t, k_max=1)
+    with pytest.raises(ValueError, match="face order needs a family member"):
+        attachment_failure(t)
 
 
 def test_bing_second_attachment_set_is_single_arc():
-    report = bing_audit((1, 2, 4), k_max=1)
-    index, alpha, arc_count, ok = report.partition_checks[0]
-    assert index == 2
-    assert alpha == (2, 0, 1)
-    assert arc_count == 1
-    assert ok
+    t = triple_124()
+    first, second = _face_order(AbcTriple(1, 2, 4))[:2]
+    assert second == (2, 0, 1)
+    assert [v for v in t.level(2).vertices
+            if set(v) == {first, second}] == [vertex_set((first, second))]
+
+
+@pytest.mark.parametrize("reorder, message", [
+    # The last face, (0,1,0), is opposite the first and meets it nowhere.
+    (lambda o: o[:1] + o[-1:] + o[1:-1],
+     "attachment set 2 of face (0, 1, 0) is empty"),
+    # With the first and seventh faces swapped, the sixth face meets the
+    # five before it in two arcs that do not meet.
+    (lambda o: o[6:7] + o[1:6] + o[:1] + o[7:],
+     "attachment set 6 of face (-1, -1, -1) is disconnected: "
+     "nodes 0 and 1 are in different components"),
+    # Without the face before it, the last face meets the faces before it
+    # in one connected set, but not along its whole loop.
+    (lambda o: o[:-2] + o[-1:],
+     "final attachment set of face (0, 1, 0) is not its full loop"),
+], ids=["empty", "disconnected", "short-loop"])
+def test_attachment_audit_names_the_first_set_that_fails(reorder, message,
+                                                         monkeypatch):
+    real = topology._face_order
+    monkeypatch.setattr(topology, "_face_order",
+                        lambda triple: reorder(real(triple)))
+    assert bing_audit((1, 2, 4), k_max=1)["attachment"] == message
+
+
+def face_children(t, alpha):
+    """The children of a face as the face audit makes them: (vertex, digit)
+    for each out-edge of its level-1 vertex."""
+    return subdivide(t.level(1), [((alpha,), (0, 0, 0))], 1)
 
 
 def test_bing_face_equations_have_odd_sizes():
-    report = bing_audit((1, 2, 4), k_max=1)
-    sizes = {alpha: count for alpha, count, _, _ in report.equation_checks}
+    t = triple_124()
+    sizes = {alpha: len(face_children(t, alpha))
+             for alpha in t.neighbors.points}
     assert sizes[(2, 1, 1)] == 1
     assert sizes[(1, 0, 0)] == 7
     assert all(count % 2 == 1 for count in sizes.values())
+
+
+def test_face_children_are_the_boundary_graph_edges_on_the_family():
+    # The face audit takes a face's children from subdivide; they are the
+    # pieces B_dst + d of the out-edges alpha ->(d|d') dst, each once.
+    for abc in members_14():
+        t = analysis_for(abc)
+        for alpha in t.neighbors.points:
+            want = sorted(((e.dst,), e.d)
+                          for e in t.boundary_graph.out_edges(alpha))
+            assert sorted(face_children(t, alpha)) == want, (abc, alpha)
+
+
+def test_face_audit_refuses_children_out_of_digit_order(monkeypatch):
+    # Along its path, the children of (-2,0,-1) read the digits 2, 3, 3;
+    # with the first two children swapped they read 3, 2, 3.
+    real = topology.path_order
+
+    def swapped(h):
+        order = real(h)
+        return order[1:2] + order[:1] + order[2:]
+
+    monkeypatch.setattr(topology, "path_order", swapped)
+    assert bing_audit((1, 2, 4), k_max=1)["face_equations"] == (
+        "face equation (-2, 0, -1): path does not follow the digit order: "
+        "[3, 2, 3]")
 
 
 def test_hata_graph_dedupes_equal_pieces():
@@ -394,10 +453,10 @@ def test_piece_is_its_pair():
 
 
 # ---------------------------------------------------------------------------
-# Oracles: hata_graph's by-shift enumeration and the walk, kept verbatim
-# apart from their names (the oracle Hata graph canonicalises every piece
-# with make_piece), and a four-fold placement that reads each triple
-# point's child off the full level-2 and level-3 edge lists.  The link memo
+# Oracles: hata_graph's by-shift enumeration, kept verbatim apart from its
+# name (the oracle Hata graph canonicalises every piece with make_piece), a
+# walk and a four-fold placement that read each step and each triple
+# point's child off the full edge lists of the level graphs.  The link memo
 # and the out-edge index must reproduce them exactly.
 
 
@@ -423,8 +482,17 @@ def oracle_hata_graph(ctx, pieces) -> HataGraph:
     return HataGraph(tuple(canon), tuple(sorted(edges)))
 
 
-def oracle_walk(self, vertex):
-    return unique_walk(self.level(len(vertex)), vertex)
+def oracle_walk(graph, start) -> DigitWord:
+    """The digit word of the walk from start along graph.edges, read as a
+    list; a vertex with other than one out-edge fails the unpacking."""
+    labels: list[Vec] = []
+    seen: dict[VertexSet, int] = {}
+    v = start
+    while v not in seen:
+        seen[v] = len(labels)
+        (d, v), = [(d, dst) for src, d, dst in graph.edges if src == v]
+        labels.append(d)
+    return DigitWord(tuple(labels[:seen[v]]), tuple(labels[seen[v]:]))
 
 
 def oracle_four_fold_placement(ctx, alpha_set) -> FourFold:
@@ -439,7 +507,7 @@ def oracle_four_fold_placement(ctx, alpha_set) -> FourFold:
         raise ValueError(f"{vs} lies in {len(supersets)} level-3 vertices, not 2")
     children = []
     for w in supersets:
-        word = oracle_walk(t, w)
+        word = oracle_walk(t.level(3), w)
         d = (word.preperiod + word.period)[0]
         steps = [dst for src, dw, dst in t.level(3).edges
                  if src == w and dw == d]
@@ -632,7 +700,7 @@ def test_bing_audit_equals_its_run_on_the_oracle(monkeypatch):
     report = bing_audit((6, 8, 12), k_max=4)
     monkeypatch.setattr(topology, "hata_graph", oracle_hata_graph)
     assert bing_audit((6, 8, 12), k_max=4) == report
-    assert report.ok
+    assert report == dict.fromkeys(BING_KEYS)
 
 
 @pytest.mark.parametrize("k, message", [(0, "k must be at least 1"),
@@ -643,6 +711,7 @@ def test_loop_depth_out_of_range_builds_no_loop(k, message, monkeypatch):
 
     monkeypatch.setattr(topology, "subdivide", forbidden)
     monkeypatch.setattr(topology, "analysis_for", forbidden)
+    monkeypatch.setattr(family, "analysis_for", forbidden)
     for run in (lambda: boundary_loop_pieces((1, 2, 4), (1, 0, 0), k),
                 lambda: loop_chains_failure((1, 2, 4), k),
                 lambda: bing_audit((1, 2, 4), k_max=k)):
@@ -650,11 +719,13 @@ def test_loop_depth_out_of_range_builds_no_loop(k, message, monkeypatch):
             run()
 
 
-def test_memoised_walks_and_four_fold_match_oracle_on_the_family():
+def test_walks_and_four_fold_match_oracles_on_the_family():
     for abc in members_14():
         t = analysis_for(abc)
-        for v in t.level(3).vertices:
-            assert t.walk(v) == oracle_walk(t, v), (abc, v)
+        g3 = oracle_power_graph(t.boundary_graph, 3)
+        assert g3.vertices == t.level(3).vertices, abc
+        for v in g3.vertices:
+            assert t.walk(v) == oracle_walk(g3, v), (abc, v)
         for v in t.level(2).vertices:
             assert four_fold_placement(t, v) == oracle_four_fold_placement(
                 t, v), (abc, v)

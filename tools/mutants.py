@@ -102,6 +102,39 @@ MUTANTS = (
         "only from the first",
     ),
     Mutant(
+        "face-equations-any-digit-order",
+        "src/tileforge/topology.py",
+        "        if seq != sorted(seq) and seq != sorted(seq, reverse=True):\n"
+        "            return f\"path does not follow the digit order: {seq}\"\n",
+        "",
+        ("tests/test_topology.py::"
+         "test_face_audit_refuses_children_out_of_digit_order",),
+        "a face's children must meet in the order of their digits, not "
+        "only as some path",
+    ),
+    Mutant(
+        "attachment-final-loop-unchecked",
+        "src/tileforge/topology.py",
+        "    if set(arcs) != {v for v in v2 if alpha in v}:\n"
+        "        return f\"final attachment set of face {alpha} is not its "
+        "full loop\"\n",
+        "",
+        ("tests/test_topology.py::"
+         "test_attachment_audit_names_the_first_set_that_fails[short-loop]",),
+        "the last face must meet the faces before it along its whole loop, "
+        "not only in a nonempty connected set",
+    ),
+    Mutant(
+        "walk-closes-one-step-late",
+        "src/tileforge/power.py",
+        "            i = seen[v]\n",
+        "            i = seen[v] + 1\n",
+        ("tests/test_topology.py::"
+         "test_walks_and_four_fold_match_oracles_on_the_family",),
+        "the period of a walk starts at the first vertex seen twice, not "
+        "one step after it",
+    ),
+    Mutant(
         "edge-digits-unchecked",
         "src/tileforge/graphs.py",
         "        if any(e.d not in dset or e.d_prime not in dset for e in edges):\n"
@@ -186,6 +219,8 @@ def main(argv=None) -> int:
     unknown = [n for n in args.names if n not in known]
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
+    if args.workdir is not None and not os.path.isdir(args.workdir):
+        parser.error(f"--workdir {args.workdir} is not a directory")
     chosen = [known[n] for n in args.names] if args.names else list(MUTANTS)
     results = []
     for mutant in chosen:
