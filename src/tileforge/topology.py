@@ -190,8 +190,10 @@ def _successor_hata(t: TileAnalysis, g: PowerGraph, vs: VertexSet):
 
 # Per depth, a loop grows in pieces by about the mean level-2 out-degree:
 # 2.5 on (1,2,4), and 6.5 on the worst member, (6,8,12), whose 14 loops
-# hold 72 / 468 / 2,844 / 15,912 pieces at depths 1 to 4 and whose loop
-# audit takes 0.003 / 0.017 / 0.099 / 0.463 s of CPU for k_max 1 to 4.
+# hold 72 / 468 / 2,844 / 15,912 pieces at depths 1 to 4.  Its loop audit,
+# which walks one loop of each pair around ±alpha, takes 0.001 / 0.006 /
+# 0.029 / 0.164 s of CPU for k_max 1 to 4 once levels 2 and 3 are built
+# (median of 5 on a 2-vCPU VM, Python 3.11.7).
 # Depths above this bound are refused rather than run.
 MAX_LOOP_DEPTH = 6
 
@@ -288,10 +290,40 @@ def census(ctx) -> ComplexCensus:
 # audit helpers shared by the sweep; each returns None or a failure message
 
 
+def least_framings(vertices) -> list[VertexSet]:
+    """The level vertices, in their order, that are least among their
+    reframings: v ∪ {0} seen from its member a is v_a = {−a} ∪ {b − a :
+    b ∈ v, b ≠ a}.  The audits check one framing per orbit, since one
+    framing decides the others.
+
+    An edge v ->(d) w pairs each member b with σ(b) = M b + d_b − d, and
+    the digits read off the subtiles {d} ∪ {M b + d_b} fix σ.  Then
+    v_a ->(d_a) w_σ(a), since M(b − a) + d_b − d_a = σ(b) − σ(a) and
+    M(−a) + d − d_a = −σ(a); the differences lie in S, every nonzero
+    point with an infinite walk.  So reframing is a bijection of out-edges,
+    and the children of v_a at shift a are those of v, tile for tile; at
+    shift 0 they are translated by −M a.  The faces around −α are the
+    reframings of those around α, so the loops around ±α agree likewise at
+    every depth.  hata_graph is translation-invariant: lex order survives
+    a translation and t.links is keyed by (vertex, offset, vertex).  So
+    it gives the same edges and node order, and classify and
+    _loop_point_failure the same report, for every framing.  Given the
+    vertices in sorted order, an orbit's least member comes first, so the
+    first failure an audit names, and its text, do not depend on this.
+    """
+    return [v for v in vertices
+            if all(v < _reframed(v, a) for a in v)]
+
+
+def _reframed(v: VertexSet, a: Vec) -> VertexSet:
+    """v ∪ {0} seen from its member a."""
+    return tuple(sorted([vec_neg(a), *(vec_sub(b, a) for b in v if b != a)]))
+
+
 def successor_paths_failure(ctx) -> str | None:
     t = analysis_for(ctx)
     g2 = t.level(2)
-    for v in g2.vertices:
+    for v in least_framings(g2.vertices):
         _, report = _successor_hata(t, g2, v)
         if not report.is_path:
             return f"successors of {v} form {report.classification}"
@@ -300,7 +332,7 @@ def successor_paths_failure(ctx) -> str | None:
 
 def four_fold_failure(ctx) -> str | None:
     t = analysis_for(ctx)
-    for v in t.level(2).vertices:
+    for v in least_framings(t.level(2).vertices):
         try:
             ff = _four_fold_placement(t, v)
         except ValueError as exc:
@@ -313,10 +345,10 @@ def four_fold_failure(ctx) -> str | None:
 def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
     """Why the depth-k loop around some neighbor alpha, k = 1, ..., k_max,
     is not a circular chain of distinct point links; the first such loop
-    is named."""
+    is named.  The loop around −alpha is that around alpha, translated."""
     _check_loop_depth(k_max)
     t = analysis_for(ctx)
-    for alpha in t.neighbors.points:
+    for (alpha,) in least_framings([(a,) for a in t.neighbors.points]):
         for k in range(1, k_max + 1):
             h, report = boundary_loop_audit(t, alpha, k)
             where = f"loop around {alpha} at depth {k}"
@@ -338,7 +370,10 @@ def walk_points_failure(ctx) -> str | None:
     t = analysis_for(ctx)
     pts = {}
     for v in t.level(3).vertices:
-        word = t.walk(v)
+        try:
+            word = t.walk(v)
+        except ValueError as exc:
+            return str(exc)
         x = t.word_point(word)
         if x in pts:
             return f"{v} and {pts[x]} share the point {x}"
@@ -384,8 +419,11 @@ def _face_order(triple: AbcTriple) -> tuple[Vec, ...]:
 
 def face_equations_failure(ctx) -> str | None:
     """Why the children of some face, one per out-edge of its level-1
-    vertex, do not form a path of arcs in the order of their digits."""
+    vertex, do not form a path of arcs in the order of their digits.  The
+    arcs and the digit order are those of a 3-D family member."""
     t = analysis_for(ctx)
+    if t.triple is None:
+        raise ValueError("the face equations need a family member")
     for alpha in t.neighbors.points:
         if (msg := _equation_failure(t, alpha)) is not None:
             return f"face equation {alpha}: {msg}"

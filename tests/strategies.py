@@ -9,6 +9,7 @@ import sys
 from hypothesis import assume, strategies as st
 
 import tileforge
+from tileforge.analysis import TileAnalysis
 from tileforge.lattice import IntMatrix, companion_form, is_expanding
 
 
@@ -47,6 +48,18 @@ def residue_systems(draw):
         classes.setdefault(key, v)
     assume(len(classes) == modulus)
     return matrix, tuple(classes.values()), ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def signed_cubic_contexts(bound: int = 6):
+    """(key, context) for each expanding x^3 + A x^2 + B x + C with |A|,
+    |B|, |C| <= bound and C != 0, in key order, with companion digits and
+    the default basis; nothing is computed yet."""
+    for abc in itertools.product(range(-bound, bound + 1), repeat=3):
+        if abc[2] == 0:
+            continue
+        m, digits = companion_form([1, *abc])
+        if is_expanding(m):
+            yield abc, TileAnalysis(m, digits)
 
 
 def walk_alive_oracle(succ: dict) -> set:

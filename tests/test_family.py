@@ -1,5 +1,4 @@
 import contextlib
-import itertools
 import json
 import os
 import signal
@@ -25,8 +24,10 @@ from tileforge.family import (
     sweep_csv,
 )
 from tileforge.graphs import LabeledEdge, RoundLimitError
-from tileforge.lattice import companion_form, is_expanding, vec_neg
+from tileforge.lattice import companion_form, vec_neg
 from tileforge.power import vertex_set
+
+from strategies import signed_cubic_contexts
 
 
 def test_expected_contact_set_sizes():
@@ -516,13 +517,7 @@ def test_registry_passes_on_every_signed_tile_with_14_neighbors():
     # audits must pass on, family members or not.  A system whose neighbor
     # fixpoint hits the round cap is counted and left out.
     passed, capped = [], 0
-    for abc in itertools.product(range(-6, 7), repeat=3):
-        if abc[2] == 0:
-            continue
-        m, digits = companion_form([1, *abc])
-        if not is_expanding(m):
-            continue
-        t = TileAnalysis(m, digits)
+    for abc, t in signed_cubic_contexts():
         try:
             if len(t.neighbors.points) != 14:
                 continue
@@ -534,3 +529,33 @@ def test_registry_passes_on_every_signed_tile_with_14_neighbors():
         passed.append(abc)
     assert (len(passed), capped) == (82, 16)
     assert (0, -2, 3) in passed
+
+
+# The signed cubics with |A|, |B|, |C| <= 6 whose levels are (18, 48, 32,
+# 0): their alternating sum is 2, as for a sphere, but their boundary is
+# not the bitruncated cubic honeycomb's.
+IMPOSTORS = [(-3, -1, 6), (-2, -1, 4), (-2, -1, 5), (-2, -1, 6), (-1, -1, 2),
+             (-1, -1, 3), (-1, -1, 4), (-1, -1, 5), (-1, -1, 6), (1, -1, -6),
+             (1, -1, -5), (1, -1, -4), (1, -1, -3), (1, -1, -2), (2, -1, -6),
+             (2, -1, -5), (2, -1, -4), (3, -1, -6)]
+
+
+def test_registry_answers_with_a_failure_on_every_impostor():
+    # A walk that branches is the walk audit's witness, not an exception.
+    failed = dict.fromkeys(("successor_paths", "four_fold", "loops",
+                            "walk_points"), 0)
+    for abc in IMPOSTORS:
+        t = TileAnalysis(*companion_form([1, *abc]))
+        assert len(t.neighbors.points) == 18, abc
+        assert tuple(len(t.level(k).vertices) for k in (2, 3, 4)) == (
+            48, 32, 0), abc
+        failures = audit_failures(t)
+        assert any(failures.values()), abc
+        for name, message in failures.items():
+            failed[name] += message is not None
+        if abc == (-3, -1, 6):
+            assert failures["walk_points"] == (
+                "walk is not unique: vertex ((-4, 1, 0), (-3, 1, 0), "
+                "(-1, 0, 0)) has 3 outgoing edges")
+    assert failed == {"successor_paths": 16, "four_fold": 18, "loops": 18,
+                      "walk_points": 16}

@@ -7,11 +7,14 @@ import pytest
 from tileforge import analysis, family, power, topology
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
 from tileforge.family import audit_failures, bing_audit, family_triples
+from tileforge.graphs import RoundLimitError
 from tileforge.lattice import (
+    IntMatrix,
     Vec,
     companion_form,
     is_expanding,
     vec_add,
+    vec_neg,
     vec_sub,
 )
 from tileforge.power import DigitWord, VertexSet, subdivide, vertex_set
@@ -25,6 +28,7 @@ from tileforge.topology import (
     boundary_loop_pieces,
     census,
     classify,
+    face_equations_failure,
     four_fold_failure,
     four_fold_placement,
     hata_graph,
@@ -37,6 +41,7 @@ from tileforge.topology import (
     _face_order,
 )
 
+from strategies import signed_cubic_contexts
 from test_power import oracle_power_graph
 
 
@@ -342,6 +347,19 @@ def test_bing_audit_rejects_a_system_outside_the_family():
         bing_audit(t, k_max=1)
     with pytest.raises(ValueError, match="face order needs a family member"):
         attachment_failure(t)
+    with pytest.raises(ValueError, match="face equations need a family member"):
+        face_equations_failure(t)
+
+
+@pytest.mark.parametrize("digits", [((0, 0), (1, 0), (0, 1), (1, 1)),
+                                    ((-1, 1), (-1, 2), (2, 1), (2, 2))])
+def test_face_audit_refuses_a_planar_tile(digits):
+    # The face check asks for arcs and a digit order of a 3-D family
+    # member; on these planar tiles it used to answer "children form
+    # connected" and "children form regular_chain".
+    t = TileAnalysis(IntMatrix(((2, 1), (0, 2))), digits)
+    with pytest.raises(ValueError, match="face equations need a family member"):
+        face_equations_failure(t)
 
 
 def test_bing_second_attachment_set_is_single_arc():
@@ -764,3 +782,110 @@ def test_walk_is_found_once_per_vertex_and_failures_are_not_kept(
         with pytest.raises(ValueError, match="outgoing"):
             t.walk(branching)
     assert calls[-2:] == [branching, branching]
+
+
+# ---------------------------------------------------------------------------
+# One framing per orbit.  An arc is seen from each of its 3 tiles, and the
+# loop around -alpha is the loop around alpha seen from T + alpha; the
+# audits check one of each, and every framing must give one Hata graph.
+
+
+def reframed(v: VertexSet, a: Vec) -> VertexSet:
+    """The tiles {0} and v seen from the member a of v."""
+    zero = (0,) * len(a)
+    return vertex_set(vec_sub(x, a) for x in (zero, *v) if x != a)
+
+
+def moved(h: HataGraph, off: Vec) -> tuple[Piece, ...]:
+    return tuple(Piece(p.vertex, vec_add(p.shift, off)) for p in h.nodes)
+
+
+def test_every_framing_of_an_arc_or_a_loop_gives_one_hata_graph():
+    # The children of v seen from a, at shift 0, are those of v moved by
+    # -M a; the depth-k loop around -alpha is that around alpha moved by
+    # -M^(k-1) alpha.
+    for abc in members_14():
+        t = analysis_for(abc)
+        m = t.matrix
+        for v in t.level(2).vertices:
+            h, report = successor_hata(t, v)
+            for a in v:
+                h_a, report_a = successor_hata(t, reframed(v, a))
+                assert (h_a.edges, report_a) == (h.edges, report), (abc, v, a)
+                assert h_a.nodes == moved(h, vec_neg(m.mul_vec(a)))
+        for alpha in t.neighbors.points:
+            for k, m_alpha in ((1, alpha), (2, m.mul_vec(alpha))):
+                h, report = boundary_loop_audit(t, alpha, k)
+                h_neg, report_neg = boundary_loop_audit(t, vec_neg(alpha), k)
+                assert (h_neg.edges, report_neg) == (h.edges, report), (
+                    abc, alpha, k)
+                assert h_neg.nodes == moved(h, vec_neg(m_alpha))
+
+
+def outcome(check, *args):
+    try:
+        return check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def oracle_audits(t, k_max: int = 1) -> dict:
+    """successor_paths, four_fold and loops run on every framing: every
+    level-2 vertex and every neighbor, in sorted order; each value is what
+    the audit returns, or the type and text of what it raises."""
+
+    def successor_paths():
+        for v in t.level(2).vertices:
+            _, report = successor_hata(t, v)
+            if not report.is_path:
+                return f"successors of {v} form {report.classification}"
+        return None
+
+    def four_fold():
+        for v in t.level(2).vertices:
+            try:
+                ff = four_fold_placement(t, v)
+            except ValueError as exc:
+                return str(exc)
+            if (len(t.level(2).out_edges(v)) > 1
+                    and ff.children[0] == ff.children[1]):
+                return (f"branching vertex {v} has both triple points in "
+                        f"one child")
+        return None
+
+    def loops():
+        for alpha in t.neighbors.points:
+            for k in range(1, k_max + 1):
+                h, report = boundary_loop_audit(t, alpha, k)
+                where = f"loop around {alpha} at depth {k}"
+                if not report.is_circular_chain:
+                    witness = ("" if report.witness is None
+                               else f": {report.witness}")
+                    return f"{where} is {report.classification}{witness}"
+                if (msg := topology._loop_point_failure(h)) is not None:
+                    return f"{where}: {msg}"
+        return None
+
+    return {name: outcome(check) for name, check in (
+        ("successor_paths", successor_paths), ("four_fold", four_fold),
+        ("loops", loops))}
+
+
+def test_audits_of_one_framing_answer_as_every_framing_on_signed_tiles():
+    # Every signed cubic with |A|, |B|, |C| <= 6 and at most 40 neighbors,
+    # most of which fail somewhere: the first failure each audit names,
+    # and its text, must not depend on which framings it checks.
+    checked, failing = 0, 0
+    for abc, t in signed_cubic_contexts():
+        try:
+            if len(t.neighbors.points) > 40:
+                continue
+        except RoundLimitError:
+            continue
+        got = {"successor_paths": outcome(successor_paths_failure, t),
+               "four_fold": outcome(four_fold_failure, t),
+               "loops": outcome(loop_chains_failure, t)}
+        assert got == oracle_audits(t), abc
+        checked += 1
+        failing += any(v is not None for v in got.values())
+    assert (checked, failing) == (314, 232)

@@ -92,6 +92,28 @@ MUTANTS = (
         "even when each piece meets its neighbors in two points",
     ),
     Mutant(
+        "orbit-keeps-greatest",
+        "src/tileforge/topology.py",
+        "            if all(v < _reframed(v, a) for a in v)]\n",
+        "            if all(v > _reframed(v, a) for a in v)]\n",
+        ("tests/test_topology.py::"
+         "test_audits_of_one_framing_answer_as_every_framing_on_signed_tiles",),
+        "every framing gives one verdict, but the first failure an audit "
+        "names is that of the least framing, which comes first in sorted "
+        "order",
+    ),
+    Mutant(
+        "orbit-keeps-none",
+        "src/tileforge/topology.py",
+        "    return [v for v in vertices\n",
+        "    return [v for v in ()\n",
+        ("tests/test_family.py::"
+         "test_registry_answers_with_a_failure_on_every_impostor",
+         "tests/test_topology.py::"
+         "test_audits_of_one_framing_answer_as_every_framing_on_signed_tiles"),
+        "an audit that checks no arc and no loop passes on anything",
+    ),
+    Mutant(
         "walk-word-from-first-member-only",
         "src/tileforge/topology.py",
         "        for member in v:\n",
