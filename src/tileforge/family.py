@@ -138,6 +138,15 @@ def _g2_rows(triple: AbcTriple):
     return rows
 
 
+def _face_order(triple: AbcTriple) -> tuple[Vec, ...]:
+    """The fixed order of a member's faces that bing_audit attaches them in."""
+    p, q, n, qp, nq, np_, nqp = triple.names()
+    return (
+        vec_neg(qp), nqp, nq, vec_neg(q), vec_neg(n), vec_neg(np_),
+        p, vec_neg(p), np_, n, q, vec_neg(nq), vec_neg(nqp), qp,
+    )
+
+
 def _g3_cycles(triple: AbcTriple):
     """Point-graph cycles: lists of (vertex members, digit label index)."""
     A, B, C = triple.A, triple.B, triple.C
@@ -231,7 +240,7 @@ def bing_audit(ctx, k_max: int = 4) -> dict[str, str | None]:
     faces before it in a nonempty connected set (attachment).
 
     ctx is a 14-neighbor family member, as a triple or a context: the face
-    order is read off the triple.
+    order, _face_order, is read off the triple.
     """
     _check_loop_depth(k_max)
     t = analysis_for(ctx)
@@ -242,7 +251,7 @@ def bing_audit(ctx, k_max: int = 4) -> dict[str, str | None]:
         raise ValueError("audit requires a 14-neighbor family member")
     return {**audit_failures(t, k_max),
             "face_equations": face_equations_failure(t),
-            "attachment": attachment_failure(t)}
+            "attachment": attachment_failure(t, _face_order(triple))}
 
 
 def census_failures(c, g4_empty: bool) -> list[str]:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analysis import AbcTriple, TileAnalysis, analysis_for
+from .analysis import TileAnalysis, analysis_for
 from .lattice import Vec, int_vector, vec_add, vec_neg, vec_sub
-from .power import PowerGraph, VertexSet, subdivide, vertex_set
+from .power import VertexSet, subdivide, vertex_set
 
 
 class Piece(NamedTuple):
@@ -178,11 +178,6 @@ def successor_hata(ctx, alpha_set) -> tuple[HataGraph, ChainReport]:
     g = t.level(len(vs))
     if not g.has_vertex(vs):
         raise ValueError(f"{vs} is not a level-{len(vs)} vertex")
-    return _successor_hata(t, g, vs)
-
-
-def _successor_hata(t: TileAnalysis, g: PowerGraph, vs: VertexSet):
-    """successor_hata on vs, a vertex of the level graph g."""
     zero = (0,) * t.matrix.size
     h = hata_graph(t, subdivide(g, [(vs, zero)], 1))
     return h, classify(h)
@@ -233,18 +228,12 @@ class FourFold(NamedTuple):
 
 
 def four_fold_placement(ctx, alpha_set) -> FourFold:
-    """Exactly two triple-points bound each arc; returns them with the
-    children of the arc that hold them."""
-    return _four_fold_placement(analysis_for(ctx), vertex_set(alpha_set))
-
-
-def _four_fold_placement(t: TileAnalysis, vs: VertexSet) -> FourFold:
-    """four_fold_placement on vs, a canonical vertex set.
-
-    The child B_v' + d of vs, one out-edge (d, v'), holds the triple point
-    w when w's single step w ->(d) w' reads the same digit and v' lies in
-    w'; exactly one child may hold w.
-    """
+    """Exactly two triple points bound the arc vs; returns them with the
+    children that hold them.  The child B_v' + d, one out-edge (d, v'),
+    holds the triple point w when w's single step w ->(d) w' reads the same
+    digit and v' lies in w'; exactly one child may hold w."""
+    t = analysis_for(ctx)
+    vs = vertex_set(alpha_set)
     g2, g3 = t.level(2), t.level(3)
     members = set(vs)
     supersets = [w for w in g3.vertices if members.issubset(w)]
@@ -322,9 +311,10 @@ def _reframed(v: VertexSet, a: Vec) -> VertexSet:
 
 def successor_paths_failure(ctx) -> str | None:
     t = analysis_for(ctx)
-    g2 = t.level(2)
-    for v in least_framings(g2.vertices):
-        _, report = _successor_hata(t, g2, v)
+    if not (arcs := least_framings(t.level(2).vertices)):
+        return "level 2 is empty: no arc has successors to check"
+    for v in arcs:
+        _, report = successor_hata(t, v)
         if not report.is_path:
             return f"successors of {v} form {report.classification}"
     return None
@@ -332,9 +322,11 @@ def successor_paths_failure(ctx) -> str | None:
 
 def four_fold_failure(ctx) -> str | None:
     t = analysis_for(ctx)
-    for v in least_framings(t.level(2).vertices):
+    if not (arcs := least_framings(t.level(2).vertices)):
+        return "level 2 is empty: no arc has triple points to place"
+    for v in arcs:
         try:
-            ff = _four_fold_placement(t, v)
+            ff = four_fold_placement(t, v)
         except ValueError as exc:
             return str(exc)
         if len(t.level(2).out_edges(v)) > 1 and ff.children[0] == ff.children[1]:
@@ -345,12 +337,16 @@ def four_fold_failure(ctx) -> str | None:
 def loop_chains_failure(ctx, k_max: int = 1) -> str | None:
     """Why the depth-k loop around some neighbor alpha, k = 1, ..., k_max,
     is not a circular chain of distinct point links; the first such loop
-    is named.  The loop around −alpha is that around alpha, translated."""
+    is named.  The loop around −alpha is that around alpha, translated.
+    A neighbor with no loop fails with boundary_loop_pieces' refusal."""
     _check_loop_depth(k_max)
     t = analysis_for(ctx)
     for (alpha,) in least_framings([(a,) for a in t.neighbors.points]):
         for k in range(1, k_max + 1):
-            h, report = boundary_loop_audit(t, alpha, k)
+            try:
+                h, report = boundary_loop_audit(t, alpha, k)
+            except ValueError as exc:
+                return str(exc)
             where = f"loop around {alpha} at depth {k}"
             if not report.is_circular_chain:
                 witness = ("" if report.witness is None
@@ -368,8 +364,10 @@ def walk_points_failure(ctx) -> str | None:
     from .power import word_admissible_from
 
     t = analysis_for(ctx)
+    if not (triples := t.level(3).vertices):
+        return "level 3 is empty: no triple point to walk"
     pts = {}
-    for v in t.level(3).vertices:
+    for v in triples:
         try:
             word = t.walk(v)
         except ValueError as exc:
@@ -405,16 +403,7 @@ def _loop_point_failure(h: HataGraph) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# Bing's two checks of the faces in a fixed order
-
-
-def _face_order(triple: AbcTriple) -> tuple[Vec, ...]:
-    """Fixed face enumeration used by the attachment audit."""
-    p, q, n, qp, nq, np_, nqp = triple.names()
-    return (
-        vec_neg(qp), nqp, nq, vec_neg(q), vec_neg(n), vec_neg(np_),
-        p, vec_neg(p), np_, n, q, vec_neg(nq), vec_neg(nqp), qp,
-    )
+# Bing's two checks of the faces
 
 
 def face_equations_failure(ctx) -> str | None:
@@ -457,19 +446,20 @@ def _equation_failure(t: TileAnalysis, alpha: Vec) -> str | None:
     return None
 
 
-def attachment_failure(ctx) -> str | None:
-    """Why, in the fixed face order of a family member, some face's
-    attachment set (its arcs with the faces before it) is empty or
-    disconnected, or the last face's is not its whole loop."""
+def attachment_failure(ctx, order) -> str | None:
+    """Why, in the given order of the faces, some face's attachment set
+    (its arcs with the faces before it) is empty or disconnected.  The
+    order must list every neighbor once, or ValueError is raised; so the
+    last face's set is every arc it lies on, its whole loop."""
     t = analysis_for(ctx)
-    if t.triple is None:
-        raise ValueError("the face order needs a family member")
-    order = _face_order(t.triple)
+    faces = [int_vector(a, "face") for a in order]
+    if sorted(faces) != sorted(t.neighbors.points):
+        raise ValueError("a face order lists every neighbor exactly once")
     v2 = set(t.level(2).vertices)
     zero = (0,) * t.matrix.size
-    for i in range(1, len(order)):
-        alpha = order[i]
-        arcs = [arc for prev in order[:i]
+    for i in range(1, len(faces)):
+        alpha = faces[i]
+        arcs = [arc for prev in faces[:i]
                 if (arc := vertex_set((prev, alpha))) in v2]
         if not arcs:
             return f"attachment set {i + 1} of face {alpha} is empty"
@@ -477,6 +467,4 @@ def attachment_failure(ctx) -> str | None:
         if report.classification == "disconnected":
             return (f"attachment set {i + 1} of face {alpha} is "
                     f"disconnected: {report.witness}")
-    if set(arcs) != {v for v in v2 if alpha in v}:
-        return f"final attachment set of face {alpha} is not its full loop"
     return None

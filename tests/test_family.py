@@ -24,7 +24,7 @@ from tileforge.family import (
     sweep_csv,
 )
 from tileforge.graphs import LabeledEdge, RoundLimitError
-from tileforge.lattice import companion_form, vec_neg
+from tileforge.lattice import IntMatrix, companion_form, vec_neg
 from tileforge.power import vertex_set
 
 from strategies import signed_cubic_contexts
@@ -531,31 +531,62 @@ def test_registry_passes_on_every_signed_tile_with_14_neighbors():
     assert (0, -2, 3) in passed
 
 
-# The signed cubics with |A|, |B|, |C| <= 6 whose levels are (18, 48, 32,
-# 0): their alternating sum is 2, as for a sphere, but their boundary is
-# not the bitruncated cubic honeycomb's.
-IMPOSTORS = [(-3, -1, 6), (-2, -1, 4), (-2, -1, 5), (-2, -1, 6), (-1, -1, 2),
-             (-1, -1, 3), (-1, -1, 4), (-1, -1, 5), (-1, -1, 6), (1, -1, -6),
-             (1, -1, -5), (1, -1, -4), (1, -1, -3), (1, -1, -2), (2, -1, -6),
-             (2, -1, -5), (2, -1, -4), (3, -1, -6)]
+# The signed cubics with |A|, |B|, |C| <= 6 and 18 neighbors, by their
+# levels 2 to 4.  Those with levels (48, 32, 0) have the alternating sum 2
+# of a sphere, but their boundary is not the bitruncated cubic
+# honeycomb's; those with levels (54, 40, 0) have the sum 4.
+IMPOSTORS = {
+    (48, 32, 0): [(-3, -1, 6), (-2, -1, 4), (-2, -1, 5), (-2, -1, 6),
+                  (-1, -1, 2), (-1, -1, 3), (-1, -1, 4), (-1, -1, 5),
+                  (-1, -1, 6), (1, -1, -6), (1, -1, -5), (1, -1, -4),
+                  (1, -1, -3), (1, -1, -2), (2, -1, -6), (2, -1, -5),
+                  (2, -1, -4), (3, -1, -6)],
+    (54, 40, 0): [(-2, -2, 6), (-2, 0, 6), (2, -2, -6), (2, 0, -6)],
+}
 
 
 def test_registry_answers_with_a_failure_on_every_impostor():
     # A walk that branches is the walk audit's witness, not an exception.
-    failed = dict.fromkeys(("successor_paths", "four_fold", "loops",
-                            "walk_points"), 0)
-    for abc in IMPOSTORS:
-        t = TileAnalysis(*companion_form([1, *abc]))
-        assert len(t.neighbors.points) == 18, abc
-        assert tuple(len(t.level(k).vertices) for k in (2, 3, 4)) == (
-            48, 32, 0), abc
-        failures = audit_failures(t)
-        assert any(failures.values()), abc
-        for name, message in failures.items():
-            failed[name] += message is not None
-        if abc == (-3, -1, 6):
-            assert failures["walk_points"] == (
-                "walk is not unique: vertex ((-4, 1, 0), (-3, 1, 0), "
-                "(-1, 0, 0)) has 3 outgoing edges")
-    assert failed == {"successor_paths": 16, "four_fold": 18, "loops": 18,
-                      "walk_points": 16}
+    failed = {levels: dict.fromkeys(("successor_paths", "four_fold", "loops",
+                                     "walk_points"), 0)
+              for levels in IMPOSTORS}
+    for levels, members in IMPOSTORS.items():
+        for abc in members:
+            t = TileAnalysis(*companion_form([1, *abc]))
+            assert len(t.neighbors.points) == 18, abc
+            assert tuple(len(t.level(k).vertices)
+                         for k in (2, 3, 4)) == levels, abc
+            failures = audit_failures(t)
+            assert any(failures.values()), abc
+            for name, message in failures.items():
+                failed[levels][name] += message is not None
+            if abc == (-3, -1, 6):
+                assert failures["walk_points"] == (
+                    "walk is not unique: vertex ((-4, 1, 0), (-3, 1, 0), "
+                    "(-1, 0, 0)) has 3 outgoing edges")
+    assert failed == {
+        (48, 32, 0): {"successor_paths": 16, "four_fold": 18, "loops": 18,
+                      "walk_points": 16},
+        (54, 40, 0): dict.fromkeys(failed[54, 40, 0], 4)}
+
+
+def test_registry_names_an_empty_level_instead_of_passing():
+    # A check of no arc or no triple point must not pass, and a neighbor
+    # with no loop is the loop audit's witness, not an exception.  The
+    # planar x^2 + x + 3 has points in 3 tiles but none in 4; the interval
+    # tile of M = (-2), D = {0, 1}, has no point in 3 tiles.
+    t = TileAnalysis(*companion_form([1, 1, 3]))
+    assert tuple(len(t.level(k).vertices) for k in (1, 2, 3)) == (6, 6, 0)
+    assert audit_failures(t) == {
+        "successor_paths": None,
+        "four_fold": "((-1, -1), (-1, 0)) lies in 0 level-3 vertices, not 2",
+        "loops": "loop around (-1, -1) at depth 1 is disconnected: "
+                 "nodes 0 and 1 are in different components",
+        "walk_points": "level 3 is empty: no triple point to walk"}
+    t = TileAnalysis(IntMatrix(((-2,),)), ((0,), (1,)))
+    assert tuple(len(t.level(k).vertices) for k in (1, 2, 3)) == (2, 0, 0)
+    assert audit_failures(t) == {
+        "successor_paths": "level 2 is empty: no arc has successors to check",
+        "four_fold": "level 2 is empty: no arc has triple points to place",
+        "loops": "(-1,) appears in no level-2 vertex",
+        "walk_points": "level 3 is empty: no triple point to walk"}

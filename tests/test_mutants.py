@@ -59,3 +59,39 @@ def test_a_missing_workdir_is_refused_before_any_copy(tmp_path, monkeypatch,
     assert capsys.readouterr().err.splitlines()[-1].endswith(
         f": error: --workdir {missing} is not a directory")
     assert list(tmp_path.iterdir()) == []
+
+
+def vacuous_asserts(source: str) -> list[int]:
+    """Lines of the asserts in source whose test cannot fail: a true
+    constant, an ``or`` with a true constant among its operands, or a
+    comparison of an expression with itself."""
+
+    def vacuous(test) -> bool:
+        if isinstance(test, ast.Constant):
+            return bool(test.value)
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+            return any(vacuous(v) for v in test.values)
+        if isinstance(test, ast.Compare):
+            sides = [test.left, *test.comparators]
+            return any(ast.dump(a) == ast.dump(b)
+                       for a, b in zip(sides, sides[1:]))
+        return False
+
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert) and vacuous(node.test)]
+
+
+def test_no_test_asserts_something_that_cannot_fail():
+    found = {path.name: lines for path in sorted((ROOT / "tests").glob("*.py"))
+             if (lines := vacuous_asserts(path.read_text()))}
+    assert found == {}
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("assert True\nassert 1, 'msg'\nassert x\n", [1, 2]),
+    ("assert x or True\nassert (x or (y or 'z'))\nassert x or y\n", [1, 2]),
+    ("assert f(x) == f(x)\nassert a < b <= b\nassert x == y\n", [1, 2]),
+    ("assert False\nassert x and True\nassert x == -x\n", []),
+], ids=["true-constant", "or-true", "self-comparison", "none"])
+def test_the_vacuous_assert_scan_flags_each_pattern(source, lines):
+    assert vacuous_asserts(source) == lines

@@ -6,7 +6,12 @@ import pytest
 
 from tileforge import analysis, family, power, topology
 from tileforge.analysis import AbcTriple, TileAnalysis, analysis_for, predicts_14
-from tileforge.family import audit_failures, bing_audit, family_triples
+from tileforge.family import (
+    _face_order,
+    audit_failures,
+    bing_audit,
+    family_triples,
+)
 from tileforge.graphs import RoundLimitError
 from tileforge.lattice import (
     IntMatrix,
@@ -38,7 +43,6 @@ from tileforge.topology import (
     successor_hata,
     successor_paths_failure,
     walk_points_failure,
-    _face_order,
 )
 
 from strategies import signed_cubic_contexts
@@ -345,10 +349,38 @@ def test_bing_audit_rejects_a_system_outside_the_family():
     t = TileAnalysis(*companion_form([1, 0, -2, 3]))
     with pytest.raises(ValueError, match="audit needs a family member"):
         bing_audit(t, k_max=1)
-    with pytest.raises(ValueError, match="face order needs a family member"):
-        attachment_failure(t)
     with pytest.raises(ValueError, match="face equations need a family member"):
         face_equations_failure(t)
+
+
+def test_attachment_audit_takes_any_order_of_the_neighbors():
+    # The attachment check reads the order it is handed, so it runs on a
+    # tile with no family triple: x^3 - 2x + 3 passes in sorted order.
+    t = TileAnalysis(*companion_form([1, 0, -2, 3]))
+    assert len(t.neighbors.points) == 14
+    assert attachment_failure(t, t.neighbors.points) is None
+
+
+@pytest.mark.parametrize("reorder", [
+    lambda o: o[:1],
+    lambda o: o[:-2] + o[-1:],
+    lambda o: o + o[:1],
+    lambda o: o[:-1] + ((5, 5, 5),),
+], ids=["one-face", "missing", "repeated", "not-a-neighbor"])
+def test_attachment_audit_refuses_an_order_that_is_not_the_faces(
+        reorder, monkeypatch):
+    # Only an order of every face makes the last face's attachment set its
+    # whole loop.  Unchecked, one face would check nothing and pass, with a
+    # face left out the last face would meet the faces before it along part
+    # of its loop only, and a point that is not a neighbor would read as a
+    # face that meets nothing.
+    def forbidden(*args):
+        raise AssertionError("a Hata graph was built")
+
+    monkeypatch.setattr(topology, "hata_graph", forbidden)
+    order = reorder(_face_order(AbcTriple(1, 2, 4)))
+    with pytest.raises(ValueError, match="lists every neighbor exactly once"):
+        attachment_failure(triple_124(), order)
 
 
 @pytest.mark.parametrize("digits", [((0, 0), (1, 0), (0, 1), (1, 1)),
@@ -379,17 +411,10 @@ def test_bing_second_attachment_set_is_single_arc():
     (lambda o: o[6:7] + o[1:6] + o[:1] + o[7:],
      "attachment set 6 of face (-1, -1, -1) is disconnected: "
      "nodes 0 and 1 are in different components"),
-    # Without the face before it, the last face meets the faces before it
-    # in one connected set, but not along its whole loop.
-    (lambda o: o[:-2] + o[-1:],
-     "final attachment set of face (0, 1, 0) is not its full loop"),
-], ids=["empty", "disconnected", "short-loop"])
-def test_attachment_audit_names_the_first_set_that_fails(reorder, message,
-                                                         monkeypatch):
-    real = topology._face_order
-    monkeypatch.setattr(topology, "_face_order",
-                        lambda triple: reorder(real(triple)))
-    assert bing_audit((1, 2, 4), k_max=1)["attachment"] == message
+], ids=["empty", "disconnected"])
+def test_attachment_audit_names_the_first_set_that_fails(reorder, message):
+    order = reorder(_face_order(AbcTriple(1, 2, 4)))
+    assert attachment_failure(triple_124(), order) == message
 
 
 def face_children(t, alpha):

@@ -135,16 +135,79 @@ MUTANTS = (
         "only as some path",
     ),
     Mutant(
-        "attachment-final-loop-unchecked",
+        "attachment-order-unchecked",
         "src/tileforge/topology.py",
-        "    if set(arcs) != {v for v in v2 if alpha in v}:\n"
-        "        return f\"final attachment set of face {alpha} is not its "
-        "full loop\"\n",
+        "    if sorted(faces) != sorted(t.neighbors.points):\n"
+        "        raise ValueError(\"a face order lists every neighbor exactly "
+        "once\")\n",
         "",
         ("tests/test_topology.py::"
-         "test_attachment_audit_names_the_first_set_that_fails[short-loop]",),
-        "the last face must meet the faces before it along its whole loop, "
-        "not only in a nonempty connected set",
+         "test_attachment_audit_refuses_an_order_that_is_not_the_faces"
+         "[one-face]",
+         "tests/test_topology.py::"
+         "test_attachment_audit_refuses_an_order_that_is_not_the_faces"
+         "[missing]"),
+        "only an order of every face makes the last face meet the faces "
+        "before it along its whole loop; one face checks nothing",
+    ),
+    Mutant(
+        "attachment-ignores-order",
+        "src/tileforge/topology.py",
+        "        alpha = faces[i]\n"
+        "        arcs = [arc for prev in faces[:i]\n",
+        "        alpha = t.neighbors.points[i]\n"
+        "        arcs = [arc for prev in t.neighbors.points[:i]\n",
+        ("tests/test_topology.py::"
+         "test_attachment_audit_names_the_first_set_that_fails[empty]",
+         "tests/test_topology.py::"
+         "test_attachment_audit_names_the_first_set_that_fails"
+         "[disconnected]"),
+        "the attachment check reads the order it is handed, not the "
+        "neighbors in sorted order",
+    ),
+    Mutant(
+        "successor-paths-pass-on-empty-level",
+        "src/tileforge/topology.py",
+        "    if not (arcs := least_framings(t.level(2).vertices)):\n"
+        "        return \"level 2 is empty: no arc has successors to check\"\n",
+        "    arcs = least_framings(t.level(2).vertices)\n",
+        ("tests/test_family.py::"
+         "test_registry_names_an_empty_level_instead_of_passing",),
+        "an audit that checked no arc passes on anything",
+    ),
+    Mutant(
+        "four-fold-passes-on-empty-level",
+        "src/tileforge/topology.py",
+        "    if not (arcs := least_framings(t.level(2).vertices)):\n"
+        "        return \"level 2 is empty: no arc has triple points to "
+        "place\"\n",
+        "    arcs = least_framings(t.level(2).vertices)\n",
+        ("tests/test_family.py::"
+         "test_registry_names_an_empty_level_instead_of_passing",),
+        "an audit that checked no arc passes on anything",
+    ),
+    Mutant(
+        "walk-points-pass-on-empty-level",
+        "src/tileforge/topology.py",
+        "    if not (triples := t.level(3).vertices):\n"
+        "        return \"level 3 is empty: no triple point to walk\"\n",
+        "    triples = t.level(3).vertices\n",
+        ("tests/test_family.py::"
+         "test_registry_names_an_empty_level_instead_of_passing",),
+        "an audit that walked no triple point passes on anything",
+    ),
+    Mutant(
+        "loop-refusal-raises",
+        "src/tileforge/topology.py",
+        "            try:\n"
+        "                h, report = boundary_loop_audit(t, alpha, k)\n"
+        "            except ValueError as exc:\n"
+        "                return str(exc)\n",
+        "            h, report = boundary_loop_audit(t, alpha, k)\n",
+        ("tests/test_family.py::"
+         "test_registry_names_an_empty_level_instead_of_passing",),
+        "a neighbor with no loop is the loop audit's witness; raised, it "
+        "stops the registry from answering",
     ),
     Mutant(
         "walk-closes-one-step-late",
