@@ -8,7 +8,7 @@ import sys
 from types import SimpleNamespace
 
 from .analysis import AbcTriple, TileAnalysis
-from .family import _check_parallelism, audit_report, disagreements, sweep
+from .family import audit_report, disagreements, sweep
 from .geometry_io import (
     approximate_boundary_piece,
     approximate_tile,
@@ -96,7 +96,6 @@ def run_analyze(args) -> int:
 def run_sweep(args) -> int:
     if args.max < 2:
         raise ValueError("--max must be at least 2")
-    _check_parallelism(args.jobs)
     records = sweep(args.max, args.max, args.max, parallelism=args.jobs)
     flagged = [r for r in records if not (r.agrees and r.audit_pass)]
     if args.csv:

@@ -275,10 +275,13 @@ def _boundary_walks(t):
     """Each boundary-graph vertex's (digit, successor) steps in sorted edge
     order, and a list whose entry k counts the length-k walks from each
     vertex, which _walk_counts grows on demand.  The entry is kept until
-    another context is rendered."""
+    another context is rendered.  build_graph sorts the edges by (src, dst,
+    d, d'), by digit value and not by place in D, so one pass over them
+    lists each vertex's steps in order."""
     g = t.boundary_graph
-    step = {v: [(e.d, e.dst) for e in sorted(g.out_edges(v))]
-            for v in g.vertices}
+    step = {v: [] for v in g.vertices}
+    for e in g.edges:
+        step[e.src].append((e.d, e.dst))
     return step, [dict.fromkeys(step, 1)]
 
 

@@ -49,7 +49,7 @@ class BoundaryGraph(checked_record("BoundaryGraph",
                                    "vertices edges matrix digits")):
     """Immutable labeled digraph over a finite translation set."""
 
-    # No __slots__: the cached tables below live in the instance dict.
+    # No __slots__: the cached table below lives in the instance dict.
 
     def __new__(cls, vertices: tuple[Vec, ...], edges: tuple[LabeledEdge, ...],
                 matrix: IntMatrix, digits: tuple[Vec, ...]):
@@ -59,16 +59,6 @@ class BoundaryGraph(checked_record("BoundaryGraph",
         if any(e.d not in dset or e.d_prime not in dset for e in edges):
             raise ValueError("edge digits must be in the digit set")
         return super().__new__(cls, vertices, edges, matrix, digits)
-
-    @cached_property
-    def _out(self) -> dict:
-        out: dict[Vec, list[LabeledEdge]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[e.src].append(e)
-        return out
-
-    def out_edges(self, v: Vec) -> tuple[LabeledEdge, ...]:
-        return tuple(self._out.get(v, ()))
 
     @cached_property
     def bit_tables(self) -> tuple:

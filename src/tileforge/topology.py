@@ -231,10 +231,13 @@ def four_fold_placement(ctx, alpha_set) -> FourFold:
     """Exactly two triple points bound the arc vs; returns them with the
     children that hold them.  The child B_v' + d, one out-edge (d, v'),
     holds the triple point w when w's single step w ->(d) w' reads the same
-    digit and v' lies in w'; exactly one child may hold w."""
+    digit and v' lies in w'; exactly one child may hold w.  A vs that is
+    not a level-2 vertex is refused."""
     t = analysis_for(ctx)
     vs = vertex_set(alpha_set)
     g2, g3 = t.level(2), t.level(3)
+    if not g2.has_vertex(vs):
+        raise ValueError(f"{vs} is not a level-2 vertex")
     members = set(vs)
     supersets = [w for w in g3.vertices if members.issubset(w)]
     if len(supersets) != 2:
@@ -425,22 +428,17 @@ def _equation_failure(t: TileAnalysis, alpha: Vec) -> str | None:
     d, its shift before canonicalisation."""
     zero = (0,) * t.matrix.size
     children = subdivide(t.level(1), [((alpha,), zero)], 1)
-    labeled = {}
-    for dst, d in children:
-        labeled.setdefault(make_piece(dst, d), set()).add(d)
-    if any(len(ls) > 1 for ls in labeled.values()):
+    digit = {make_piece(dst, d): d for dst, d in children}
+    if len(digit) != len(children):
         return "two labels denote one piece"
-    h = hata_graph(t, labeled.keys())
-    if len(h.nodes) != len(children):
-        return "children collapsed unexpectedly"
+    h = hata_graph(t, digit.keys())
     report = classify(h)
     if len(h.nodes) > 1:
         if report.classification != "path":
             return f"children form {report.classification}"
         if any(len(gamma) != 2 for _, _, gamma in h.edges):
             return "a consecutive link is not an arc"
-        label_of = {node: next(iter(labeled[node]))[0] for node in h.nodes}
-        seq = [label_of[h.nodes[i]] for i in path_order(h)]
+        seq = [digit[h.nodes[i]][0] for i in path_order(h)]
         if seq != sorted(seq) and seq != sorted(seq, reverse=True):
             return f"path does not follow the digit order: {seq}"
     return None

@@ -62,6 +62,15 @@ def signed_cubic_contexts(bound: int = 6):
             yield abc, TileAnalysis(m, digits)
 
 
+def edge_lists(graph) -> dict:
+    """Each vertex of a boundary graph mapped to the list of its labelled
+    out-edges, in the order of graph.edges."""
+    out = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        out[e.src].append(e)
+    return out
+
+
 def walk_alive_oracle(succ: dict) -> set:
     """The keys of succ, each mapped to the set of its successors, from
     which an infinite walk starts: keep the keys with a successor among the

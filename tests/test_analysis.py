@@ -53,11 +53,11 @@ def test_list_digits_and_basis_give_the_tuple_context():
     assert (listed.digits, listed.basis) == (d, basis)
 
 
-def test_audit_report_leaves_the_out_edge_index_unbuilt():
-    # Neither the report nor level 2 reads the boundary graph's out-edges.
+def test_audit_report_builds_only_the_bit_tables():
+    # The report and level 2 read the boundary graph through its one index.
     t = TileAnalysis(*AbcTriple(11, 11, 12).system())
     assert audit_report(t)["neighbors"]["count"] == 182
-    assert "_out" not in vars(t.boundary_graph)
+    assert list(vars(t.boundary_graph)) == ["bit_tables"]
 
 
 def forbid_fixpoints(monkeypatch):

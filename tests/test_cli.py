@@ -277,10 +277,10 @@ def test_sweep_jobs_counts_the_calling_process(tmp_path):
 
 def test_sweep_jobs_above_one_needs_fork(monkeypatch, capsys):
     def forbidden(*args, **kwargs):
-        raise AssertionError("sweep ran without os.fork")
+        raise AssertionError("a triple ran without os.fork")
 
     monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(cli, "sweep", forbidden)
+    monkeypatch.setattr(family, "family_triples", forbidden)
     assert cli.main(["sweep", "--max", "2", "--jobs", "2"]) == 2
     assert capsys.readouterr().err == "error: --jobs above 1 needs os.fork\n"
 
@@ -325,9 +325,9 @@ def test_sweep_memory_rise_stays_under_budget():
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_sweep_rejects_jobs_below_one(jobs, monkeypatch, capsys):
     def forbidden(*args, **kwargs):
-        raise AssertionError("sweep ran with an invalid --jobs")
+        raise AssertionError("a triple ran with an invalid --jobs")
 
-    monkeypatch.setattr(cli, "sweep", forbidden)
+    monkeypatch.setattr(family, "family_triples", forbidden)
     assert cli.main(["sweep", "--max", "2", "--jobs", jobs]) == 2
     assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
 

@@ -27,7 +27,12 @@ from tileforge.geometry_io import (
 )
 from tileforge.lattice import Vec, companion_form
 
-from strategies import expanding_systems, residue_systems, run_fresh
+from strategies import (
+    edge_lists,
+    expanding_systems,
+    residue_systems,
+    run_fresh,
+)
 
 
 def system_124():
@@ -35,14 +40,16 @@ def system_124():
 
 
 # Oracle: the walks of one length from one start, counted forward from
-# that start alone, kept verbatim apart from its name.  The boundary
-# set-up counts them for every vertex in one backward pass.
+# that start alone, kept verbatim apart from its name and the edge lists
+# it reads.  The boundary set-up counts them for every vertex in one
+# backward pass.
 def oracle_count_walks(graph: BoundaryGraph, start: Vec, depth: int) -> int:
+    out = edge_lists(graph)
     counts = {start: 1}
     for _ in range(depth):
         nxt: dict[Vec, int] = {}
         for v, c in counts.items():
-            for e in graph.out_edges(v):
+            for e in out[v]:
                 nxt[e.dst] = nxt.get(e.dst, 0) + c
         counts = nxt
     return sum(counts.values())
@@ -200,14 +207,45 @@ def test_boundary_render_sets_up_once_for_all_faces(monkeypatch, tmp_path):
 
     for name in ("attractor_radius", "_level_columns"):
         counted(geometry_io, name)
-    counted(BoundaryGraph, "out_edges")
     geometry_io._boundary_walks.cache_clear()
     geometry_io._boundary_setup.cache_clear()
     out = tmp_path / "b.ply"
     assert cli.main(["render", "--abc", "1,2,4", "--boundary", "--depth", "3",
                      "--ply", str(out)]) == 0
-    assert calls == {"attractor_radius": 1, "_level_columns": 1,
-                     "out_edges": 14}
+    assert calls == {"attractor_radius": 1, "_level_columns": 1}
+    assert geometry_io._boundary_walks.cache_info().misses == 1
+
+
+def test_boundary_render_builds_no_index_on_its_boundary_graph(monkeypatch,
+                                                               tmp_path):
+    # The walks read the sorted edge tuple; bit_tables stays unbuilt.
+    loaded = []
+    real = cli._load_context
+
+    def load(*args):
+        loaded.append(real(*args))
+        return loaded[-1]
+    monkeypatch.setattr(cli, "_load_context", load)
+    assert cli.main(["render", "--abc", "2,3,4", "--boundary", "--depth", "3",
+                     "--ply", str(tmp_path / "b.ply")]) == 0
+    (t,) = loaded
+    assert vars(t.boundary_graph) == {}
+
+
+def test_boundary_render_does_not_depend_on_the_digit_order(tmp_path):
+    # Each vertex's steps follow the digit values, not their place in D.
+    matrix, digits = system_124()
+    (tmp_path / "m.json").write_text(json.dumps(matrix.rows))
+    (tmp_path / "d.json").write_text(json.dumps(digits[::-1]))
+    ply, cloud = tmp_path / "b.ply", tmp_path / "b.json"
+
+    def rendered(*system):
+        assert cli.main(["render", *system, "--boundary", "--depth", "5",
+                         "--ply", str(ply), "--json", str(cloud)]) == 0
+        return ply.read_bytes(), cloud.read_bytes()
+    assert rendered("--matrix", str(tmp_path / "m.json"),
+                    "--digits", str(tmp_path / "d.json")) == \
+        rendered("--abc", "1,2,4")
 
 
 def test_boundary_piece_rejects_non_neighbor():
@@ -390,14 +428,14 @@ def fraction_tile(matrix, digits, depth):
 
 def fraction_boundary_piece(t, alpha, depth):
     """Reference: the Fraction sum along every walk, depth first."""
-    g = t.boundary_graph
+    out = edge_lists(t.boundary_graph)
     zero = (Fraction(0),) * t.matrix.size
     walks = [(zero, alpha)]
     image = {d: tuple(Fraction(x) for x in d) for d in t.digits}
     for _ in range(depth):
         image = {d: t.matrix.solve_fraction(v) for d, v in image.items()}
         walks = [(tuple(a + b for a, b in zip(p, image[e.d])), e.dst)
-                 for p, v in walks for e in sorted(g.out_edges(v))]
+                 for p, v in walks for e in sorted(out[v])]
     return [p for p, _ in walks]
 
 

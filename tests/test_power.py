@@ -37,7 +37,12 @@ from tileforge.power import (
     word_admissible_from,
 )
 
-from strategies import expanding_systems, run_fresh, walk_alive_oracle
+from strategies import (
+    edge_lists,
+    expanding_systems,
+    run_fresh,
+    walk_alive_oracle,
+)
 
 
 def vecs(*points):
@@ -495,8 +500,8 @@ def words_from(draw, base: BoundaryGraph):
     eventually periodic word: random digits, some outside D, or the labels
     of a walk from the start among the vertices that can walk forever, up
     to a repeated vertex, one label of which may be replaced."""
-    live = walk_alive_oracle({v: {e.dst for e in base.out_edges(v)}
-                              for v in base.vertices})
+    out = edge_lists(base)
+    live = walk_alive_oracle({v: {e.dst for e in out[v]} for v in out})
     outside = [(3, 3, 3), (0, 0, 0), (9, -9, 0)]
     if live and draw(st.booleans()):
         start = draw(st.sampled_from(sorted(live)))
@@ -510,7 +515,7 @@ def words_from(draw, base: BoundaryGraph):
     labels, seen, v = [], {}, start
     while v not in seen and v in live:
         seen[v] = len(labels)
-        e = draw(st.sampled_from([e for e in base.out_edges(v)
+        e = draw(st.sampled_from([e for e in out[v]
                                   if e.dst in live]))
         labels.append(e.d)
         v = e.dst

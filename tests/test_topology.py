@@ -45,7 +45,7 @@ from tileforge.topology import (
     walk_points_failure,
 )
 
-from strategies import signed_cubic_contexts
+from strategies import edge_lists, signed_cubic_contexts
 from test_power import oracle_power_graph
 
 
@@ -259,6 +259,20 @@ def test_four_fold_refuses_a_triple_point_with_two_steps():
         four_fold_placement(t, alpha)
 
 
+@pytest.mark.parametrize("vs", [
+    ((-2, -1, -1), (0, 1, 0)),
+    ((-2, -1, -1), (-2, 0, -1), (-1, 0, -1)),
+], ids=["non-arc-pair", "level-3-vertex"])
+def test_four_fold_refuses_a_vertex_that_is_not_an_arc(vs):
+    # Only an arc lies in two triple points; a pair off level 2 and a
+    # triple point are refused before level 3 is scanned, in the words of
+    # successor_hata.
+    t = triple_124()
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{vs} is not a level-2 vertex")):
+        four_fold_placement(t, vs)
+
+
 def test_census_124():
     c = census((1, 2, 4))
     assert (c.faces, c.edges, c.points) == (14, 36, 24)
@@ -437,9 +451,9 @@ def test_face_children_are_the_boundary_graph_edges_on_the_family():
     # pieces B_dst + d of the out-edges alpha ->(d|d') dst, each once.
     for abc in members_14():
         t = analysis_for(abc)
+        out = edge_lists(t.boundary_graph)
         for alpha in t.neighbors.points:
-            want = sorted(((e.dst,), e.d)
-                          for e in t.boundary_graph.out_edges(alpha))
+            want = sorted(((e.dst,), e.d) for e in out[alpha])
             assert sorted(face_children(t, alpha)) == want, (abc, alpha)
 
 
@@ -711,7 +725,8 @@ def test_links_are_decided_once_and_only_at_neighbor_offsets(monkeypatch):
 
 
 def face_equation_pieces(t, alpha):
-    return [make_piece((e.dst,), e.d) for e in t.boundary_graph.out_edges(alpha)]
+    return [make_piece((e.dst,), e.d)
+            for e in edge_lists(t.boundary_graph)[alpha]]
 
 
 @pytest.mark.parametrize("abc", [(1, 2, 4), (3, 4, 10), (6, 8, 12)])

@@ -233,6 +233,40 @@ MUTANTS = (
         "or not at all",
     ),
     Mutant(
+        "boundary-steps-reversed",
+        "src/tileforge/geometry_io.py",
+        "    for e in g.edges:\n",
+        "    for e in reversed(g.edges):\n",
+        ("tests/test_geometry_io.py::"
+         "test_cloud_writers_match_golden_digests",),
+        "a boundary render walks each vertex's steps in sorted edge order; "
+        "reversed, every boundary cloud lists its points in another order",
+    ),
+    Mutant(
+        "four-fold-takes-any-pair",
+        "src/tileforge/topology.py",
+        "    if not g2.has_vertex(vs):\n"
+        "        raise ValueError(f\"{vs} is not a level-2 vertex\")\n",
+        "",
+        ("tests/test_topology.py::"
+         "test_four_fold_refuses_a_vertex_that_is_not_an_arc[non-arc-pair]",
+         "tests/test_topology.py::"
+         "test_four_fold_refuses_a_vertex_that_is_not_an_arc[level-3-vertex]"),
+        "only an arc has two triple points to place; a pair off level 2 "
+        "is refused for what it is, not for the level-3 count it yields",
+    ),
+    Mutant(
+        "sweep-parallelism-unchecked",
+        "src/tileforge/family.py",
+        "    _check_parallelism(parallelism)\n"
+        "    triples = family_triples(a_max, b_max, c_max)\n",
+        "    triples = family_triples(a_max, b_max, c_max)\n",
+        ("tests/test_cli.py::test_sweep_rejects_jobs_below_one",
+         "tests/test_cli.py::test_sweep_jobs_above_one_needs_fork"),
+        "the library is the one place --jobs is checked; unchecked, a sweep "
+        "runs triples with no valid process count",
+    ),
+    Mutant(
         "schur-cohn-non-strict",
         "src/tileforge/lattice.py",
         "        if abs(a_0) >= abs(a_n):\n",
